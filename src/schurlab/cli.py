@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import geometry, groups, harmonic, multiplier, symbols
-from .errors import ConfigInvalid, SchurLabError
+from .errors import ConfigInvalid, GroupMismatch, SchurLabError
 
 SCHEMA = "schur-lab/1"
 
@@ -74,6 +74,13 @@ def _parse_p(value):
             return math.inf
         raise ConfigInvalid(f"cannot parse exponent {value!r}")
     return float(value)
+
+
+def _int_param(cfg, key, default, lo, hi=math.inf) -> int:
+    value = cfg.get(key, default)
+    if type(value) not in (int, float) or not (lo <= value <= hi and float(value).is_integer()):
+        raise ConfigInvalid(f"{key!r} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 def _symbol_from_config(cfg) -> symbols.SymbolSpec:
@@ -216,9 +223,12 @@ def _cmd_squarefn(cfg, seed):
 
 def _cmd_cotlar(cfg, seed):
     group = cfg.get("group")
-    samples = int(cfg.get("samples", 100_000))
+    samples = _int_param(cfg, "samples", 100_000, 1)
     t0 = time.perf_counter()
-    failures = groups.cotlar_pointwise_check(group, samples=samples, seed=seed)
+    try:
+        failures = groups.cotlar_pointwise_check(group, samples=samples, seed=seed)
+    except GroupMismatch as exc:
+        raise ConfigInvalid(str(exc)) from exc
     wall_ms = int(round(1000 * (time.perf_counter() - t0)))
     out = {
         "schema": SCHEMA,
@@ -257,40 +267,26 @@ def _cmd_groupcheck(cfg, seed):
 
 
 def _group_point(cfg, group) -> groups.GroupElement:
-    g0 = cfg.get("g0")
-    if g0 is None:
-        defaults = {
-            groups.SL2R: groups.sl2_element(np.eye(2)),
-            groups.SO3: groups.so3_element(
-                np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-            ),
-            groups.REAL: groups.real_element(0.0),
-            groups.AFFINE: groups.affine_element(1.0, 0.0),
-            groups.HEISENBERG: groups.heisenberg_element(0.0, 0.0, 0.0),
-        }
-        try:
-            return defaults[group]
-        except KeyError as exc:
-            raise ConfigInvalid(f"no default base point for group {group!r}") from exc
-    arr = np.array(g0, dtype=float)
+    """The base point g0 of a known matrix Lie group: the config's
+    coordinates in the group's coordinate shape, or the group's default."""
+    row = groups.GROUPS[group]
     try:
-        if group == groups.REAL:
-            return groups.real_element(float(arr))
-        if group == groups.AFFINE:
-            return groups.affine_element(arr[0], arr[1])
-        if group == groups.SL2R:
-            return groups.sl2_element(arr.reshape(2, 2))
-        if group == groups.SO3:
-            return groups.so3_element(arr.reshape(3, 3))
-        if group == groups.HEISENBERG:
-            return groups.heisenberg_element(arr[0], arr[1], arr[2])
-    except (SchurLabError, ValueError) as exc:
+        coords = np.array(cfg.get("g0", row.g0), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"g0 for group {group!r} is not numeric: {exc}") from exc
+    if coords.size != math.prod(row.shape):
+        raise ConfigInvalid(
+            f"g0 for group {group!r} needs {math.prod(row.shape)} numbers "
+            f"(shape {list(row.shape)}), got {coords.size}"
+        )
+    try:
+        return row.make(coords.reshape(row.shape))
+    except SchurLabError as exc:
         raise ConfigInvalid(f"bad g0 for group {group!r}: {exc}") from exc
-    raise ConfigInvalid(f"unknown group {group!r}")
 
 
 def _cmd_transfer(cfg, seed):
-    n = int(cfg.get("N", 16))
+    n = _int_param(cfg, "N", 16, 1, groups.MAX_CYCLIC_ORDER)
     p = _parse_p(cfg.get("p", 4))
     m_spec = cfg.get("m", "half")
     if m_spec == "half":
@@ -300,7 +296,12 @@ def _cmd_transfer(cfg, seed):
         mv = np.zeros(n)
         mv[0] = 1.0
     elif isinstance(m_spec, list):
-        mv = np.array(m_spec, dtype=float)
+        try:
+            mv = np.array(m_spec, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"'m' is not a list of numbers: {exc}") from exc
+        if mv.shape != (n,):
+            raise ConfigInvalid(f"'m' must be a flat list of N = {n} values, got shape {mv.shape}")
     else:
         raise ConfigInvalid("'m' must be 'half', 'delta', or a list of values")
     t0 = time.perf_counter()

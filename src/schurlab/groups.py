@@ -5,6 +5,11 @@ pointwise Cotlar identity for actions on the line, the codimension-1
 Lie-subalgebra boundary criterion, and Fourier <-> Schur transference on
 finite cyclic groups.
 
+Every group is one row of ``GROUPS``: batched sampling, product and
+inverse on coordinate arrays, plus the line action and the closed-form
+exponential where the group has them.  A single ``GroupElement`` is a
+batch of one.
+
 The projective group is represented only through its fractional-linear
 chart near the identity: poles are rejected, and samples stay inside the
 branch where the chart action preserves the order of the line.
@@ -17,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     ChartOverflow,
@@ -32,6 +36,7 @@ from .multiplier import circulant
 from .symbols import parse_expression
 
 __all__ = [
+    "GROUPS",
     "GroupElement",
     "real_element",
     "affine_element",
@@ -44,6 +49,7 @@ __all__ = [
     "group_inv",
     "act_on_line",
     "random_element",
+    "expm",
     "herz_schur_matrix",
     "cotlar_pointwise_check",
     "LieAlgebraBasis",
@@ -68,9 +74,14 @@ SO3 = "so3"
 HEISENBERG = "heisenberg"
 CYCLIC = "cyclic"
 
-_GROUP_IDS = (REAL, AFFINE, SL2R, SO3, HEISENBERG, CYCLIC)
+MAX_CYCLIC_ORDER = 512  # largest order the transference check accepts
 
 _CONSTRAINT_TOL = 1e-10
+
+# branch-safe sampling radius of the sl2r exponential coordinates: inside
+# it the chart action at the relevant points stays on one
+# order-preserving branch
+_CHART_RADIUS = 0.4
 
 
 @dataclass(frozen=True)
@@ -114,293 +125,15 @@ def heisenberg_element(x: float, y: float, z: float) -> GroupElement:
     return GroupElement(HEISENBERG, np.array([float(x), float(y), float(z)]))
 
 
+def _order(n) -> int:
+    if n is None or n < 1:
+        raise GroupMismatch("the cyclic group needs an order n >= 1")
+    return int(n)
+
+
 def cyclic_element(k: int, n: int) -> GroupElement:
-    if n < 1:
-        raise GroupMismatch("cyclic group order must be >= 1")
-    return GroupElement(CYCLIC, np.array([int(k) % int(n), int(n)]))
-
-
-def identity(group_id: str, n: Optional[int] = None) -> GroupElement:
-    if group_id == REAL:
-        return real_element(0.0)
-    if group_id == AFFINE:
-        return affine_element(1.0, 0.0)
-    if group_id == SL2R:
-        return GroupElement(SL2R, np.eye(2))
-    if group_id == SO3:
-        return GroupElement(SO3, np.eye(3))
-    if group_id == HEISENBERG:
-        return heisenberg_element(0.0, 0.0, 0.0)
-    if group_id == CYCLIC:
-        if n is None:
-            raise GroupMismatch("cyclic identity needs the group order")
-        return cyclic_element(0, n)
-    raise GroupMismatch(f"unknown group {group_id!r}")
-
-
-def _same_group(g: GroupElement, h: GroupElement):
-    if g.group_id != h.group_id:
-        raise GroupMismatch(f"{g.group_id} vs {h.group_id}")
-    if g.group_id == CYCLIC and g.coords[1] != h.coords[1]:
-        raise GroupMismatch("cyclic elements from different orders")
-
-
-def group_op(g: GroupElement, h: GroupElement) -> GroupElement:
-    _same_group(g, h)
-    gid = g.group_id
-    if gid == REAL:
-        return real_element(g.coords[0] + h.coords[0])
-    if gid == AFFINE:
-        a1, b1 = g.coords
-        a2, b2 = h.coords
-        return affine_element(a1 * a2, a1 * b2 + b1)
-    if gid in (SL2R, SO3):
-        return GroupElement(gid, g.coords @ h.coords)
-    if gid == HEISENBERG:
-        x1, y1, z1 = g.coords
-        x2, y2, z2 = h.coords
-        return heisenberg_element(x1 + x2, y1 + y2, z1 + z2 + x1 * y2)
-    if gid == CYCLIC:
-        n = int(g.coords[1])
-        return cyclic_element(int(g.coords[0]) + int(h.coords[0]), n)
-    raise GroupMismatch(f"unknown group {gid!r}")
-
-
-def group_inv(g: GroupElement) -> GroupElement:
-    gid = g.group_id
-    if gid == REAL:
-        return real_element(-g.coords[0])
-    if gid == AFFINE:
-        a, b = g.coords
-        return affine_element(1.0 / a, -b / a)
-    if gid == SL2R:
-        a, b = g.coords[0]
-        c, d = g.coords[1]
-        return GroupElement(SL2R, np.array([[d, -b], [-c, a]]))
-    if gid == SO3:
-        return GroupElement(SO3, g.coords.T.copy())
-    if gid == HEISENBERG:
-        x, y, z = g.coords
-        return heisenberg_element(-x, -y, -z + x * y)
-    if gid == CYCLIC:
-        n = int(g.coords[1])
-        return cyclic_element(-int(g.coords[0]), n)
-    raise GroupMismatch(f"unknown group {gid!r}")
-
-
-def act_on_line(g: GroupElement, t: float, pole_tol: float = 1e-9) -> float:
-    """The group's action on the real line.
-
-    Translation for the real line, t -> a t + b for the affine group, and
-    the fractional-linear chart for sl2r (ChartOverflow at poles).
-    """
-    gid = g.group_id
-    if gid == REAL:
-        return float(t + g.coords[0])
-    if gid == AFFINE:
-        a, b = g.coords
-        return float(a * t + b)
-    if gid == SL2R:
-        a, b = g.coords[0]
-        c, d = g.coords[1]
-        den = c * t + d
-        if abs(den) < pole_tol * (1.0 + abs(c) + abs(d)):
-            raise ChartOverflow(f"fractional-linear pole at t = {t}")
-        return float((a * t + b) / den)
-    raise GroupMismatch(f"group {gid!r} has no line action")
-
-
-def random_element(group_id: str, rng, radius: float = 0.4, n: Optional[int] = None) -> GroupElement:
-    """Coordinate-box uniform sample (for sl2r: exponential coordinates in
-    a branch-safe box)."""
-    if group_id == REAL:
-        return real_element(rng.uniform(-2.0, 2.0))
-    if group_id == AFFINE:
-        return affine_element(rng.uniform(0.25, 4.0), rng.uniform(-2.0, 2.0))
-    if group_id == SL2R:
-        xh, xe, xf = rng.uniform(-radius, radius, size=3)
-        return GroupElement(SL2R, _sl2_exp_single(xh, xe, xf))
-    if group_id == SO3:
-        w = rng.uniform(-math.pi / 2, math.pi / 2, size=3)
-        return GroupElement(SO3, expm(_so3_hat(w)))
-    if group_id == HEISENBERG:
-        x, y, z = rng.uniform(-2.0, 2.0, size=3)
-        return heisenberg_element(x, y, z)
-    if group_id == CYCLIC:
-        if n is None:
-            raise GroupMismatch("cyclic sampling needs the group order")
-        return cyclic_element(int(rng.integers(0, n)), n)
-    raise GroupMismatch(f"unknown group {group_id!r}")
-
-
-def herz_schur_matrix(group_id: str, m: Callable, grid: Sequence[GroupElement]) -> np.ndarray:
-    """Matrix M[i, j] = m(g_i g_j^{-1}) over a finite grid of elements."""
-    grid = list(grid)
-    k = len(grid)
-    out = np.zeros((k, k), dtype=complex)
-    invs = [group_inv(g) for g in grid]
-    for j in range(k):
-        for i in range(k):
-            if grid[i].group_id != group_id:
-                raise GroupMismatch(f"grid element from {grid[i].group_id!r}")
-            out[i, j] = m(group_op(grid[i], invs[j]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pointwise Cotlar identity for half-line symbols of line actions
-# ---------------------------------------------------------------------------
-
-
-def _sl2_exp_single(xh, xe, xf):
-    x = np.array([[xh, xe], [xf, -xh]])
-    disc = xh * xh + xe * xf
-    if disc > 1e-12:
-        s = math.sqrt(disc)
-        return math.cosh(s) * np.eye(2) + (math.sinh(s) / s) * x
-    if disc < -1e-12:
-        s = math.sqrt(-disc)
-        return math.cos(s) * np.eye(2) + (math.sin(s) / s) * x
-    return np.eye(2) + x
-
-
-def _sl2_exp_batch(xh, xe, xf):
-    k = xh.shape[0]
-    disc = xh * xh + xe * xf
-    cosv = np.where(disc >= 0, np.cosh(np.sqrt(np.abs(disc))), np.cos(np.sqrt(np.abs(disc))))
-    s = np.sqrt(np.abs(disc))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sincv = np.where(
-            disc >= 0,
-            np.where(s > 1e-8, np.sinh(s) / np.where(s > 1e-8, s, 1.0), 1.0),
-            np.where(s > 1e-8, np.sin(s) / np.where(s > 1e-8, s, 1.0), 1.0),
-        )
-    out = np.zeros((k, 2, 2))
-    out[:, 0, 0] = cosv + sincv * xh
-    out[:, 0, 1] = sincv * xe
-    out[:, 1, 0] = sincv * xf
-    out[:, 1, 1] = cosv - sincv * xh
-    return out
-
-
-class _RealBatch:
-    @staticmethod
-    def sample(k, rng):
-        return rng.uniform(-2.0, 2.0, size=k)
-
-    @staticmethod
-    def op(g, h):
-        return g + h
-
-    @staticmethod
-    def inv(g):
-        return -g
-
-    @staticmethod
-    def act0(g):
-        return g
-
-
-class _AffineBatch:
-    @staticmethod
-    def sample(k, rng):
-        return np.stack([rng.uniform(0.25, 4.0, size=k), rng.uniform(-2.0, 2.0, size=k)], axis=-1)
-
-    @staticmethod
-    def op(g, h):
-        return np.stack([g[:, 0] * h[:, 0], g[:, 0] * h[:, 1] + g[:, 1]], axis=-1)
-
-    @staticmethod
-    def inv(g):
-        return np.stack([1.0 / g[:, 0], -g[:, 1] / g[:, 0]], axis=-1)
-
-    @staticmethod
-    def act0(g):
-        return g[:, 1]
-
-
-class _Sl2ChartBatch:
-    # branch-safe sampling radius: inside it the chart action at the
-    # relevant points stays on one order-preserving branch
-    RADIUS = 0.4
-
-    @staticmethod
-    def sample(k, rng):
-        xh, xe, xf = rng.uniform(-_Sl2ChartBatch.RADIUS, _Sl2ChartBatch.RADIUS, size=(3, k))
-        return _sl2_exp_batch(xh, xe, xf)
-
-    @staticmethod
-    def op(g, h):
-        return np.einsum("kij,kjl->kil", g, h)
-
-    @staticmethod
-    def inv(g):
-        out = np.empty_like(g)
-        out[:, 0, 0] = g[:, 1, 1]
-        out[:, 0, 1] = -g[:, 0, 1]
-        out[:, 1, 0] = -g[:, 1, 0]
-        out[:, 1, 1] = g[:, 0, 0]
-        return out
-
-    @staticmethod
-    def act0(g):
-        den = g[:, 1, 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = g[:, 0, 1] / den
-        return np.where(np.abs(den) < 1e-9, np.nan, val)
-
-
-_COTLAR_BATCHES = {REAL: _RealBatch, AFFINE: _AffineBatch, SL2R: _Sl2ChartBatch}
-
-
-def cotlar_pointwise_check(
-    group_id: str,
-    samples: int = 100_000,
-    seed: int = 0,
-    band: float = 1e-9,
-) -> int:
-    """Count violations of the pointwise Cotlar identity.
-
-    With m = chi_{g . 0 > 0}, checks
-    m(g^-1) m(g^-1 h) = m(h) m(g^-1) + m(h^-1) m(g^-1 h)
-    on seeded samples, rejecting the measure-zero sets alpha = 0, beta = 0,
-    alpha = beta (band 1e-9) and chart poles.  Contract: 0 failures.
-    """
-    if group_id not in _COTLAR_BATCHES:
-        raise GroupMismatch(f"group {group_id!r} has no line action")
-    batch = _COTLAR_BATCHES[group_id]
-    rng = np.random.default_rng(seed)
-    failures = 0
-    done = 0
-    while done < samples:
-        k = min(65536, int(1.4 * (samples - done)) + 64)
-        g = batch.sample(k, rng)
-        h = batch.sample(k, rng)
-        alpha = batch.act0(g)
-        beta = batch.act0(h)
-        gi = batch.inv(g)
-        gih = batch.op(gi, h)
-        hi = batch.inv(h)
-        vals = np.stack(
-            [batch.act0(gi), batch.act0(gih), batch.act0(h), batch.act0(hi)]
-        )
-        valid = (
-            np.isfinite(alpha)
-            & np.isfinite(beta)
-            & np.all(np.isfinite(vals), axis=0)
-            & (np.abs(alpha) > band)
-            & (np.abs(beta) > band)
-            & (np.abs(alpha - beta) > band)
-            & np.all(np.abs(vals) > band, axis=0)
-        )
-        m_gi, m_gih, m_h, m_hi = (vals[:, valid] > 0.0).astype(int)
-        take = min(int(valid.sum()), samples - done)
-        m_gi, m_gih, m_h, m_hi = (v[:take] for v in (m_gi, m_gih, m_h, m_hi))
-        failures += int(np.sum(m_gi * m_gih != m_h * m_gi + m_hi * m_gih))
-        done += take
-    return failures
-
-
+    n = _order(n)
+    return GroupElement(CYCLIC, np.array([int(k) % n, n]))
 # ---------------------------------------------------------------------------
 # Lie algebra machinery
 # ---------------------------------------------------------------------------
@@ -525,110 +258,373 @@ def affine_algebra(candidate=None) -> LieAlgebraBasis:
 
 
 # ---------------------------------------------------------------------------
+# The group table
+# ---------------------------------------------------------------------------
+
+
+def _matrix(rows) -> np.ndarray:
+    """Square matrices (..., n, n) from n rows of n entries, each an array
+    of the batch shape or a scalar."""
+    entries = np.broadcast_arrays(*(np.asarray(e, dtype=float) for row in rows for e in row))
+    n = len(rows)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
+
+
+def _nilpotent_exp(basis):
+    # z^3 = 0 for the real line and the Heisenberg group
+    def exp(x):
+        z = np.tensordot(x, basis, axes=1)
+        return np.eye(basis.shape[-1]) + z + 0.5 * (z @ z)
+
+    return exp
+
+
+def _affine_exp(x):
+    a, b = x[..., 0], x[..., 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(a == 0.0, 1.0, np.expm1(a) / a)
+    return _matrix([[np.exp(a), b * ratio], [0.0, 1.0]])
+
+
+def _sl2_exp(x):
+    xh, xe, xf = x[..., 0], x[..., 1], x[..., 2]
+    disc = xh * xh + xe * xf
+    s = np.sqrt(np.abs(disc))
+    cosv = np.where(disc >= 0, np.cosh(s), np.cos(s))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sincv = np.where(s > 1e-8, np.where(disc >= 0, np.sinh(s), np.sin(s)) / s, 1.0)
+    return _matrix([[cosv + sincv * xh, sincv * xe], [sincv * xf, cosv - sincv * xh]])
+
+
+def _so3_exp(w):
+    # Rodrigues: I + sin(t)/t K + (1 - cos t)/t^2 K^2 with t = |w|, written
+    # with sinc so that small angles lose no digits
+    k = np.tensordot(w, _SO3_BASIS, axes=1)
+    t = np.linalg.norm(w, axis=-1)[..., None, None]
+    return np.eye(3) + np.sinc(t / np.pi) * k + 0.5 * np.sinc(t / (2.0 * np.pi)) ** 2 * (k @ k)
+
+
+def _projective_act(g, t, pole_tol):
+    a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    den = c * t + d
+    with np.errstate(invalid="ignore", divide="ignore"):
+        val = (a * t + b) / den
+    return np.where(np.abs(den) < pole_tol * (1.0 + np.abs(c) + np.abs(d)), np.nan, val)
+
+
+def _sl2_inv(g):
+    return _matrix([[g[..., 1, 1], -g[..., 0, 1]], [-g[..., 1, 0], g[..., 0, 0]]])
+
+
+def _cyclic_op(g, h):
+    if np.any(g[..., 1] != h[..., 1]):
+        raise GroupMismatch("cyclic elements from different orders")
+    return np.stack([(g[..., 0] + h[..., 0]) % g[..., 1], g[..., 1]], axis=-1)
+
+
+def _cyclic_sample(k, rng, radius, n):
+    n = _order(n)
+    return np.stack([rng.integers(0, n, size=k), np.full(k, n)], axis=-1)
+
+
+_REAL_BASIS = np.array([[[0.0, 1.0], [0.0, 0.0]]])
+_AFFINE_BASIS = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+_SL2_BASIS = np.array(  # H, E, F
+    [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+)
+_SO3_BASIS = np.array(  # L1, L2, L3: L_i v = e_i x v
+    [
+        [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    ]
+)
+_HEISENBERG_BASIS = np.array(  # X, Y, Z
+    [
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    ]
+)
+_WHOLE_MATRIX = (slice(None), slice(None))
+
+
+@dataclass(frozen=True)
+class Group:
+    """One row of the group table.
+
+    Batched functions take and return arrays with a leading batch axis;
+    one element's coordinates have shape ``shape``.  ``sample(k, rng,
+    radius, n)`` draws k seeded elements (``radius`` bounds the sl2r
+    exponential coordinates, ``n`` is the cyclic order); ``act(g, t,
+    pole_tol)`` is the line action, NaN at chart poles.  Only the matrix
+    Lie groups have ``exp`` (algebra coordinates (..., d) to group
+    matrices), ``basis`` (d, n, n), ``entries`` (where the coordinates
+    sit in the group matrix), chart variables, named boundary fields
+    (functions of coordinates) and a default base point ``g0``.
+    """
+
+    shape: tuple
+    make: Callable  # one element's coordinates -> validated GroupElement
+    unit: Callable  # cyclic order (ignored elsewhere) -> identity coordinates
+    sample: Callable
+    op: Callable
+    inv: Callable
+    act: Optional[Callable] = None
+    exp: Optional[Callable] = None
+    basis: Optional[np.ndarray] = None
+    entries: tuple = ()
+    algebra: Optional[Callable] = None
+    chart_vars: Optional[tuple] = None
+    fields: dict = field(default_factory=dict)
+    g0: Optional[tuple] = None
+
+    def coords(self, mats) -> np.ndarray:
+        """Coordinates of group matrices."""
+        return mats[(Ellipsis,) + self.entries]
+
+
+GROUPS = {
+    REAL: Group(
+        shape=(1,),
+        make=lambda c: real_element(c[0]),
+        unit=lambda n: np.zeros(1),
+        sample=lambda k, rng, radius, n: rng.uniform(-2.0, 2.0, size=(k, 1)),
+        op=lambda g, h: g + h,
+        inv=lambda g: -g,
+        act=lambda g, t, pole_tol: g[..., 0] + t,
+        exp=_nilpotent_exp(_REAL_BASIS),
+        basis=_REAL_BASIS,
+        entries=([0], [1]),
+        algebra=lambda: abelian_algebra(1),
+        chart_vars=("t",),
+        fields={"t": lambda c: c[0]},
+        g0=(0.0,),
+    ),
+    AFFINE: Group(
+        shape=(2,),
+        make=lambda c: affine_element(c[0], c[1]),
+        unit=lambda n: np.array([1.0, 0.0]),
+        sample=lambda k, rng, radius, n: np.stack(
+            [rng.uniform(0.25, 4.0, size=k), rng.uniform(-2.0, 2.0, size=k)], axis=-1
+        ),
+        op=lambda g, h: np.stack(
+            [g[..., 0] * h[..., 0], g[..., 0] * h[..., 1] + g[..., 1]], axis=-1
+        ),
+        inv=lambda g: np.stack([1.0 / g[..., 0], -g[..., 1] / g[..., 0]], axis=-1),
+        act=lambda g, t, pole_tol: g[..., 0] * t + g[..., 1],
+        exp=_affine_exp,
+        basis=_AFFINE_BASIS,
+        entries=([0, 0], [0, 1]),
+        algebra=affine_algebra,
+        chart_vars=("a", "b"),
+        fields={"b": lambda c: c[1]},
+        g0=(1.0, 0.0),
+    ),
+    SL2R: Group(
+        shape=(2, 2),
+        make=sl2_element,
+        unit=lambda n: np.eye(2),
+        sample=lambda k, rng, radius, n: expm(
+            SL2R, rng.uniform(-radius, radius, size=(3, k)).T
+        ),
+        op=lambda g, h: g @ h,
+        inv=_sl2_inv,
+        act=_projective_act,
+        exp=_sl2_exp,
+        basis=_SL2_BASIS,
+        entries=_WHOLE_MATRIX,
+        algebra=sl2_algebra,
+        chart_vars=("a", "b", "c", "d"),
+        fields={
+            "sgn_c": lambda c: c[1, 0],
+            "m0": lambda c: c[0, 0] * c[1, 0] + c[0, 1] * c[1, 1],
+        },
+        g0=((1.0, 0.0), (0.0, 1.0)),
+    ),
+    SO3: Group(
+        shape=(3, 3),
+        make=so3_element,
+        unit=lambda n: np.eye(3),
+        sample=lambda k, rng, radius, n: expm(
+            SO3, rng.uniform(-math.pi / 2, math.pi / 2, size=(k, 3))
+        ),
+        op=lambda g, h: g @ h,
+        inv=lambda g: np.swapaxes(g, -1, -2).copy(),
+        exp=_so3_exp,
+        basis=_SO3_BASIS,
+        entries=_WHOLE_MATRIX,
+        algebra=so3_algebra,
+        chart_vars=tuple(f"g{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
+        fields={"g11": lambda c: c[0, 0]},
+        g0=((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    ),
+    HEISENBERG: Group(
+        shape=(3,),
+        make=lambda c: heisenberg_element(c[0], c[1], c[2]),
+        unit=lambda n: np.zeros(3),
+        sample=lambda k, rng, radius, n: rng.uniform(-2.0, 2.0, size=(k, 3)),
+        op=lambda g, h: np.stack(
+            [
+                g[..., 0] + h[..., 0],
+                g[..., 1] + h[..., 1],
+                g[..., 2] + h[..., 2] + g[..., 0] * h[..., 1],
+            ],
+            axis=-1,
+        ),
+        inv=lambda g: np.stack(
+            [-g[..., 0], -g[..., 1], -g[..., 2] + g[..., 0] * g[..., 1]], axis=-1
+        ),
+        exp=_nilpotent_exp(_HEISENBERG_BASIS),
+        basis=_HEISENBERG_BASIS,
+        entries=([0, 1, 0], [1, 2, 2]),
+        algebra=heisenberg_algebra,
+        chart_vars=("x", "y", "z"),
+        fields={"x": lambda c: c[0]},
+        g0=(0.0, 0.0, 0.0),
+    ),
+    CYCLIC: Group(
+        shape=(2,),
+        make=lambda c: cyclic_element(c[0], c[1]),
+        unit=lambda n: np.array([0, _order(n)]),
+        sample=_cyclic_sample,
+        op=_cyclic_op,
+        inv=lambda g: np.stack([-g[..., 0] % g[..., 1], g[..., 1]], axis=-1),
+    ),
+}
+
+_LACKS = {
+    "act": "has no line action",
+    "exp": "is not a Lie group here",
+    "chart_vars": "has no chart coordinates here",
+}
+
+
+def _group(group_id, needs: Optional[str] = None) -> Group:
+    """The table row of ``group_id``; GroupMismatch when it is unknown or
+    lacks the attribute ``needs``."""
+    grp = GROUPS.get(group_id) if isinstance(group_id, str) else None
+    if grp is None:
+        raise GroupMismatch(f"unknown group {group_id!r}")
+    if needs is not None and getattr(grp, needs) is None:
+        raise GroupMismatch(f"group {group_id!r} {_LACKS[needs]}")
+    return grp
+
+
+def expm(group_id: str, x) -> np.ndarray:
+    """Closed-form exponential of the algebra element with coordinates
+    ``x`` (..., d) in the group's basis, as group matrices (..., n, n)."""
+    return _group(group_id, "exp").exp(np.asarray(x, dtype=float))
+
+
+def identity(group_id: str, n: Optional[int] = None) -> GroupElement:
+    return GroupElement(group_id, _group(group_id).unit(n))
+
+
+def group_op(g: GroupElement, h: GroupElement) -> GroupElement:
+    if g.group_id != h.group_id:
+        raise GroupMismatch(f"{g.group_id} vs {h.group_id}")
+    return GroupElement(g.group_id, _group(g.group_id).op(g.coords[None], h.coords[None])[0])
+
+
+def group_inv(g: GroupElement) -> GroupElement:
+    return GroupElement(g.group_id, _group(g.group_id).inv(g.coords[None])[0])
+
+
+def act_on_line(g: GroupElement, t: float, pole_tol: float = 1e-9) -> float:
+    """The group's action on the real line.
+
+    Translation for the real line, t -> a t + b for the affine group, and
+    the fractional-linear chart for sl2r (ChartOverflow at poles).
+    """
+    val = float(_group(g.group_id, "act").act(g.coords[None], float(t), pole_tol)[0])
+    if math.isnan(val):
+        raise ChartOverflow(f"fractional-linear pole at t = {t}")
+    return val
+
+
+def random_element(
+    group_id: str, rng, radius: float = _CHART_RADIUS, n: Optional[int] = None
+) -> GroupElement:
+    """Coordinate-box uniform sample (for sl2r: exponential coordinates in
+    a branch-safe box)."""
+    return GroupElement(group_id, _group(group_id).sample(1, rng, radius, n)[0])
+
+
+def herz_schur_matrix(group_id: str, m: Callable, grid: Sequence[GroupElement]) -> np.ndarray:
+    """Matrix M[i, j] = m(g_i g_j^{-1}) over a finite grid of elements."""
+    grid = list(grid)
+    k = len(grid)
+    out = np.zeros((k, k), dtype=complex)
+    invs = [group_inv(g) for g in grid]
+    for j in range(k):
+        for i in range(k):
+            if grid[i].group_id != group_id:
+                raise GroupMismatch(f"grid element from {grid[i].group_id!r}")
+            out[i, j] = m(group_op(grid[i], invs[j]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Pointwise Cotlar identity for half-line symbols of line actions
+# ---------------------------------------------------------------------------
+
+
+def cotlar_pointwise_check(
+    group_id: str,
+    samples: int = 100_000,
+    seed: int = 0,
+    band: float = 1e-9,
+) -> int:
+    """Count violations of the pointwise Cotlar identity.
+
+    With m = chi_{g . 0 > 0}, checks
+    m(g^-1) m(g^-1 h) = m(h) m(g^-1) + m(h^-1) m(g^-1 h)
+    on seeded samples, rejecting the measure-zero sets alpha = 0, beta = 0,
+    alpha = beta (band 1e-9) and chart poles.  Contract: 0 failures.
+    """
+    grp = _group(group_id, "act")
+
+    def act0(g):
+        return grp.act(g, 0.0, 1e-9)
+
+    rng = np.random.default_rng(seed)
+    failures = 0
+    done = 0
+    while done < samples:
+        k = min(65536, int(1.4 * (samples - done)) + 64)
+        g = grp.sample(k, rng, _CHART_RADIUS, None)
+        h = grp.sample(k, rng, _CHART_RADIUS, None)
+        alpha = act0(g)
+        beta = act0(h)
+        gi = grp.inv(g)
+        gih = grp.op(gi, h)
+        hi = grp.inv(h)
+        vals = np.stack([act0(gi), act0(gih), act0(h), act0(hi)])
+        valid = (
+            np.isfinite(alpha)
+            & np.isfinite(beta)
+            & np.all(np.isfinite(vals), axis=0)
+            & (np.abs(alpha) > band)
+            & (np.abs(beta) > band)
+            & (np.abs(alpha - beta) > band)
+            & np.all(np.abs(vals) > band, axis=0)
+        )
+        m_gi, m_gih, m_h, m_hi = (vals[:, valid] > 0.0).astype(int)
+        take = min(int(valid.sum()), samples - done)
+        m_gi, m_gih, m_h, m_hi = (v[:take] for v in (m_gi, m_gih, m_h, m_hi))
+        failures += int(np.sum(m_gi * m_gih != m_h * m_gi + m_hi * m_gih))
+        done += take
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # Boundary subalgebra criterion
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LieGroupMeta:
-    dim: int
-    basis_mats: tuple
-    to_element: Callable
-    algebra: Callable
-
-
-def _so3_hat(w):
-    return np.array(
-        [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
-    )
-
-
-def _real_meta():
-    t = np.array([[0.0, 1.0], [0.0, 0.0]])
-    return _LieGroupMeta(
-        dim=1,
-        basis_mats=(t,),
-        to_element=lambda m: real_element(m[0, 1]),
-        algebra=lambda: abelian_algebra(1),
-    )
-
-
-def _affine_meta():
-    xa = np.array([[1.0, 0.0], [0.0, 0.0]])
-    xb = np.array([[0.0, 1.0], [0.0, 0.0]])
-    return _LieGroupMeta(
-        dim=2,
-        basis_mats=(xa, xb),
-        to_element=lambda m: affine_element(m[0, 0], m[0, 1]),
-        algebra=affine_algebra,
-    )
-
-
-def _sl2_meta():
-    h = np.array([[1.0, 0.0], [0.0, -1.0]])
-    e = np.array([[0.0, 1.0], [0.0, 0.0]])
-    f = np.array([[0.0, 0.0], [1.0, 0.0]])
-    return _LieGroupMeta(
-        dim=3,
-        basis_mats=(h, e, f),
-        to_element=lambda m: GroupElement(SL2R, m),
-        algebra=sl2_algebra,
-    )
-
-
-def _so3_meta():
-    l1 = _so3_hat([1.0, 0.0, 0.0])
-    l2 = _so3_hat([0.0, 1.0, 0.0])
-    l3 = _so3_hat([0.0, 0.0, 1.0])
-    return _LieGroupMeta(
-        dim=3,
-        basis_mats=(l1, l2, l3),
-        to_element=lambda m: GroupElement(SO3, m),
-        algebra=so3_algebra,
-    )
-
-
-def _heisenberg_meta():
-    x = np.zeros((3, 3))
-    x[0, 1] = 1.0
-    y = np.zeros((3, 3))
-    y[1, 2] = 1.0
-    z = np.zeros((3, 3))
-    z[0, 2] = 1.0
-    return _LieGroupMeta(
-        dim=3,
-        basis_mats=(x, y, z),
-        to_element=lambda m: heisenberg_element(m[0, 1], m[1, 2], m[0, 2]),
-        algebra=heisenberg_algebra,
-    )
-
-
-_LIE_GROUPS = {
-    REAL: _real_meta,
-    AFFINE: _affine_meta,
-    SL2R: _sl2_meta,
-    SO3: _so3_meta,
-    HEISENBERG: _heisenberg_meta,
-}
-
-
-def _embed_matrix(g: GroupElement) -> np.ndarray:
-    gid = g.group_id
-    if gid == REAL:
-        return np.array([[1.0, g.coords[0]], [0.0, 1.0]])
-    if gid == AFFINE:
-        a, b = g.coords
-        return np.array([[a, b], [0.0, 1.0]])
-    if gid in (SL2R, SO3):
-        return np.array(g.coords, dtype=float)
-    if gid == HEISENBERG:
-        x, y, z = g.coords
-        return np.array([[1.0, x, z], [0.0, 1.0, y], [0.0, 0.0, 1.0]])
-    raise GroupMismatch(f"group {gid!r} is not a matrix Lie group here")
-
-
-def _alg_coords(mat, basis_mats) -> np.ndarray:
-    a = np.stack([b.ravel() for b in basis_mats], axis=1)
+def _alg_coords(mat, basis) -> np.ndarray:
+    a = basis.reshape(len(basis), -1).T
     sol, *_ = np.linalg.lstsq(a, np.asarray(mat, dtype=float).ravel(), rcond=None)
     return sol
 
@@ -673,16 +669,15 @@ def boundary_subalgebra_verdict(
     Ad-invariance at boundary points sampled near the identity of the
     translated domain.
     """
-    if group_id not in _LIE_GROUPS:
-        raise GroupMismatch(f"group {group_id!r} is not a Lie group here")
-    meta = _LIE_GROUPS[group_id]()
-    d = meta.dim
-    g0m = _embed_matrix(g0)
-    base_res = abs(float(omega_f(meta.to_element(g0m))))
+    grp = _group(group_id, "exp")
+    if g0.group_id != group_id:
+        raise GroupMismatch(f"base point from {g0.group_id!r}, not {group_id!r}")
+    d = len(grp.basis)
+    base_res = abs(float(omega_f(g0)))
 
     def f_alg(zvec) -> float:
-        z = sum(float(c) * b for c, b in zip(zvec, meta.basis_mats))
-        return float(omega_f(meta.to_element(g0m @ expm(z))))
+        x = grp.coords(expm(group_id, zvec))
+        return float(omega_f(GroupElement(group_id, grp.op(g0.coords[None], x[None])[0])))
 
     h_fd = 1e-6
     w = np.zeros(d)
@@ -701,7 +696,7 @@ def boundary_subalgebra_verdict(
         _, _, vh = np.linalg.svd(w_hat.reshape(1, -1))
         hyper = vh[1:]
 
-    alg = meta.algebra()
+    alg = grp.algebra()
     sub_ok = subalgebra_check(
         LieAlgebraBasis(d, alg.structure_constants, hyper), tol
     )
@@ -711,7 +706,6 @@ def boundary_subalgebra_verdict(
     notes = []
     if hyper.shape[0] > 0:
         rng = np.random.default_rng(seed)
-        basis_cols = np.stack([b.ravel() for b in meta.basis_mats], axis=1)
         q, _ = np.linalg.qr(hyper.T)
         proj = q @ q.T
         found = 0
@@ -728,13 +722,11 @@ def boundary_subalgebra_verdict(
                 t_star = _newton_scalar(fline, 0.0, 1e-12, 60)
             except NoConvergence:
                 continue
-            z = sum(float(c) * b for c, b in zip(v + t_star * w_hat, meta.basis_mats))
-            x = expm(z)
+            x = expm(group_id, v + t_star * w_hat)
             x_inv = np.linalg.inv(x)
             for row in hyper:
-                hm = sum(float(c) * b for c, b in zip(row, meta.basis_mats))
-                ad = x @ hm @ x_inv
-                coords = _alg_coords(ad, meta.basis_mats)
+                ad = x @ np.tensordot(row, grp.basis, axes=1) @ x_inv
+                coords = _alg_coords(ad, grp.basis)
                 nrm = float(np.linalg.norm(coords))
                 if nrm < 1e-14:
                     continue
@@ -778,23 +770,10 @@ def _newton_scalar(f, t0, tol, max_iter):
     raise NoConvergence(f"scalar solve stalled at |f| = {abs(val):.3e}")
 
 
-_GROUP_CHART_VARS = {
-    REAL: ("t",),
-    AFFINE: ("a", "b"),
-    SL2R: ("a", "b", "c", "d"),
-    SO3: tuple(f"g{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
-    HEISENBERG: ("x", "y", "z"),
-}
-
-
 def expression_boundary_field(group_id: str, expr: str) -> Callable[[GroupElement], float]:
     """Boundary-defining field from an expression in the group's chart
-    coordinates (real: t; affine: a, b; sl2r: a, b, c, d; so3: g11..g33;
-    heisenberg: x, y, z)."""
-    variables = _GROUP_CHART_VARS.get(group_id)
-    if variables is None:
-        raise GroupMismatch(f"group {group_id!r} has no chart coordinates here")
-    fn = parse_expression(expr, variables)
+    variables, ``GROUPS[group_id].chart_vars``."""
+    fn = parse_expression(expr, _group(group_id, "chart_vars").chart_vars)
 
     def field(g: GroupElement) -> float:
         return float(fn(list(np.asarray(g.coords, dtype=float).ravel())))
@@ -805,27 +784,16 @@ def expression_boundary_field(group_id: str, expr: str) -> Callable[[GroupElemen
 def named_boundary_field(group_id: str, name: str) -> Callable[[GroupElement], float]:
     """Predefined boundary-defining fields selectable from configs;
     anything not in the table is parsed as a chart-coordinate expression."""
-    fields = {
-        (SL2R, "sgn_c"): lambda g: float(g.coords[1, 0]),
-        (SL2R, "m0"): lambda g: float(
-            g.coords[0, 0] * g.coords[1, 0] + g.coords[0, 1] * g.coords[1, 1]
-        ),
-        (SO3, "g11"): lambda g: float(g.coords[0, 0]),
-        (REAL, "t"): lambda g: float(g.coords[0]),
-        (AFFINE, "b"): lambda g: float(g.coords[1]),
-        (HEISENBERG, "x"): lambda g: float(g.coords[0]),
-    }
+    named = _group(group_id).fields.get(name)
+    if named is not None:
+        return lambda g: float(named(g.coords))
     try:
-        return fields[(group_id, name)]
-    except KeyError:
-        try:
-            return expression_boundary_field(group_id, name)
-        except ExpressionError as exc:
-            raise GroupMismatch(
-                f"no field {name!r} for group {group_id!r} and it does not parse "
-                f"as a chart expression: {exc}"
-            ) from exc
-
+        return expression_boundary_field(group_id, name)
+    except ExpressionError as exc:
+        raise GroupMismatch(
+            f"no field {name!r} for group {group_id!r} and it does not parse "
+            f"as a chart expression: {exc}"
+        ) from exc
 
 # ---------------------------------------------------------------------------
 # Fourier <-> Schur transference on finite cyclic groups
@@ -870,8 +838,8 @@ def fourier_multiplier_norm_finite_cyclic(
     construction (the Fourier action is the restriction of the Schur
     action to circulants).
     """
-    if n < 1 or n > 512:
-        raise ValueError("group order must be in [1, 512]")
+    if n < 1 or n > MAX_CYCLIC_ORDER:
+        raise ValueError(f"group order must be in [1, {MAX_CYCLIC_ORDER}]")
     mv = np.asarray(m, dtype=complex)
     if mv.shape != (n,):
         raise ValueError(f"symbol must have length {n}")

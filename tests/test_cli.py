@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +240,44 @@ class TestErrorPaths:
     def test_csv_for_classify_rejected(self, tmp_path):
         cfg = _write_config(tmp_path, SPHERE_CLASSIFY)
         assert main(["--config", cfg, "--format", "csv", "--out", str(tmp_path / "x.csv")]) == 64
+
+    @pytest.mark.parametrize(
+        "cfg, code",
+        [
+            ({"command": "cotlar", "group": "affine", "samples": -5}, 64),
+            ({"command": "cotlar", "group": "so3", "samples": 10}, 64),
+            ({"command": "cotlar", "samples": 10}, 64),
+            ({"command": "groupcheck", "group": "heisenberg", "field": "x", "g0": [1]}, 64),
+            ({"command": "groupcheck", "group": "real", "field": "t", "g0": [0.5]}, 0),
+            ({"command": "transfer", "N": 1000}, 64),
+            ({"command": "transfer", "N": 8, "m": [1, 0, 1]}, 64),
+        ],
+        ids=[
+            "cotlar-negative-samples",
+            "cotlar-so3",
+            "cotlar-no-group",
+            "groupcheck-short-g0",
+            "groupcheck-real-g0-list",
+            "transfer-N-too-large",
+            "transfer-m-wrong-length",
+        ],
+    )
+    def test_group_command_configs(self, tmp_path, capsys, cfg, code):
+        path = _write_config(tmp_path, {"schema": "schur-lab/1", "seed": 0, **cfg})
+        assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == code
+        err = capsys.readouterr().err
+        if code == 64:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, schurlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,8 @@ import pytest
 from schurlab.errors import ChartOverflow, DegenerateBasis, GroupMismatch
 from schurlab.groups import (
     AFFINE,
+    CYCLIC,
+    GROUPS,
     HEISENBERG,
     REAL,
     SL2R,
@@ -17,6 +19,7 @@ from schurlab.groups import (
     bracket_coords,
     cotlar_pointwise_check,
     cyclic_element,
+    expm,
     fourier_multiplier_norm_finite_cyclic,
     group_inv,
     group_op,
@@ -85,6 +88,131 @@ class TestGroupArithmetic:
         h = cyclic_element(6, 8)
         assert group_op(g, h).coords[0] == 3
         assert group_op(g, group_inv(g)).coords[0] == 0
+
+
+def _expm_series(z):
+    """exp(z) by a truncated Taylor series with scaling and squaring."""
+    squarings = max(0, int(np.ceil(np.log2(np.abs(z).sum(axis=0).max() + 1e-300))) + 1)
+    a = z / 2.0**squarings
+    term = out = np.eye(len(z))
+    for k in range(1, 25):
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+LIE_GROUPS = [REAL, AFFINE, SL2R, SO3, HEISENBERG]
+
+
+class TestExponentials:
+    @pytest.mark.parametrize("group_id", LIE_GROUPS)
+    @pytest.mark.parametrize("scale", [1e-7, 2.0])
+    def test_closed_form_matches_series(self, group_id, scale):
+        basis = GROUPS[group_id].basis
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((200, len(basis)))
+        x *= scale / np.linalg.norm(x, axis=1, keepdims=True)
+        got = expm(group_id, x)
+        for xi, gi in zip(x, got):
+            ref = _expm_series(np.tensordot(xi, basis, axes=1))
+            assert np.max(np.abs(gi - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        eye = np.eye(basis.shape[-1])
+        assert np.max(np.abs(got @ expm(group_id, -x) - eye)) <= 1e-12
+        np.testing.assert_array_equal(expm(group_id, np.zeros(len(basis))), eye)
+
+    @pytest.mark.parametrize("scale", [1e-7, 2.0])
+    def test_so3_rotations_and_sl2_unimodular(self, scale):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((200, 3))
+        x *= scale / np.linalg.norm(x, axis=1, keepdims=True)
+        r = expm(SO3, x)
+        assert np.max(np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(np.linalg.det(r) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.linalg.det(expm(SL2R, x)) - 1.0)) <= 1e-12
+
+    def test_no_exponential_for_cyclic(self):
+        with pytest.raises(GroupMismatch):
+            expm(CYCLIC, [1.0])
+
+
+# Recorded from the scalar, batch and scipy-expm implementations this
+# table replaced: seeded draws must not move.
+GOLDEN_RANDOM = {
+    REAL: [[0.5478467492858172], [-0.9208531449445188]],
+    AFFINE: [[2.6386063274554536, -0.9208531449445188], [0.4036507147607301, -1.9338894578858836]],
+    SL2R: [
+        [[1.15111279607096, -0.18662484078470296], [-0.3721146785746484, 0.9290539087854247]],
+        [[0.716511876156383, 0.2604347518831107], [0.34314110600200326, 1.5203737789333824]],
+    ],
+    SO3: [
+        [
+            [-0.025743557537600603, 0.7368259557487734, -0.6755921700110318],
+            [-0.982117423994666, 0.10744052532448078, 0.15460239003353438],
+            [0.1865010314485947, 0.66749085720548, 0.7208837082468322],
+        ],
+        [
+            [0.13946566395649873, -0.9470628418190099, -0.2891734811888393],
+            [-0.023750985208669126, -0.2951428035718926, 0.9551579011877244],
+            [-0.9899420282414464, -0.12634357579798516, -0.06365596260985873],
+        ],
+    ],
+    HEISENBERG: [
+        [0.5478467492858172, -0.9208531449445188, -1.8361059042552212],
+        [-1.9338894578858836, 1.2530809568010897, 1.6510223091108869],
+    ],
+    CYCLIC: [[5, 7], [4, 7]],
+}
+
+# the first batch of three Cotlar samples at default_rng(0)
+GOLDEN_COTLAR_BATCH = {
+    REAL: [[0.5478467492858172], [-0.9208531449445188], [-1.8361059042552212]],
+    AFFINE: [
+        [2.6386063274554536, -1.9338894578858836],
+        [1.2617001766145137, 1.2530809568010897],
+        [0.4036507147607301, 1.6510223091108869],
+    ],
+    SL2R: [
+        [[1.098709762745289, -0.3854262299741532], [0.08501049502435122, 0.8803368807588898]],
+        [[0.8535985990691116, 0.25396823817191255], [0.1860529024666071, 1.2268665025789527]],
+        [[0.6978391976489307, 0.3383192672955739], [0.03575766376241317, 1.450330548948997]],
+    ],
+}
+
+_R2 = 0.7071067811865476
+GOLDEN_VERDICTS = [
+    (SL2R, "sgn_c", True, [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]], 0.0),
+    (SL2R, "m0", False, [[-_R2, 0.49999999999999994, -0.5000000000000001],
+                         [-_R2, -0.5000000000000001, 0.49999999999999994]], 0.29337332127291244),
+    (SO3, "g11", False, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], 0.09638563035085645),
+    (REAL, "t", True, np.zeros((0, 1)), 0.0),
+    (AFFINE, "b", True, [[-1.0, 0.0]], 0.0),
+    (HEISENBERG, "x", True, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 0.0),
+]
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("group_id", sorted(GOLDEN_RANDOM))
+    def test_random_element_draws(self, group_id):
+        rng = np.random.default_rng(0)
+        got = [random_element(group_id, rng, n=7).coords for _ in range(2)]
+        np.testing.assert_allclose(got, GOLDEN_RANDOM[group_id], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("group_id", sorted(GOLDEN_COTLAR_BATCH))
+    def test_cotlar_batch_draws(self, group_id):
+        got = GROUPS[group_id].sample(3, np.random.default_rng(0), 0.4, None)
+        np.testing.assert_allclose(got, GOLDEN_COTLAR_BATCH[group_id], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("group_id, name, passed, hyperplane, ad_defect", GOLDEN_VERDICTS)
+    def test_named_field_verdicts(self, group_id, name, passed, hyperplane, ad_defect):
+        row = GROUPS[group_id]
+        g0 = row.make(np.array(row.g0))
+        v = boundary_subalgebra_verdict(group_id, named_boundary_field(group_id, name), g0, seed=0)
+        assert v.passed is passed
+        expected = np.reshape(hyperplane, v.hyperplane.shape)
+        np.testing.assert_allclose(v.hyperplane, expected, rtol=0, atol=1e-12)
+        assert abs(v.ad_defect - ad_defect) <= 1e-12
 
 
 class TestHerzSchur:
