@@ -69,10 +69,10 @@ def _dump_json(report: dict) -> str:
 
 
 def _parse_p(value):
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigInvalid(f"cannot parse exponent {value!r}")
+    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    if type(value) not in (int, float) or not value >= 1:  # NaN fails too
+        raise ConfigInvalid(f"exponent must be a number >= 1 or 'inf', got {value!r}")
     return float(value)
 
 
@@ -157,14 +157,17 @@ def _cmd_norms(cfg, seed, jobs):
     sizes = cfg.get("sizes")
     if not isinstance(sizes, list) or not sizes:
         raise ConfigInvalid("'norms' needs a nonempty 'sizes' list")
+    sizes = [_int_param({"sizes": s}, "sizes", None, 1) for s in sizes]
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ConfigInvalid(f"'sizes' must be strictly increasing, got {sizes}")
     p = _parse_p(cfg.get("p", 2))
     records = multiplier.norm_growth_experiment(
         spec,
         p,
-        [int(s) for s in sizes],
-        budget=int(cfg.get("budget", 6)),
+        sizes,
+        budget=_int_param(cfg, "budget", 6, 1),
         seed=seed,
-        ascent_steps=int(cfg.get("ascent_steps", 50)),
+        ascent_steps=_int_param(cfg, "ascent_steps", 50, 0),
         jobs=jobs,
     )
     out = {
@@ -306,7 +309,7 @@ def _cmd_transfer(cfg, seed):
         raise ConfigInvalid("'m' must be 'half', 'delta', or a list of values")
     t0 = time.perf_counter()
     res = groups.fourier_multiplier_norm_finite_cyclic(
-        mv, n, p, budget=int(cfg.get("budget", 8)), seed=seed
+        mv, n, p, budget=_int_param(cfg, "budget", 8, 1), seed=seed
     )
     out = {
         "schema": SCHEMA,

@@ -1,8 +1,9 @@
-"""Dense complex linear algebra core.
+"""Dense linear algebra core.
 
 Singular spectra, Schatten p-norms, entrywise (Schur) products, and a
 randomized lower-bound estimator for the norm of a Schur multiplier acting
-on Schatten classes.  Everything operates on plain 2-D numpy arrays.
+on Schatten classes.  Everything operates on plain 2-D numpy arrays, real or
+complex; real input stays real, so its SVDs run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ __all__ = [
 
 
 def as_dense(a) -> np.ndarray:
-    """Validate ``a`` as a dense 2-D complex matrix with finite entries."""
-    m = np.asarray(a, dtype=complex)
+    """Validate ``a`` as a dense 2-D matrix with finite entries: float
+    when ``a`` has a real dtype, complex otherwise."""
+    m = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeInvalid(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise NonFinite("matrix contains NaN or Inf entries")
     return m
 
@@ -100,64 +102,52 @@ def schur_product(m, a) -> np.ndarray:
 #
 # The norm of A -> M o A on S_p is bounded below by ||M o A||_p / ||A||_p for
 # any test matrix A.  Starting from a deterministic matrix unit at the largest
-# |M| entry plus seeded Gaussian and rank-one draws, each start is refined by
-# alternating duality ascent on the bilinear form Re<Z, M o A> over unit balls
-# ||A||_p <= 1, ||Z||_q <= 1.  Both half-steps are exact maximizations, so the
-# form increases monotonically; the reported value is always the plain ratio
-# at the best iterate and hence a genuine lower bound.
+# |M| entry plus seeded Gaussian and rank-one draws, each start is scored and
+# then refined by alternating duality ascent on the bilinear form
+# Re<Z, M o A> over unit balls ||A||_p <= 1, ||Z||_q <= 1.  Both half-steps
+# are the same exact maximization (the norming map of S_q, then of S_p), so
+# the form increases monotonically; the reported value is always the plain
+# ratio at the best iterate and hence a genuine lower bound.  A real witness
+# is also a complex one, so running real symbols in real arithmetic still
+# bounds the complex S_p norm from below.
 # ---------------------------------------------------------------------------
 
 
-def _dual_witness(u, s, vh, p):
-    """Norming functional in S_q of the matrix with SVD (u, s, vh)."""
-    if np.isinf(p) or s[0] == 0.0:
-        return np.outer(u[:, 0], vh[0, :])
-    if p == 1.0:
-        return u @ vh
-    q = p / (p - 1.0)
-    w = (s / s[0]) ** (p - 1.0)
-    w = w / np.sum(w**q) ** (1.0 / q)
-    return (u * w) @ vh
-
-
-def _primal_step(w, p):
-    """argmax of Re<W, A> over the unit ball of S_p, or None if W = 0."""
-    u, s, vh = np.linalg.svd(w, full_matrices=False)
+def _norming(x, r):
+    """argmax of Re<X, Y> over the unit ball ||Y||_r <= 1, with the singular
+    values of X; the argmax is None when X = 0."""
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
     if s[0] == 0.0:
-        return None
-    if np.isinf(p):
-        return u @ vh
-    if p == 1.0:
-        return np.outer(u[:, 0], vh[0, :])
-    q = p / (p - 1.0)
-    w2 = (s / s[0]) ** (q - 1.0)
-    w2 = w2 / np.sum(w2**p) ** (1.0 / p)
-    return (u * w2) @ vh
+        return None, s
+    if np.isinf(r):
+        return u @ vh, s
+    if r == 1.0:
+        return np.outer(u[:, 0], vh[0, :]), s
+    w = (s / s[0]) ** (1.0 / (r - 1.0))  # s^(r'-1) with 1/r + 1/r' = 1
+    return (u * (w / np.sum(w**r) ** (1.0 / r))) @ vh, s
 
 
 def _refine(m, mc, a, p, steps, rel_tol=1e-7):
-    """Ascend from start ``a``; return (best ratio, best test matrix)."""
+    """Score start ``a``, then ascend for at most ``steps`` steps; return
+    (best ratio, best test matrix)."""
     na = _schatten_from_sv(np.linalg.svd(a, compute_uv=False), p)
     if na == 0.0:
         return 0.0, a
     a = a / na
-    best_r, best_a = -1.0, a
+    q = 1.0 / (1.0 - 1.0 / p) if p > 1.0 else np.inf
+    z, s = _norming(m * a, q)
+    best_r, best_a = _schatten_from_sv(s, p), a  # ||a||_p == 1 from here on
     stall = 0
     for _ in range(steps):
-        u, s, vh = np.linalg.svd(m * a, full_matrices=False)
-        r = _schatten_from_sv(s, p)  # ||a||_p == 1 after the first rescale
+        if z is None or stall >= 2:  # M o A = 0, or two steps without gain
+            break
+        a, _ = _norming(mc * z, p)  # nonzero: Re<conj(M) o Z, A> = ||M o A||_p
+        z, s = _norming(m * a, q)
+        r = _schatten_from_sv(s, p)
+        stall = 0 if r > best_r * (1.0 + rel_tol) else stall + 1
         if r > best_r:
-            stall = 0 if (best_r < 0.0 or r > best_r * (1.0 + rel_tol)) else stall + 1
             best_r, best_a = r, a
-        else:
-            stall += 1
-        if stall >= 2 or s[0] == 0.0:
-            break
-        z = _dual_witness(u, s, vh, p)
-        a = _primal_step(mc * z, p)
-        if a is None:
-            break
-    return max(best_r, 0.0), best_a
+    return best_r, best_a
 
 
 def multiplier_norm_lower_bound(
@@ -175,30 +165,35 @@ def multiplier_norm_lower_bound(
     symbol ``m``.
 
     Maximizes ||M o A||_p / ||A||_p over a deterministic matrix unit at
-    argmax |M|, ``budget`` seeded complex-Gaussian and rank-one starts, and
-    any ``extra_starts``, each refined by alternating duality ascent
-    (``ascent_steps`` cap).  Trial k draws from the substream (seed, k), so
-    enlarging the budget with a fixed seed only adds starts.  The result
-    never exceeds the true multiplier norm; at p = 2 the matrix-unit start
-    attains the exact value sup |M|.
+    argmax |M|, ``budget`` seeded Gaussian and rank-one starts, and any
+    ``extra_starts``, each scored and then refined by alternating duality
+    ascent (``ascent_steps`` cap; 0 keeps the best start).  A symbol with
+    no imaginary part runs in real arithmetic: its matrix unit and its
+    seeded starts are real.  Otherwise they are complex Gaussian.  Extra
+    starts keep their own dtype.  Trial k draws from the substream
+    (seed, k), so enlarging the budget with a fixed seed only adds starts.
+    The result never exceeds the true multiplier norm; at p = 2 the
+    matrix-unit start attains the exact value sup |M|.
     """
     mm = as_dense(m)
+    if not mm.imag.any():
+        mm = mm.real
     p = _check_exponent(p)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rows, cols = mm.shape
 
-    i, j = np.unravel_index(int(np.argmax(np.abs(mm))), mm.shape)
-    unit = np.zeros((rows, cols), dtype=complex)
-    unit[i, j] = 1.0
+    def draw(rng, shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if np.iscomplexobj(mm) else x
+
+    unit = np.zeros((rows, cols), dtype=mm.dtype)
+    unit[np.unravel_index(int(np.argmax(np.abs(mm))), mm.shape)] = 1.0
     starts = [unit]
     for k in range(budget):
         rng = np.random.default_rng([seed, k])
-        g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        starts.append(g)
-        u = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
-        v = rng.standard_normal(cols) + 1j * rng.standard_normal(cols)
-        starts.append(np.outer(u, v))
+        starts.append(draw(rng, (rows, cols)))
+        starts.append(np.outer(draw(rng, rows), draw(rng, cols)))
     for a in extra_starts:
         a = as_dense(a)
         if a.shape != mm.shape:
@@ -208,7 +203,7 @@ def multiplier_norm_lower_bound(
     mc = np.conj(mm)
 
     def work(a):
-        return _refine(mm, mc, np.asarray(a, dtype=complex), p, ascent_steps)
+        return _refine(mm, mc, a, p, ascent_steps)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -144,7 +144,7 @@ def norm_growth_experiment(
         m = discretize_symbol(spec, gx, gy)
         extra = []
         if prev_witness is not None:
-            pad = np.zeros(m.shape, dtype=complex)
+            pad = np.zeros(m.shape, dtype=prev_witness.dtype)
             pad[: prev_witness.shape[0], : prev_witness.shape[1]] = prev_witness
             extra.append(pad)
         t0 = time.perf_counter()

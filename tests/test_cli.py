@@ -270,6 +270,48 @@ class TestErrorPaths:
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "transfer", "N": 8, "budget": -1},
+            {"command": "transfer", "N": 8, "p": 0.5},
+            {**TRIANGULAR_NORMS, "budget": 0},
+            {**TRIANGULAR_NORMS, "sizes": [16, 8]},
+            {**TRIANGULAR_NORMS, "sizes": [0]},
+            {**TRIANGULAR_NORMS, "sizes": [8, 16.5]},
+            {**TRIANGULAR_NORMS, "ascent_steps": -1},
+            {**TRIANGULAR_NORMS, "p": 0.5},
+            {**TRIANGULAR_NORMS, "p": float("nan")},
+            {**TRIANGULAR_NORMS, "p": [4]},
+        ],
+        ids=[
+            "transfer-negative-budget",
+            "transfer-p-below-1",
+            "norms-zero-budget",
+            "norms-decreasing-sizes",
+            "norms-zero-size",
+            "norms-fractional-size",
+            "norms-negative-ascent-steps",
+            "norms-p-below-1",
+            "norms-p-nan",
+            "norms-p-list",
+        ],
+    )
+    def test_estimator_configs_exit_64(self, tmp_path, capsys, cfg):
+        path = _write_config(tmp_path, {"schema": "schur-lab/1", "seed": 0, **cfg})
+        assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_norms_zero_ascent_steps_reports_best_start(tmp_path):
+    cfg = _write_config(tmp_path, {**TRIANGULAR_NORMS, "p": "inf", "ascent_steps": 0})
+    out = tmp_path / "r.json"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    bounds = [r["lower_bound"] for r in json.loads(out.read_text())["records"]]
+    assert all(b >= 1.0 - 1e-12 for b in bounds), bounds
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

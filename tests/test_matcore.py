@@ -13,6 +13,7 @@ from schurlab.matcore import (
     singular_spectrum,
     svd_factors,
 )
+from schurlab.multiplier import circulant
 
 
 class TestSingularSpectrum:
@@ -224,3 +225,50 @@ class TestMultiplierNormLowerBound:
         a = multiplier_norm_lower_bound(m, math.inf, budget=4, seed=5)
         b = multiplier_norm_lower_bound(m, math.inf, budget=4, seed=5, jobs=4)
         assert abs(a - b) < 1e-12
+
+    def test_zero_ascent_steps_keeps_the_best_start(self):
+        m = np.tril(np.ones((8, 8)))
+        start = multiplier_norm_lower_bound(m, math.inf, budget=2, seed=0, ascent_steps=0)
+        ascended = multiplier_norm_lower_bound(m, math.inf, budget=2, seed=0)
+        assert 1.0 - 1e-12 <= start <= ascended
+
+    def test_real_symbol_gives_real_witness(self):
+        m = np.tril(np.ones((8, 8)))
+        for symbol in (m, m.astype(complex)):
+            _, witness = multiplier_norm_lower_bound(
+                symbol, 4.0, budget=2, seed=0, return_witness=True
+            )
+            assert np.isrealobj(witness)
+
+    def test_complex_symbol_runs_complex(self):
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        v, witness = multiplier_norm_lower_bound(m, 2.0, budget=2, seed=0, return_witness=True)
+        assert np.iscomplexobj(witness)
+        assert abs(v - np.max(np.abs(m))) <= 1e-9 * np.max(np.abs(m))
+
+    def test_complex_extra_start_keeps_its_dtype(self):
+        m = np.tril(np.ones((8, 8)))
+        best, witness = multiplier_norm_lower_bound(
+            m, math.inf, budget=1, seed=0, return_witness=True
+        )
+        v, kept = multiplier_norm_lower_bound(
+            m, math.inf, budget=1, seed=0, extra_starts=[1j * witness], ascent_steps=0,
+            return_witness=True,
+        )
+        assert np.iscomplexobj(kept)
+        assert abs(v - best) <= 1e-12 * best
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_circulant_pinf_matches_fourier_algebra_norm(n):
+    """For M(i, j) = m(i - j mod N) the S_inf multiplier norm is exactly
+    sum |fft(m)| / N (Bozejko-Fendler); the real path must reach it."""
+    rng = np.random.default_rng([77, n])
+    for _ in range(3):
+        m = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
+        m[int(rng.integers(n))] = 1.0
+        exact = float(np.sum(np.abs(np.fft.fft(m))) / n)
+        v = multiplier_norm_lower_bound(circulant(m), math.inf, budget=2, seed=n)
+        assert v <= exact * (1.0 + 1e-9)
+        assert v >= exact * (1.0 - 1e-3), f"N={n}: {v} vs exact {exact}"
