@@ -139,9 +139,9 @@ def _cmd_classify(cfg, seed):
     report = geometry.classify(
         spec,
         z0=z0,
-        boundary_samples=int(cfg.get("boundary_samples", 64)),
-        sections=int(cfg.get("sections", 8)),
-        points_per_section=int(cfg.get("points_per_section", 8)),
+        boundary_samples=_int_param(cfg, "boundary_samples", 64, 1),
+        sections=_int_param(cfg, "sections", 8, 1),
+        points_per_section=_int_param(cfg, "points_per_section", 8, 1),
         seed=seed,
     )
     wall_ms = int(round(1000 * (time.perf_counter() - t0)))
@@ -192,9 +192,12 @@ def _cmd_norms(cfg, seed, jobs):
 
 
 def _cmd_squarefn(cfg, seed):
-    shape = tuple(int(s) for s in cfg.get("shape", [32, 32]))
-    terms = int(cfg.get("terms", 4))
-    degree = int(cfg.get("degree", 4))
+    shape = cfg.get("shape", [32, 32])
+    if not isinstance(shape, list) or not shape:
+        raise ConfigInvalid(f"'shape' must be a nonempty list of positive integers, got {shape!r}")
+    shape = tuple(_int_param({"shape": s}, "shape", None, 1) for s in shape)
+    terms = _int_param(cfg, "terms", 4, 1)
+    degree = _int_param(cfg, "degree", 4, 1)
     p = _parse_p(cfg.get("p", 4))
     c = cfg.get("C")
     if c is None:
@@ -379,7 +382,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
     parser.add_argument("--format", default="json", choices=("json", "csv", "svg"))
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     parser.add_argument("--expect", choices=("pass", "fail"), default=None)
     args = parser.parse_args(argv)
 

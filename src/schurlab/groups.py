@@ -31,7 +31,7 @@ from .errors import (
     GroupMismatch,
     NoConvergence,
 )
-from .matcore import multiplier_norm_lower_bound
+from .matcore import multiplier_norm_lower_bound, schatten_norm
 from .multiplier import circulant
 from .symbols import parse_expression
 
@@ -833,8 +833,14 @@ def fourier_multiplier_norm_finite_cyclic(
     Herz-Schur multiplier M(i, j) = m(i - j mod N) on S_p.
 
     Circulants diagonalize in the Fourier basis, so the Fourier side only
-    needs vector norms of DFTs.  The best circulant witness is forwarded
-    to the Schur estimator, which makes fourier_lb <= schur_lb hold by
+    needs vector norms of DFTs.  At p = inf and p = 1 both norms equal the
+    Fourier-algebra norm sum |fft(m)| / N (Bozejko-Fendler), and one
+    circulant witness attains it: at p = inf the one whose DFT is
+    conj(phase(fft(m)[-j])), which puts sum |fft(m)| / N in entry 0 of
+    fft(m c); at p = 1 the identity of the Fourier side, fft(c) = e_0.
+    Both bounds are then ratios at that witness and the estimator is
+    skipped.  Otherwise the best circulant witness is forwarded to the
+    Schur estimator, which makes fourier_lb <= schur_lb hold by
     construction (the Fourier action is the restriction of the Schur
     action to circulants).
     """
@@ -844,6 +850,27 @@ def fourier_multiplier_norm_finite_cyclic(
     if mv.shape != (n,):
         raise ValueError(f"symbol must have length {n}")
     p = float(p)
+    idx = np.arange(n)
+    schur_symbol = mv[(idx[:, None] - idx[None, :]) % n]
+
+    def fourier_ratio(c):
+        denom = _vec_lp(np.fft.fft(c), p)
+        return _vec_lp(np.fft.fft(mv * c), p) / denom if denom else 0.0
+
+    if np.isinf(p) or p == 1.0:
+        if np.isinf(p):
+            fm = np.fft.fft(mv)[-idx % n]
+            fc = np.conj(np.divide(fm, np.abs(fm), out=np.ones(n, dtype=complex), where=fm != 0))
+        else:
+            fc = (idx == 0).astype(complex)
+        c = np.fft.ifft(fc)
+        a = circulant(c)
+        return TransferenceResult(
+            fourier_lb=fourier_ratio(c),
+            schur_lb=schatten_norm(schur_symbol * a, p) / schatten_norm(a, p),
+            n=n,
+            p=p,
+        )
 
     starts = [np.zeros(n, dtype=complex)]
     starts[0][0] = 1.0  # identity of the group algebra
@@ -857,15 +884,10 @@ def fourier_multiplier_norm_finite_cyclic(
 
     best_ratio, best_c = 0.0, starts[0]
     for c in starts:
-        denom = _vec_lp(np.fft.fft(c), p)
-        if denom == 0.0:
-            continue
-        ratio = _vec_lp(np.fft.fft(mv * c), p) / denom
+        ratio = fourier_ratio(c)
         if ratio > best_ratio:
             best_ratio, best_c = ratio, c
 
-    idx = np.arange(n)
-    schur_symbol = mv[(idx[:, None] - idx[None, :]) % n]
     schur_lb = multiplier_norm_lower_bound(
         schur_symbol,
         p,

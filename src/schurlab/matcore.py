@@ -8,7 +8,7 @@ complex; real input stays real, so its SVDs run in real arithmetic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 
 import numpy as np
 
@@ -102,15 +102,28 @@ def schur_product(m, a) -> np.ndarray:
 #
 # The norm of A -> M o A on S_p is bounded below by ||M o A||_p / ||A||_p for
 # any test matrix A.  Starting from a deterministic matrix unit at the largest
-# |M| entry plus seeded Gaussian and rank-one draws, each start is scored and
-# then refined by alternating duality ascent on the bilinear form
-# Re<Z, M o A> over unit balls ||A||_p <= 1, ||Z||_q <= 1.  Both half-steps
-# are the same exact maximization (the norming map of S_q, then of S_p), so
-# the form increases monotonically; the reported value is always the plain
-# ratio at the best iterate and hence a genuine lower bound.  A real witness
-# is also a complex one, so running real symbols in real arithmetic still
-# bounds the complex S_p norm from below.
+# |M| entry, any extra starts, and seeded Gaussian and rank-one draws, each
+# start is scored and then refined by alternating duality ascent on the
+# bilinear form Re<Z, M o A> over unit balls ||A||_p <= 1, ||Z||_q <= 1.  Both
+# half-steps are the same exact maximization (the norming map of S_q, then of
+# S_p), so the form increases monotonically; the reported value is always the
+# plain ratio at the best iterate and hence a genuine lower bound.  A real
+# witness is also a complex one, so running real symbols in real arithmetic
+# still bounds the complex S_p norm from below.
+#
+# Starts are pruned by successive halving.  Every start gets WARMUP_STEPS
+# ascent steps; after them, only a start whose ratio ranks among the best
+# SURVIVORS of the starts up to it (in start order, earlier starts winning
+# ties) ascends on to the step cap.  A start is judged only against earlier
+# starts, so a larger budget, which only appends starts, never changes the
+# fate of an earlier one, and the bound never decreases with the budget.
+# The scores and best iterates of pruned starts still count.  On the
+# triangular symbol all random starts reach the same p = inf value to about
+# 1e-7, so ascending more than the best two of them wastes SVDs.
 # ---------------------------------------------------------------------------
+
+WARMUP_STEPS = 4  # ascent steps every start gets before it is judged
+SURVIVORS = 2  # starts that ascend past the warm-up rank in the top SURVIVORS
 
 
 def _norming(x, r):
@@ -127,27 +140,35 @@ def _norming(x, r):
     return (u * (w / np.sum(w**r) ** (1.0 / r))) @ vh, s
 
 
-def _refine(m, mc, a, p, steps, rel_tol=1e-7):
-    """Score start ``a``, then ascend for at most ``steps`` steps; return
-    (best ratio, best test matrix)."""
+def _ascent(m, mc, a, p, rel_tol=1e-7):
+    """Score start ``a``, then ascend; yields (best ratio, best test matrix)
+    after the score and after every step.  Stops when M o A = 0 or after two
+    steps without a relative gain of ``rel_tol``."""
     na = _schatten_from_sv(np.linalg.svd(a, compute_uv=False), p)
     if na == 0.0:
-        return 0.0, a
+        yield 0.0, a
+        return
     a = a / na
     q = 1.0 / (1.0 - 1.0 / p) if p > 1.0 else np.inf
     z, s = _norming(m * a, q)
     best_r, best_a = _schatten_from_sv(s, p), a  # ||a||_p == 1 from here on
+    yield best_r, best_a
     stall = 0
-    for _ in range(steps):
-        if z is None or stall >= 2:  # M o A = 0, or two steps without gain
-            break
+    while z is not None and stall < 2:
         a, _ = _norming(mc * z, p)  # nonzero: Re<conj(M) o Z, A> = ||M o A||_p
         z, s = _norming(m * a, q)
         r = _schatten_from_sv(s, p)
         stall = 0 if r > best_r * (1.0 + rel_tol) else stall + 1
         if r > best_r:
             best_r, best_a = r, a
-    return best_r, best_a
+        yield best_r, best_a
+
+
+def _advance(run, steps, state):
+    """Take at most ``steps`` more states from ``run``; return the last one."""
+    for state in itertools.islice(run, max(steps, 0)):
+        pass
+    return state
 
 
 def multiplier_norm_lower_bound(
@@ -164,16 +185,19 @@ def multiplier_norm_lower_bound(
     """Lower bound for the S_p -> S_p norm of the Schur multiplier with
     symbol ``m``.
 
-    Maximizes ||M o A||_p / ||A||_p over a deterministic matrix unit at
-    argmax |M|, ``budget`` seeded Gaussian and rank-one starts, and any
-    ``extra_starts``, each scored and then refined by alternating duality
-    ascent (``ascent_steps`` cap; 0 keeps the best start).  A symbol with
-    no imaginary part runs in real arithmetic: its matrix unit and its
-    seeded starts are real.  Otherwise they are complex Gaussian.  Extra
-    starts keep their own dtype.  Trial k draws from the substream
-    (seed, k), so enlarging the budget with a fixed seed only adds starts.
-    The result never exceeds the true multiplier norm; at p = 2 the
-    matrix-unit start attains the exact value sup |M|.
+    Maximizes ||M o A||_p / ||A||_p over, in this start order, a
+    deterministic matrix unit at argmax |M|, any ``extra_starts``, and
+    ``budget`` seeded Gaussian and rank-one starts.  Each start is scored
+    and ascended for WARMUP_STEPS steps of alternating duality ascent; only
+    a start that ranks in the top SURVIVORS of the starts up to it goes on
+    to the ``ascent_steps`` cap (0 keeps the best start).  A symbol with no
+    imaginary part runs in real arithmetic: its matrix unit and its seeded
+    starts are real.  Otherwise they are complex Gaussian.  Extra starts
+    keep their own dtype.  Trial k draws from the substream (seed, k), so
+    enlarging the budget with a fixed seed only appends starts and never
+    lowers the bound.  The result never exceeds the true multiplier norm;
+    at p = 2 the matrix-unit start attains the exact value sup |M|.
+    ``jobs`` is accepted for compatibility and changes nothing.
     """
     mm = as_dense(m)
     if not mm.imag.any():
@@ -190,29 +214,26 @@ def multiplier_norm_lower_bound(
     unit = np.zeros((rows, cols), dtype=mm.dtype)
     unit[np.unravel_index(int(np.argmax(np.abs(mm))), mm.shape)] = 1.0
     starts = [unit]
-    for k in range(budget):
-        rng = np.random.default_rng([seed, k])
-        starts.append(draw(rng, (rows, cols)))
-        starts.append(np.outer(draw(rng, rows), draw(rng, cols)))
     for a in extra_starts:
         a = as_dense(a)
         if a.shape != mm.shape:
             raise ShapeMismatch(f"extra start shape {a.shape} vs {mm.shape}")
         starts.append(a)
+    for k in range(budget):
+        rng = np.random.default_rng([seed, k])
+        starts.append(draw(rng, (rows, cols)))
+        starts.append(np.outer(draw(rng, rows), draw(rng, cols)))
 
     mc = np.conj(mm)
-
-    def work(a):
-        return _refine(mm, mc, a, p, ascent_steps)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, starts))
-    else:
-        results = [work(a) for a in starts]
-
+    warm = []  # ratio of each earlier start after its warm-up
     best, best_a = 0.0, starts[0]
-    for r, a in results:
+    for a in starts:
+        run = _ascent(mm, mc, a, p)
+        r, a = _advance(run, 1 + min(WARMUP_STEPS, ascent_steps), None)
+        survives = sum(w >= r for w in warm) < SURVIVORS
+        warm.append(r)
+        if survives:
+            r, a = _advance(run, ascent_steps - WARMUP_STEPS, (r, a))
         if r > best:
             best, best_a = r, a
     if return_witness:

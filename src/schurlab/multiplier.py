@@ -131,7 +131,7 @@ def norm_growth_experiment(
 
     The best witness found at each size is zero-padded into the next
     (larger grids contain the smaller ones as leading prefixes), so the
-    reported bounds never decrease with N.
+    reported bounds never decrease with N.  ``jobs`` changes nothing.
     """
     sizes = list(sizes)
     if any(a >= b for a, b in zip(sizes, sizes[1:])):

@@ -304,6 +304,38 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"command": "squarefn", "shape": [0], "C": 10},
+            {"command": "squarefn", "shape": [8, -2], "C": 10},
+            {"command": "squarefn", "shape": [8.5], "C": 10},
+            {"command": "squarefn", "shape": 8, "C": 10},
+            {"command": "squarefn", "terms": 0, "C": 10},
+            {"command": "squarefn", "degree": 0, "C": 10},
+            {**SPHERE_CLASSIFY, "boundary_samples": 0},
+            {**SPHERE_CLASSIFY, "sections": -1},
+            {**SPHERE_CLASSIFY, "points_per_section": 0},
+        ],
+        ids=[
+            "squarefn-zero-shape",
+            "squarefn-negative-shape",
+            "squarefn-fractional-shape",
+            "squarefn-shape-not-a-list",
+            "squarefn-zero-terms",
+            "squarefn-zero-degree",
+            "classify-zero-boundary-samples",
+            "classify-negative-sections",
+            "classify-zero-points-per-section",
+        ],
+    )
+    def test_count_configs_exit_64(self, tmp_path, capsys, cfg):
+        path = _write_config(tmp_path, {"schema": "schur-lab/1", "seed": 0, **cfg})
+        assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_norms_zero_ascent_steps_reports_best_start(tmp_path):
     cfg = _write_config(tmp_path, {**TRIANGULAR_NORMS, "p": "inf", "ascent_steps": 0})
     out = tmp_path / "r.json"

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from schurlab import groups
 from schurlab.errors import ChartOverflow, DegenerateBasis, GroupMismatch
 from schurlab.groups import (
     AFFINE,
@@ -437,7 +440,32 @@ class TestTransference:
     def test_contract_over_random_symbols(self):
         rng = np.random.default_rng(7)
         for n in (8, 16):
-            for p in (4.0 / 3.0, 4.0):
+            for p in (4.0 / 3.0, 4.0, math.inf):
                 mv = (rng.random(n) < 0.5).astype(float)
                 res = fourier_multiplier_norm_finite_cyclic(mv, n, p, budget=3, seed=3)
                 assert res.fourier_lb <= res.schur_lb * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    @pytest.mark.parametrize("n", [1, 8, 64, 512])
+    def test_endpoint_exponents_are_exact(self, n, p, monkeypatch):
+        """At p = 1 and p = inf both bounds equal the Fourier-algebra norm
+        sum |fft(m)| / N, attained by the exact circulant witness without
+        the estimator."""
+
+        def no_estimator(*args, **kwargs):
+            raise AssertionError("the estimator ran")
+
+        monkeypatch.setattr(groups, "multiplier_norm_lower_bound", no_estimator)
+        half = np.zeros(n)
+        half[1 : n // 2 + 1] = 1.0
+        delta = np.zeros(n)
+        delta[0] = 1.0
+        coin = (np.random.default_rng([5, n]).random(n) < 0.5).astype(float)
+        for mv in (half, delta, np.zeros(n), coin):
+            exact = float(np.sum(np.abs(np.fft.fft(mv))) / n)
+            res = fourier_multiplier_norm_finite_cyclic(mv, n, p, budget=1, seed=0)
+            for v in (res.fourier_lb, res.schur_lb):
+                if exact == 0.0:
+                    assert v == 0.0
+                else:
+                    assert abs(v - exact) <= 1e-12 * exact, (mv, v, exact)

@@ -260,6 +260,28 @@ class TestMultiplierNormLowerBound:
         assert abs(v - best) <= 1e-12 * best
 
 
+# np.linalg.svd calls of the estimate below when every start ascends to the
+# step cap (no pruning), with the bound it reaches
+UNPRUNED_TRIANGULAR_SVD_CALLS = 422
+UNPRUNED_TRIANGULAR_BOUND = 2.1113665466
+
+
+def test_pruned_ascent_saves_svds(monkeypatch):
+    """Triangular N = 64, p = inf, budget 4: pruning after the warm-up makes
+    at most 75% of the unpruned SVD calls and keeps the bound."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), math.inf, budget=4, seed=0)
+    assert len(calls) <= 0.75 * UNPRUNED_TRIANGULAR_SVD_CALLS, len(calls)
+    assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6)
+
+
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_circulant_pinf_matches_fourier_algebra_norm(n):
     """For M(i, j) = m(i - j mod N) the S_inf multiplier norm is exactly
