@@ -70,28 +70,40 @@ def _make_boundary_point(spec, x, y) -> BoundaryPoint:
     )
 
 
-def _project_1d(f, df, t0, tol, max_iter):
-    """Damped Newton for the scalar equation f(t) = 0."""
-    t = float(t0)
-    val = f(t)
+def _newton(f, grad, z, tol, max_iter):
+    """Damped Newton for the scalar equation f(z) = 0 over a vector z.
+
+    Each step is the minimum-norm Newton step -f / |grad f|^2 * grad f,
+    halved up to 30 times until |f| decreases.  Raises NoConvergence after
+    ``max_iter`` steps and DegenerateGradient where the gradient vanishes.
+    """
+    z = np.array(z, dtype=float)
+    val = float(f(z))
+    stall = 0
     for _ in range(max_iter):
         if abs(val) <= tol:
-            return t
-        d = df(t)
-        if d == 0.0 or not np.isfinite(d):
-            raise DegenerateGradient("vanishing derivative during boundary solve")
-        step = -val / d
+            return z
+        g = grad(z)
+        g2 = float(np.sum(g**2))
+        if g2 < 1e-24:
+            raise DegenerateGradient("gradient vanishes during boundary projection")
+        step = -val / g2 * g
         lam = 1.0
         for _ in range(30):
-            t_new = t + lam * step
-            val_new = f(t_new)
+            z_new = z + lam * step
+            val_new = float(f(z_new))
             if np.isfinite(val_new) and abs(val_new) < abs(val):
                 break
             lam *= 0.5
         else:
-            raise NoConvergence("1-D boundary solve cannot decrease |F|")
-        t, val = t_new, val_new
-    raise NoConvergence(f"1-D boundary solve stalled at |F| = {abs(val):.3e}")
+            raise NoConvergence("boundary projection cannot decrease |F|")
+        # Newton contracts fast near a simple root; a plateau means the
+        # equation has no root to find
+        stall = stall + 1 if abs(val_new) > 0.75 * abs(val) else 0
+        if stall >= 5:
+            raise NoConvergence("boundary projection plateaued away from a root")
+        z, val = z_new, val_new
+    raise NoConvergence(f"boundary projection stalled at |F| = {abs(val):.3e}")
 
 
 def boundary_project(
@@ -103,39 +115,13 @@ def boundary_project(
 ) -> BoundaryPoint:
     """Project y_init onto the section boundary {y : F(x, y) = 0}.
 
-    Newton iteration along the d_y F direction, with damping when a full
-    step overshoots.  Raises NoConvergence after ``max_iter`` iterations
-    and DegenerateGradient at gradient-free points.
+    Damped Newton along the d_y F direction (``_newton``).  Raises
+    NoConvergence after ``max_iter`` iterations and DegenerateGradient at
+    gradient-free points.
     """
     x = np.asarray(x, dtype=float)
-    y = np.array(y_init, dtype=float)
-    val = float(spec.f(x, y))
-    stall = 0
-    for _ in range(max_iter):
-        if abs(val) <= tol:
-            return _make_boundary_point(spec, x, y)
-        _, gy = gradient(spec, x, y)
-        g2 = float(np.sum(gy**2))
-        if g2 < 1e-24:
-            raise DegenerateGradient("d_y F vanishes during boundary projection")
-        step = -val / g2 * gy
-        # damped update: halve until |F| decreases
-        lam = 1.0
-        for _ in range(30):
-            y_new = y + lam * step
-            val_new = float(spec.f(x, y_new))
-            if np.isfinite(val_new) and abs(val_new) < abs(val):
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence("boundary projection cannot decrease |F|")
-        # Newton contracts fast near a simple root; a plateau means the
-        # ray has no root to find
-        stall = stall + 1 if abs(val_new) > 0.75 * abs(val) else 0
-        if stall >= 5:
-            raise NoConvergence("boundary projection plateaued away from a root")
-        y, val = y_new, val_new
-    raise NoConvergence(f"boundary projection stalled at |F| = {abs(val):.3e}")
+    y = _newton(lambda y: spec.f(x, y), lambda y: gradient(spec, x, y)[1], y_init, tol, max_iter)
+    return _make_boundary_point(spec, x, y)
 
 
 def boundary_project_x(
@@ -147,31 +133,8 @@ def boundary_project_x(
 ) -> BoundaryPoint:
     """Project x_init onto {x : F(x, y) = 0} (the other factor fixed)."""
     y = np.asarray(y, dtype=float)
-    x = np.array(x_init, dtype=float)
-    val = float(spec.f(x, y))
-    stall = 0
-    for _ in range(max_iter):
-        if abs(val) <= tol:
-            return _make_boundary_point(spec, x, y)
-        gx, _ = gradient(spec, x, y)
-        g2 = float(np.sum(gx**2))
-        if g2 < 1e-24:
-            raise DegenerateGradient("d_x F vanishes during boundary projection")
-        step = -val / g2 * gx
-        lam = 1.0
-        for _ in range(30):
-            x_new = x + lam * step
-            val_new = float(spec.f(x_new, y))
-            if np.isfinite(val_new) and abs(val_new) < abs(val):
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence("boundary projection cannot decrease |F|")
-        stall = stall + 1 if abs(val_new) > 0.75 * abs(val) else 0
-        if stall >= 5:
-            raise NoConvergence("boundary projection plateaued away from a root")
-        x, val = x_new, val_new
-    raise NoConvergence(f"boundary projection stalled at |F| = {abs(val):.3e}")
+    x = _newton(lambda x: spec.f(x, y), lambda x: gradient(spec, x, y)[0], x_init, tol, max_iter)
+    return _make_boundary_point(spec, x, y)
 
 
 def transversality_check(pt: BoundaryPoint, tol: float = TRANSVERSE_TOL) -> bool:
@@ -245,18 +208,21 @@ def zero_curvature_check_c1(
         if not transversality_check(pt, transverse_tol):
             raise NonTransverseSample(f"sample at x = {pt.x} is not transverse")
         pts.append(pt)
+    witnesses = _section_witnesses(pts, tol_angle)
+    return not witnesses, witnesses
+
+
+def _section_witnesses(pts, tol_angle):
+    """The pairs (point_i, point_j, angle), i < j, whose unit normals n2
+    span lines more than ``tol_angle`` apart."""
+    units = [pt.n2 / np.linalg.norm(pt.n2) for pt in pts]
     witnesses = []
-    worst = 0.0
     for i in range(len(pts)):
-        ui = pts[i].n2 / np.linalg.norm(pts[i].n2)
         for j in range(i + 1, len(pts)):
-            uj = pts[j].n2 / np.linalg.norm(pts[j].n2)
-            ang = _angle_between_lines(ui, uj)
-            if ang > worst:
-                worst = ang
+            ang = _angle_between_lines(units[i], units[j])
             if ang > tol_angle:
                 witnesses.append((pts[i], pts[j], ang))
-    return worst <= tol_angle, witnesses
+    return witnesses
 
 
 def _kernel_basis(v: np.ndarray) -> np.ndarray:
@@ -356,13 +322,13 @@ def normal_form_chart(
         y = np.asarray(y, dtype=float)
 
         def fval(t):
-            return float(spec.f(phi_inv(np.concatenate(([t], x_tail))), y))
+            return spec.f(phi_inv(np.concatenate((t, x_tail))), y)
 
         def fder(t):
-            gx, _ = gradient(spec, phi_inv(np.concatenate(([t], x_tail))), y)
-            return float((q @ gx)[0])
+            gx, _ = gradient(spec, phi_inv(np.concatenate((t, x_tail))), y)
+            return (q @ gx)[:1]
 
-        return _project_1d(fval, fder, 0.0, tol, 100)
+        return float(_newton(fval, fder, np.zeros(1), tol, 100)[0])
 
     # direction of d_y h(0, .) at y0, from the implicit relation
     gx0, gy0 = gradient(spec, x0, y0)
@@ -384,14 +350,14 @@ def normal_form_chart(
         base = y0 + comp.T @ tail
 
         def fval(t):
-            return h(np.zeros(m - 1), base + t * w_hat) - s
+            return h(np.zeros(m - 1), base + t[0] * w_hat) - s
 
         def fder(t):
-            yy = base + t * w_hat
+            yy = base + t[0] * w_hat
             gx, gy = gradient(spec, phi_inv(np.concatenate(([h(np.zeros(m - 1), yy)], np.zeros(m - 1)))), yy)
-            return float(np.dot(-gy / float((q @ gx)[0]), w_hat))
+            return np.array([np.dot(-gy / float((q @ gx)[0]), w_hat)])
 
-        t_star = _project_1d(fval, fder, 0.0, tol, 100)
+        t_star = _newton(fval, fder, np.zeros(1), tol, 100)[0]
         return base + t_star * w_hat
 
     def g(x_tail, yc):
@@ -507,7 +473,9 @@ def classify(
     one-sided cases (a normal component vanishing identically), which admit
     the triangular model for trivial reasons; report NON_TRANSVERSE when the
     base point is not transverse; otherwise run the tangent-comparison check
-    across sections through common y values and, when exact second
+    across sections through common y values (those of the first ``sections``
+    transverse pool points, or of further ones until one section has two
+    points) and, when exact second
     derivatives exist, the mixed-Hessian check at the same points.  Agreeing
     checks produce TRIANGULAR_MODEL / CURVATURE_FAIL; disagreement yields
     INCONCLUSIVE with diagnostics.
@@ -570,7 +538,9 @@ def classify(
     used_sections = 0
     transverse_pts = []
     sample_pool = [p for p in pool if transversality_check(p, transverse_tol)]
-    for pt in sample_pool[: max(sections, 1)]:
+    for k, pt in enumerate(sample_pool):
+        if k >= sections and used_sections:
+            break
         x_inits = [_random_in_box(rng, spec.x_box) for _ in range(points_per_section - 1)]
         x_inits.append(pt.x)
         kept = []
@@ -585,15 +555,10 @@ def classify(
             continue
         used_sections += 1
         transverse_pts.extend(kept)
-        for i in range(len(kept)):
-            ui = kept[i].n2 / np.linalg.norm(kept[i].n2)
-            for j in range(i + 1, len(kept)):
-                uj = kept[j].n2 / np.linalg.norm(kept[j].n2)
-                ang = _angle_between_lines(ui, uj)
-                if ang > tol_angle:
-                    c1_ok = False
-                    if len(report.witnesses) < 8:
-                        report.witnesses.append((kept[i], kept[j], ang))
+        witnesses = _section_witnesses(kept, tol_angle)
+        if witnesses:
+            c1_ok = False
+            report.witnesses.extend(witnesses[: 8 - len(report.witnesses)])
     report.samples["sections_used"] = used_sections
     if used_sections == 0:
         report.notes.append("could not assemble section pairs for the curvature check")

@@ -31,6 +31,7 @@ from .errors import (
     GroupMismatch,
     NoConvergence,
 )
+from .geometry import _kernel_basis, _newton
 from .matcore import multiplier_norm_lower_bound, schatten_norm
 from .multiplier import circulant
 from .symbols import parse_expression
@@ -690,11 +691,7 @@ def boundary_subalgebra_verdict(
         raise DegenerateGradient("omega field has vanishing chart gradient at g0")
     w_hat = w / wn
 
-    if d == 1:
-        hyper = np.zeros((0, 1))
-    else:
-        _, _, vh = np.linalg.svd(w_hat.reshape(1, -1))
-        hyper = vh[1:]
+    hyper = _kernel_basis(w_hat)
 
     alg = grp.algebra()
     sub_ok = subalgebra_check(
@@ -708,6 +705,7 @@ def boundary_subalgebra_verdict(
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(hyper.T)
         proj = q @ q.T
+        h_line = 1e-7  # central-difference step of the line derivative
         found = 0
         attempts = 0
         while found < ad_samples and attempts < 20 * ad_samples:
@@ -716,11 +714,14 @@ def boundary_subalgebra_verdict(
             v = v - np.dot(v, w_hat) * w_hat  # start on the tangent hyperplane
 
             def fline(t):
-                return f_alg(v + t * w_hat)
+                return f_alg(v + t[0] * w_hat)
+
+            def dline(t):
+                return np.array([(fline(t + h_line) - fline(t - h_line)) / (2.0 * h_line)])
 
             try:
-                t_star = _newton_scalar(fline, 0.0, 1e-12, 60)
-            except NoConvergence:
+                t_star = _newton(fline, dline, np.zeros(1), 1e-12, 60)[0]
+            except (NoConvergence, DegenerateGradient):
                 continue
             x = expm(group_id, v + t_star * w_hat)
             x_inv = np.linalg.inv(x)
@@ -748,26 +749,6 @@ def boundary_subalgebra_verdict(
         ad_defect=ad_defect,
         notes=notes,
     )
-
-
-def _newton_scalar(f, t0, tol, max_iter):
-    t = float(t0)
-    val = f(t)
-    h = 1e-7
-    for _ in range(max_iter):
-        if abs(val) <= tol:
-            return t
-        d = (f(t + h) - f(t - h)) / (2.0 * h)
-        if d == 0.0 or not np.isfinite(d):
-            raise NoConvergence("flat direction in scalar solve")
-        t_new = t - val / d
-        val_new = f(t_new)
-        if not np.isfinite(val_new):
-            raise NoConvergence("scalar solve left the chart")
-        t, val = t_new, val_new
-    if abs(val) <= tol * 100:
-        return t
-    raise NoConvergence(f"scalar solve stalled at |f| = {abs(val):.3e}")
 
 
 def expression_boundary_field(group_id: str, expr: str) -> Callable[[GroupElement], float]:

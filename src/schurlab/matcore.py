@@ -179,7 +179,6 @@ def multiplier_norm_lower_bound(
     *,
     extra_starts=(),
     ascent_steps: int = 50,
-    jobs: int = 1,
     return_witness: bool = False,
 ):
     """Lower bound for the S_p -> S_p norm of the Schur multiplier with
@@ -197,7 +196,6 @@ def multiplier_norm_lower_bound(
     enlarging the budget with a fixed seed only appends starts and never
     lowers the bound.  The result never exceeds the true multiplier norm;
     at p = 2 the matrix-unit start attains the exact value sup |M|.
-    ``jobs`` is accepted for compatibility and changes nothing.
     """
     mm = as_dense(m)
     if not mm.imag.any():

@@ -125,13 +125,14 @@ def norm_growth_experiment(
     budget: int = 6,
     seed: int = 0,
     ascent_steps: int = 50,
-    jobs: int = 1,
 ):
     """Multiplier-norm lower bounds on nested grids of increasing size.
 
     The best witness found at each size is zero-padded into the next
     (larger grids contain the smaller ones as leading prefixes), so the
-    reported bounds never decrease with N.  ``jobs`` changes nothing.
+    reported bounds never decrease with N.  A record's ``trials`` counts
+    the estimator's starts: the matrix unit, the carried witness (after the
+    first size) and ``2 * budget`` seeded starts.
     """
     sizes = list(sizes)
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
@@ -155,7 +156,6 @@ def norm_growth_experiment(
             seed=seed,
             extra_starts=extra,
             ascent_steps=ascent_steps,
-            jobs=jobs,
             return_witness=True,
         )
         wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
@@ -166,7 +166,7 @@ def norm_growth_experiment(
                 p=float(p),
                 n=n,
                 lower_bound=float(bound),
-                trials=budget,
+                trials=1 + len(extra) + 2 * budget,
                 seed=seed,
                 wall_ms=wall_ms,
             )

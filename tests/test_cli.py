@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,22 @@ def test_norms_zero_ascent_steps_reports_best_start(tmp_path):
     assert main(["--config", cfg, "--out", str(out)]) == 0
     bounds = [r["lower_bound"] for r in json.loads(out.read_text())["records"]]
     assert all(b >= 1.0 - 1e-12 for b in bounds), bounds
+
+
+@pytest.mark.parametrize("expr", ["log(x1) - y1", "exp(1000*x1) - y1"])
+def test_expression_symbols_print_no_numpy_warnings(tmp_path, capsys, expr):
+    # log of negative numbers and exp overflow at some sample points
+    cfg = {
+        **SPHERE_CLASSIFY,
+        "symbol": {"m_dim": 1, "n_dim": 1, "builtin": None, "params": {}, "expr": expr,
+                   "box": [[-1, 1], [-1, 1]]},
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in caught] == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from schurlab.errors import NonTransverse, NonTransverseSample
+from schurlab.errors import DegenerateGradient, NoConvergence, NonTransverse, NonTransverseSample
 from schurlab.geometry import (
     CURVATURE_FAIL,
     INCONCLUSIVE,
     NON_TRANSVERSE,
     TRIANGULAR_MODEL,
+    _newton,
     boundary_project,
     classify,
     mixed_hessian_check,
@@ -50,6 +51,25 @@ class TestBoundaryProject:
         pt = boundary_project(spec, [0.6, 0.0], [0.0, 0.9])
         probe = np.concatenate([pt.x, pt.y]) + 1e-4 * np.concatenate([pt.n1, pt.n2])
         assert float(spec.f(probe[:2], probe[2:])) > 0.0
+
+
+@pytest.mark.parametrize(
+    "f,grad,z0,expect",
+    [
+        (lambda z: z[0] ** 2 - 2.0, lambda z: 2.0 * z, [1.0], [math.sqrt(2.0)]),
+        # minimum-norm steps stay on the ray through the start
+        (lambda z: z @ z - 1.0, lambda z: 2.0 * z, [0.3, 0.4], [0.6, 0.8]),
+        (lambda z: z[0] ** 2 + 1.0, lambda z: 2.0 * z, [0.0], (DegenerateGradient, "vanishes")),
+        (lambda z: z @ z + 1.0, lambda z: 2.0 * z, [10.0, 1.0], (NoConvergence, "plateau")),
+    ],
+    ids=["scalar-root", "vector-projection", "zero-gradient", "no-root-plateau"],
+)
+def test_newton(f, grad, z0, expect):
+    if isinstance(expect, tuple):
+        with pytest.raises(expect[0], match=expect[1]):
+            _newton(f, grad, z0, 1e-12, 100)
+    else:
+        np.testing.assert_allclose(_newton(f, grad, z0, 1e-12, 100), expect, rtol=1e-10)
 
 
 class TestTransversality:
@@ -246,6 +266,13 @@ class TestClassify:
             assert transversality_check(p) and transversality_check(q)
             assert ang > rep.tolerances["angle"]
             np.testing.assert_allclose(p.y, q.y, atol=1e-12)
+
+    def test_walks_past_sections_until_one_assembles(self):
+        # at this seed no x start of the first `sections` pool points
+        # projects inside the box
+        rep = classify(sphere_delta(3, 0.0), seed=532220982)
+        assert rep.verdict == CURVATURE_FAIL
+        assert rep.samples["sections_used"] == 1
 
     def test_no_boundary_in_box_is_inconclusive(self):
         # F = x1 - y1 is bounded away from zero on this box

@@ -394,6 +394,16 @@ class TestBoundaryVerdict:
         )
         assert not v.passed and not v.subalgebra_ok
 
+    def test_lines_with_vanishing_derivative_are_skipped(self):
+        # omega = x where y < 0.05, else the constant 1: the solve lines
+        # through starts with y >= 0.05 have zero derivative
+        def omega(g):
+            x, y, _ = g.coords
+            return float(x) if y < 0.05 else 1.0
+
+        v = boundary_subalgebra_verdict(HEISENBERG, omega, identity(HEISENBERG))
+        assert v.passed and not v.notes
+
     def test_expression_fields_match_named_ones(self):
         rng = np.random.default_rng(8)
         f_named = named_boundary_field(SL2R, "sgn_c")

@@ -220,12 +220,6 @@ class TestMultiplierNormLowerBound:
         b = multiplier_norm_lower_bound(m, 4.0, budget=4, seed=11)
         assert a == b
 
-    def test_jobs_do_not_change_the_result(self):
-        m = np.tril(np.ones((6, 6)))
-        a = multiplier_norm_lower_bound(m, math.inf, budget=4, seed=5)
-        b = multiplier_norm_lower_bound(m, math.inf, budget=4, seed=5, jobs=4)
-        assert abs(a - b) < 1e-12
-
     def test_zero_ascent_steps_keeps_the_best_start(self):
         m = np.tril(np.ones((8, 8)))
         start = multiplier_norm_lower_bound(m, math.inf, budget=2, seed=0, ascent_steps=0)

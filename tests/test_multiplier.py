@@ -84,6 +84,12 @@ class TestNormGrowth:
         bounds = [r.lower_bound for r in records]
         assert all(b >= a - 1e-12 for a, b in zip(bounds, bounds[1:]))
 
+    def test_trials_count_the_estimator_starts(self):
+        # matrix unit + 2 * budget seeded starts, plus the carried witness
+        # from the second size on
+        records = norm_growth_experiment(triangular(), 4.0, [8, 16], budget=3, seed=0)
+        assert [r.trials for r in records] == [7, 8]
+
     def test_submatrix_monotonicity_directly(self):
         # restriction to a subgrid never increases the estimated norm
         spec = triangular()
