@@ -76,6 +76,14 @@ def _parse_p(value):
     return float(value)
 
 
+def _finite_number(value) -> bool:
+    """True for a JSON number (not a bool) that is a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _int_param(cfg, key, default, lo, hi=math.inf) -> int:
     value = cfg.get(key, default)
     if type(value) not in (int, float) or not (lo <= value <= hi and float(value).is_integer()):
@@ -134,6 +142,18 @@ def _cmd_classify(cfg, seed):
     spec = _symbol_from_config(cfg)
     z0 = cfg.get("z0")
     if z0 is not None:
+        dims = (spec.m_dim, spec.n_dim)
+        if not (
+            isinstance(z0, list)
+            and len(z0) == 2
+            and all(
+                isinstance(part, list) and len(part) == d and all(map(_finite_number, part))
+                for part, d in zip(z0, dims)
+            )
+        ):
+            raise ConfigInvalid(
+                f"'z0' must be two lists of {dims[0]} and {dims[1]} finite numbers, got {z0!r}"
+            )
         z0 = (np.array(z0[0], dtype=float), np.array(z0[1], dtype=float))
     t0 = time.perf_counter()
     report = geometry.classify(
@@ -201,6 +221,8 @@ def _cmd_squarefn(cfg, seed):
     c = cfg.get("C")
     if c is None:
         raise ConfigInvalid("'squarefn' needs the constant 'C'")
+    if not (_finite_number(c) and c > 0):
+        raise ConfigInvalid(f"'C' must be a finite positive number, got {c!r}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     fs, us = [], []
@@ -330,7 +352,7 @@ def _cmd_transfer(cfg, seed):
 def run(config: dict, out_path=None, fmt="json", seed=None, expect=None) -> int:
     """Execute one experiment config; returns the process exit code."""
     command = config["command"]
-    seed = int(config.get("seed", 0) if seed is None else seed)
+    seed = _int_param(config if seed is None else {"seed": seed}, "seed", 0, 0)
     records = None
     # expression symbols overflow or leave their domain at some sample
     # points; every solver checks finiteness itself, so numpy's warnings

@@ -25,6 +25,7 @@ from .symbols import (
     BoundaryPoint,
     SymbolSpec,
     gradient,
+    gradient_rows,
     mixed_hessian,
 )
 
@@ -58,52 +59,120 @@ HESSIAN_TOL = 1e-6
 DEGENERATE_TOL = 1e-9
 
 
+def _boundary_points(spec, x, y, gx, gy) -> list:
+    """BoundaryPoints at the rows of x (k, m), y (k, n) with the gradient
+    split (gx, gy) there."""
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    nrm = np.sqrt(np.sum(gx**2, axis=-1) + np.sum(gy**2, axis=-1))[:, None]
+    n1, n2 = gx / nrm, gy / nrm
+    residual = np.abs(spec.f(x, y))
+    return [
+        BoundaryPoint(x=x[i], y=y[i], n1=n1[i], n2=n2[i], residual=float(residual[i]))
+        for i in range(x.shape[0])
+    ]
+
+
 def _make_boundary_point(spec, x, y) -> BoundaryPoint:
     gx, gy = gradient(spec, x, y)
-    nrm = math.sqrt(float(np.sum(gx**2) + np.sum(gy**2)))
-    return BoundaryPoint(
-        x=np.array(x, dtype=float),
-        y=np.array(y, dtype=float),
-        n1=gx / nrm,
-        n2=gy / nrm,
-        residual=abs(float(spec.f(np.asarray(x, float), np.asarray(y, float)))),
-    )
+    return _boundary_points(spec, x[None], y[None], gx[None], gy[None])[0]
+
+
+# why a row of ``_newton`` stopped, by its status code; 0 is converged
+_NEWTON_FAILURES = (
+    None,
+    (DegenerateGradient, "gradient vanishes during boundary projection"),
+    (NoConvergence, "boundary projection cannot decrease |F|"),
+    (NoConvergence, "boundary projection plateaued away from a root"),
+    (NoConvergence, "boundary projection stalled at |F| = {:.3e}"),
+)
 
 
 def _newton(f, grad, z, tol, max_iter):
-    """Damped Newton for the scalar equation f(z) = 0 over a vector z.
+    """Damped Newton for the scalar equations f(z_i) = 0, one per row z_i
+    of the batch z (k, d).
 
-    Each step is the minimum-norm Newton step -f / |grad f|^2 * grad f,
-    halved up to 30 times until |f| decreases.  Raises NoConvergence after
-    ``max_iter`` steps and DegenerateGradient where the gradient vanishes.
+    ``f(zs, rows)`` and ``grad(zs, rows)`` evaluate the batch rows ``rows``
+    at the points zs (j, d), returning (j,) and (j, d).  Each row takes
+    minimum-norm Newton steps -f / |grad f|^2 * grad f, each halved up to
+    30 times until |f| decreases.  Returns (z, status): status[i] is 0
+    where row i converged, else the index into ``_NEWTON_FAILURES`` of
+    why it stopped: a vanishing gradient, no decrease of |f|, a plateau,
+    or ``max_iter`` steps.
     """
     z = np.array(z, dtype=float)
-    val = float(f(z))
-    stall = 0
+    active = np.arange(z.shape[0])
+    val = np.array(f(z, active), dtype=float)
+    stall = np.zeros(z.shape[0], dtype=int)
+    status = np.zeros(z.shape[0], dtype=np.int8)
+
+    def drop(mask, code):
+        """Fail the active rows in ``mask``; returns the mask of the others."""
+        status[active[mask]] = code
+        return ~mask
+
     for _ in range(max_iter):
-        if abs(val) <= tol:
-            return z
-        g = grad(z)
-        g2 = float(np.sum(g**2))
-        if g2 < 1e-24:
-            raise DegenerateGradient("gradient vanishes during boundary projection")
-        step = -val / g2 * g
-        lam = 1.0
-        for _ in range(30):
-            z_new = z + lam * step
-            val_new = float(f(z_new))
-            if np.isfinite(val_new) and abs(val_new) < abs(val):
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence("boundary projection cannot decrease |F|")
+        active = active[~(np.abs(val[active]) <= tol)]
+        if not active.size:
+            return z, status
+        za, va = z[active], val[active]
+        g = grad(za, active)
+        g2 = (g**2).sum(axis=-1)
+        vanishing = g2 < 1e-24
+        if vanishing.any():
+            keep = drop(vanishing, 1)
+            active, za, va, g, g2 = active[keep], za[keep], va[keep], g[keep], g2[keep]
+            if not active.size:
+                return z, status
+        step = (-va / g2)[:, None] * g
+        z_new = za + step
+        val_new = f(z_new, active)
+        rise = ~(np.isfinite(val_new) & (np.abs(val_new) < np.abs(va)))
+        if rise.any():
+            # halve the steps that do not decrease |f|, 29 more times
+            val_new = np.array(val_new)
+            lam = 1.0
+            for _ in range(29):
+                lam *= 0.5
+                rows = np.flatnonzero(rise)
+                cand = za[rows] + lam * step[rows]
+                cval = f(cand, active[rows])
+                dec = np.isfinite(cval) & (np.abs(cval) < np.abs(va[rows]))
+                z_new[rows[dec]] = cand[dec]
+                val_new[rows[dec]] = cval[dec]
+                rise[rows[dec]] = False
+                if not rise.any():
+                    break
+            else:
+                keep = drop(rise, 2)
+                active, va, z_new, val_new = active[keep], va[keep], z_new[keep], val_new[keep]
         # Newton contracts fast near a simple root; a plateau means the
         # equation has no root to find
-        stall = stall + 1 if abs(val_new) > 0.75 * abs(val) else 0
-        if stall >= 5:
-            raise NoConvergence("boundary projection plateaued away from a root")
-        z, val = z_new, val_new
-    raise NoConvergence(f"boundary projection stalled at |F| = {abs(val):.3e}")
+        stall[active] = (stall[active] + 1) * (np.abs(val_new) > 0.75 * np.abs(va))
+        plateau = stall[active] >= 5
+        if plateau.any():
+            keep = drop(plateau, 3)
+            active, z_new, val_new = active[keep], z_new[keep], val_new[keep]
+        z[active] = z_new
+        val[active] = val_new
+    status[active] = 4
+    return z, status
+
+
+def _newton_one(f, grad, z, tol, max_iter):
+    """``_newton`` on the single point z, with f and grad taking one point;
+    raises the point's NoConvergence or DegenerateGradient."""
+    z, status = _newton(
+        lambda zs, _: np.array([float(f(zs[0]))]),
+        lambda zs, _: np.asarray(grad(zs[0]), dtype=float)[None],
+        np.asarray(z, dtype=float)[None],
+        tol,
+        max_iter,
+    )
+    if status[0]:
+        error, message = _NEWTON_FAILURES[status[0]]
+        raise error(message.format(abs(float(f(z[0])))))
+    return z[0]
 
 
 def boundary_project(
@@ -120,7 +189,7 @@ def boundary_project(
     gradient-free points.
     """
     x = np.asarray(x, dtype=float)
-    y = _newton(lambda y: spec.f(x, y), lambda y: gradient(spec, x, y)[1], y_init, tol, max_iter)
+    y = _newton_one(lambda y: spec.f(x, y), lambda y: gradient(spec, x, y)[1], y_init, tol, max_iter)
     return _make_boundary_point(spec, x, y)
 
 
@@ -133,8 +202,39 @@ def boundary_project_x(
 ) -> BoundaryPoint:
     """Project x_init onto {x : F(x, y) = 0} (the other factor fixed)."""
     y = np.asarray(y, dtype=float)
-    x = _newton(lambda x: spec.f(x, y), lambda x: gradient(spec, x, y)[0], x_init, tol, max_iter)
+    x = _newton_one(lambda x: spec.f(x, y), lambda x: gradient(spec, x, y)[0], x_init, tol, max_iter)
     return _make_boundary_point(spec, x, y)
+
+
+def _project_rays(spec: SymbolSpec, x, y, move_x: bool):
+    """``boundary_project`` (or, with ``move_x``, ``boundary_project_x``)
+    from every row of x (k, m), y (k, n) in one ``_newton`` batch.
+
+    Returns (rows, x, y, gx, gy): the rows, in order, whose solve converged
+    inside the domain box with a nonvanishing gradient there, and their
+    solutions and gradient splits.
+    """
+
+    def split(z, rows):
+        """(x, y) at the batch rows ``rows`` with the moving factor z."""
+        return (z, y[rows]) if move_x else (x[rows], z)
+
+    def f(z, rows):
+        # a constant F evaluates to a scalar
+        return np.broadcast_to(spec.f(*split(z, rows)), rows.shape)
+
+    def grad(z, rows):
+        gx, gy, degenerate = gradient_rows(spec, *split(z, rows))
+        return np.where(degenerate[:, None], 0.0, gx if move_x else gy)
+
+    z, status = _newton(f, grad, x if move_x else y, BOUNDARY_TOL, 100)
+    rows = np.flatnonzero(status == 0)
+    box = np.asarray(spec.x_box if move_x else spec.y_box, dtype=float)
+    rows = rows[np.all((box[:, 0] <= z[rows]) & (z[rows] <= box[:, 1]), axis=1)]
+    xs, ys = split(z[rows], rows)
+    gx, gy, degenerate = gradient_rows(spec, xs, ys)
+    keep = ~degenerate
+    return rows[keep], xs[keep], ys[keep], gx[keep], gy[keep]
 
 
 def transversality_check(pt: BoundaryPoint, tol: float = TRANSVERSE_TOL) -> bool:
@@ -147,8 +247,11 @@ def transversality_check(pt: BoundaryPoint, tol: float = TRANSVERSE_TOL) -> bool
     )
 
 
-def _random_in_box(rng, box):
-    return np.array([rng.uniform(lo, hi) for lo, hi in box])
+def _uniform_in_box(rng, box, size):
+    """An array of ``size`` points uniform in the box, drawn point by
+    point and axis by axis."""
+    box = np.asarray(box, dtype=float)
+    return rng.uniform(box[:, 0], box[:, 1], size=tuple(size) + (box.shape[0],))
 
 
 def sample_boundary_points(
@@ -158,26 +261,16 @@ def sample_boundary_points(
     max_attempts: Optional[int] = None,
 ) -> list:
     """Boundary points from random rays: draw (x, y_init) uniformly in the
-    domain box and project y.  Non-converging draws are skipped."""
+    domain box and project y.  Non-converging draws are skipped.
+
+    All ``max_attempts`` (default ``40 * count``) rays are solved as one
+    batch; the first ``count`` in-box points, in draw order, are kept.
+    """
     rng = np.random.default_rng(seed)
-    pts = []
-    attempts = 0
     cap = max_attempts if max_attempts is not None else 40 * count
-    while len(pts) < count and attempts < cap:
-        attempts += 1
-        x = _random_in_box(rng, spec.x_box)
-        y0 = _random_in_box(rng, spec.y_box)
-        try:
-            pt = boundary_project(spec, x, y0)
-        except (NoConvergence, DegenerateGradient):
-            continue
-        if _in_box_arr(pt.y, spec.y_box):
-            pts.append(pt)
-    return pts
-
-
-def _in_box_arr(v, box):
-    return all(lo <= t <= hi for t, (lo, hi) in zip(v, box))
+    rays = _uniform_in_box(rng, spec.domain_box, (cap,))
+    _, x, y, gx, gy = _project_rays(spec, rays[:, : spec.m_dim], rays[:, spec.m_dim :], move_x=False)
+    return _boundary_points(spec, x[:count], y[:count], gx[:count], gy[:count])
 
 
 def _angle_between_lines(u, v) -> float:
@@ -328,7 +421,7 @@ def normal_form_chart(
             gx, _ = gradient(spec, phi_inv(np.concatenate((t, x_tail))), y)
             return (q @ gx)[:1]
 
-        return float(_newton(fval, fder, np.zeros(1), tol, 100)[0])
+        return float(_newton_one(fval, fder, np.zeros(1), tol, 100)[0])
 
     # direction of d_y h(0, .) at y0, from the implicit relation
     gx0, gy0 = gradient(spec, x0, y0)
@@ -357,7 +450,7 @@ def normal_form_chart(
             gx, gy = gradient(spec, phi_inv(np.concatenate(([h(np.zeros(m - 1), yy)], np.zeros(m - 1)))), yy)
             return np.array([np.dot(-gy / float((q @ gx)[0]), w_hat)])
 
-        t_star = _newton(fval, fder, np.zeros(1), tol, 100)[0]
+        t_star = _newton_one(fval, fder, np.zeros(1), tol, 100)[0]
         return base + t_star * w_hat
 
     def g(x_tail, yc):
@@ -410,8 +503,8 @@ def triangular_factorization_check(
     rng = np.random.default_rng(seed)
     agree = True
     for _ in range(samples):
-        x = _random_in_box(rng, spec.x_box)
-        y = _random_in_box(rng, spec.y_box)
+        x = _uniform_in_box(rng, spec.x_box, ())
+        y = _uniform_in_box(rng, spec.y_box, ())
         fval = float(spec.f(x, y))
         if not np.isfinite(fval) or abs(fval) <= band:
             continue
@@ -514,6 +607,7 @@ def classify(
         report.notes.append("degenerate case: n2 vanishes at all samples")
         return report
 
+    sample_pool = [p for p in pool if transversality_check(p, transverse_tol)]
     if z0 is not None:
         x0, y0 = z0
         try:
@@ -525,40 +619,49 @@ def classify(
             report.verdict = NON_TRANSVERSE
             report.notes.append("base point is not transverse")
             return report
-    else:
-        transverse_pool = [p for p in pool if transversality_check(p, transverse_tol)]
-        if not transverse_pool:
-            report.verdict = NON_TRANSVERSE
-            report.notes.append("no transverse boundary point among samples")
-            return report
-        pool = transverse_pool
+    elif not sample_pool:
+        report.verdict = NON_TRANSVERSE
+        report.notes.append("no transverse boundary point among samples")
+        return report
 
     rng = np.random.default_rng([seed, 1])
     c1_ok = True
     used_sections = 0
     transverse_pts = []
-    sample_pool = [p for p in pool if transversality_check(p, transverse_tol)]
-    for k, pt in enumerate(sample_pool):
-        if k >= sections and used_sections:
+    per = points_per_section
+    # the sections of up to ``sections`` pool points are solved as one batch;
+    # past the first ``sections`` points only until one section assembles
+    for start in range(0, len(sample_pool), max(sections, 1)):
+        if used_sections:
             break
-        x_inits = [_random_in_box(rng, spec.x_box) for _ in range(points_per_section - 1)]
-        x_inits.append(pt.x)
-        kept = []
-        for x0 in x_inits:
-            try:
-                q = boundary_project_x(spec, x0, pt.y)
-            except (NoConvergence, DegenerateGradient):
+        chunk = sample_pool[start : start + sections]
+        x_inits = np.concatenate(
+            (
+                _uniform_in_box(rng, spec.x_box, (len(chunk), per - 1)),
+                np.array([pt.x for pt in chunk])[:, None],
+            ),
+            axis=1,
+        ).reshape(-1, spec.m_dim)
+        ys = np.repeat(np.array([pt.y for pt in chunk]), per, axis=0)
+        rows, x, y, gx, gy = _project_rays(spec, x_inits, ys, move_x=True)
+        section = rows // per
+        solved = _boundary_points(spec, x, y, gx, gy)
+        for j in range(len(chunk)):
+            if start + j >= sections and used_sections:
+                break
+            kept = [
+                q
+                for q, k in zip(solved, section)
+                if k == j and transversality_check(q, transverse_tol)
+            ]
+            if len(kept) < 2:
                 continue
-            if _in_box_arr(q.x, spec.x_box) and transversality_check(q, transverse_tol):
-                kept.append(q)
-        if len(kept) < 2:
-            continue
-        used_sections += 1
-        transverse_pts.extend(kept)
-        witnesses = _section_witnesses(kept, tol_angle)
-        if witnesses:
-            c1_ok = False
-            report.witnesses.extend(witnesses[: 8 - len(report.witnesses)])
+            used_sections += 1
+            transverse_pts.extend(kept)
+            witnesses = _section_witnesses(kept, tol_angle)
+            if witnesses:
+                c1_ok = False
+                report.witnesses.extend(witnesses[: 8 - len(report.witnesses)])
     report.samples["sections_used"] = used_sections
     if used_sections == 0:
         report.notes.append("could not assemble section pairs for the curvature check")

@@ -31,7 +31,7 @@ from .errors import (
     GroupMismatch,
     NoConvergence,
 )
-from .geometry import _kernel_basis, _newton
+from .geometry import _kernel_basis, _newton_one
 from .matcore import multiplier_norm_lower_bound, schatten_norm
 from .multiplier import circulant
 from .symbols import parse_expression
@@ -720,7 +720,7 @@ def boundary_subalgebra_verdict(
                 return np.array([(fline(t + h_line) - fline(t - h_line)) / (2.0 * h_line)])
 
             try:
-                t_star = _newton(fline, dline, np.zeros(1), 1e-12, 60)[0]
+                t_star = _newton_one(fline, dline, np.zeros(1), 1e-12, 60)[0]
             except (NoConvergence, DegenerateGradient):
                 continue
             x = expm(group_id, v + t_star * w_hat)

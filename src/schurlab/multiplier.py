@@ -183,8 +183,9 @@ def norm_growth_experiment(
 class Reparam:
     """A reparametrization of one factor.
 
-    ``fn`` maps batched points (..., d) -> (..., d); ``jac`` returns the
-    d x d Jacobian at a single point (used to transport derivatives);
+    ``fn`` maps batched points (..., d) -> (..., d); ``jac`` maps them to
+    the Jacobians (..., d, d) (used to transport derivatives, on batches
+    of points in the boundary solvers);
     ``inverse`` maps points back (used to transport the domain box).  When
     ``inverse`` is missing the map must be componentwise monotone so the
     box can be transported by bisection.
@@ -209,9 +210,12 @@ def componentwise_reparam(fns, dfns=None, inverses=None) -> Reparam:
     if dfns is not None:
         dlist = list(dfns)
 
-        def jac(pt):
-            pt = np.asarray(pt, dtype=float)
-            return np.diag([float(dlist[i](pt[i])) for i in range(d)])
+        def jac(pts):
+            pts = np.asarray(pts, dtype=float)
+            out = np.zeros(pts.shape + (d,))
+            for i in range(d):
+                out[..., i, i] = dlist[i](pts[..., i])
+            return out
 
     inverse = None
     if inverses is not None:
@@ -290,7 +294,10 @@ def pullback_symbol(
             gx, gy = base_grad(rx(x), ry(y))
             jx = reparam_x.jac(np.asarray(x, dtype=float))
             jy = reparam_y.jac(np.asarray(y, dtype=float))
-            return jx.T @ np.asarray(gx, dtype=float), jy.T @ np.asarray(gy, dtype=float)
+            return (
+                np.einsum("...ji,...j->...i", jx, np.asarray(gx, dtype=float)),
+                np.einsum("...ji,...j->...i", jy, np.asarray(gy, dtype=float)),
+            )
 
     hess = None
     if base_hess is not None and reparam_x.jac is not None and reparam_y.jac is not None:
@@ -299,7 +306,7 @@ def pullback_symbol(
             h = np.asarray(base_hess(rx(x), ry(y)), dtype=float)
             jx = reparam_x.jac(np.asarray(x, dtype=float))
             jy = reparam_y.jac(np.asarray(y, dtype=float))
-            return jx.T @ h @ jy
+            return np.swapaxes(jx, -1, -2) @ h @ jy
 
     if box is None:
         box = _transport_box(reparam_x, spec.x_box) + _transport_box(reparam_y, spec.y_box)

@@ -39,6 +39,7 @@ __all__ = [
     "evaluate_symbol",
     "indicator_values",
     "gradient",
+    "gradient_rows",
     "mixed_hessian",
     "unit_normal_split",
     "transpose_spec",
@@ -52,10 +53,12 @@ BUILTIN_IDS = ("ball", "sphere_delta", "halfspace", "toeplitz_ball", "triangular
 class SymbolSpec:
     """An idempotent symbol: Sigma = {(x, y) : F(x, y) > 0}.
 
-    ``f`` maps batched coordinate arrays (..., m_dim), (..., n_dim) to (...).
-    ``grad`` and ``hess_xy``, when present, are exact; otherwise central
-    differences are used.  ``domain_box`` lists (lo, hi) per axis, the m_dim
-    x-axes first.
+    ``f`` maps batched coordinate arrays (..., m_dim), (..., n_dim) to (...),
+    and ``grad``, when present, maps them to the exact pair
+    ((..., m_dim), (..., n_dim)); the boundary solvers call both on
+    batches.  ``hess_xy``, when present, is exact at a single point.
+    Without them central differences are used.  ``domain_box`` lists
+    (lo, hi) per axis, the m_dim x-axes first.
     """
 
     m_dim: int
@@ -518,26 +521,28 @@ def indicator_values(spec: SymbolSpec, xs, ys) -> np.ndarray:
 
 
 def _fd_gradient(spec, x, y, h):
-    m, n = spec.m_dim, spec.n_dim
-    gx = np.zeros(m)
-    gy = np.zeros(n)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h
-        gx[i] = (spec.f(x + e, y) - spec.f(x - e, y)) / (2.0 * h)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        gy[j] = (spec.f(x, y + e) - spec.f(x, y - e)) / (2.0 * h)
+    """Central differences of F in every coordinate, row by row: x (k, m),
+    y (k, n), steps h (k,)."""
+    gx = np.zeros(x.shape)
+    gy = np.zeros(y.shape)
+    for i in range(spec.m_dim):
+        e = np.zeros(x.shape)
+        e[:, i] = h
+        gx[:, i] = (spec.f(x + e, y) - spec.f(x - e, y)) / (2.0 * h)
+    for j in range(spec.n_dim):
+        e = np.zeros(y.shape)
+        e[:, j] = h
+        gy[:, j] = (spec.f(x, y + e) - spec.f(x, y - e)) / (2.0 * h)
     return gx, gy
 
 
-def gradient(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
-    """Gradient split (d_x F, d_y F) at (x, y).
+def gradient_rows(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
+    """Gradient split (d_x F, d_y F) at each row of x (k, m), y (k, n).
 
-    Analytic when the spec provides one, otherwise central differences
-    with step fd_step * (1 + |(x, y)|).  Raises DegenerateGradient when
-    the full gradient has norm < 1e-12 (not a submersion point).
+    Returns (gx, gy, degenerate): analytic when the spec provides one,
+    otherwise central differences with step fd_step * (1 + |(x, y)|) per
+    row.  ``degenerate`` flags the rows whose full gradient has norm
+    < 1e-12 or is not finite (not a submersion point).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -546,12 +551,24 @@ def gradient(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
         gx = np.asarray(gx, dtype=float)
         gy = np.asarray(gy, dtype=float)
     else:
-        scale = 1.0 + math.sqrt(float(np.sum(x**2) + np.sum(y**2)))
+        scale = 1.0 + np.sqrt(np.sum(x**2, axis=-1) + np.sum(y**2, axis=-1))
         gx, gy = _fd_gradient(spec, x, y, fd_step * scale)
-    nrm = math.sqrt(float(np.sum(gx**2) + np.sum(gy**2)))
-    if not np.isfinite(nrm) or nrm < 1e-12:
+    nrm = np.sqrt(np.sum(gx**2, axis=-1) + np.sum(gy**2, axis=-1))
+    return gx, gy, ~np.isfinite(nrm) | (nrm < 1e-12)
+
+
+def gradient(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
+    """Gradient split (d_x F, d_y F) at one point (x, y), by
+    ``gradient_rows``.  Raises DegenerateGradient when the full gradient
+    has norm < 1e-12 (not a submersion point).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    gx, gy, degenerate = gradient_rows(spec, x[None], y[None], fd_step)
+    if degenerate[0]:
+        nrm = math.sqrt(float(np.sum(gx**2) + np.sum(gy**2)))
         raise DegenerateGradient(f"|grad F| = {nrm:g} at ({x}, {y})")
-    return gx, gy
+    return gx[0], gy[0]
 
 
 def mixed_hessian(spec: SymbolSpec, x, y, fd_step: float = 1e-4) -> np.ndarray:

@@ -337,6 +337,35 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {**SPHERE_CLASSIFY, "z0": "abc"},
+            {**SPHERE_CLASSIFY, "z0": [[0.1, 0.2], [0.2]], "symbol": TRIANGULAR_NORMS["symbol"]},
+            {**SPHERE_CLASSIFY, "seed": "x"},
+            {"command": "squarefn", "C": "x"},
+            {"command": "cotlar", "group": "affine", "samples": 10, "seed": -1},
+        ],
+        ids=[
+            "classify-z0-string",
+            "classify-z0-wrong-size",
+            "classify-seed-string",
+            "squarefn-C-string",
+            "cotlar-negative-seed",
+        ],
+    )
+    def test_malformed_values_exit_64(self, tmp_path, capsys, cfg):
+        path = _write_config(tmp_path, {"schema": "schur-lab/1", "seed": 0, **cfg})
+        assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_seed_override_exits_64(self, tmp_path, capsys):
+        path = _write_config(tmp_path, SPHERE_CLASSIFY)
+        assert main(["--config", path, "--seed", "-1", "--out", str(tmp_path / "r.json")]) == 64
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_norms_zero_ascent_steps_reports_best_start(tmp_path):
     cfg = _write_config(tmp_path, {**TRIANGULAR_NORMS, "p": "inf", "ascent_steps": 0})
     out = tmp_path / "r.json"

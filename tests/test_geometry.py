@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from schurlab.geometry import (
     INCONCLUSIVE,
     NON_TRANSVERSE,
     TRIANGULAR_MODEL,
+    _NEWTON_FAILURES,
     _newton,
+    _newton_one,
     boundary_project,
     classify,
     mixed_hessian_check,
@@ -19,6 +22,7 @@ from schurlab.geometry import (
     triangular_factorization_check,
     zero_curvature_check_c1,
 )
+from schurlab.multiplier import componentwise_reparam, pullback_symbol
 from schurlab.symbols import (
     ball,
     halfspace,
@@ -26,6 +30,7 @@ from schurlab.symbols import (
     toeplitz_ball,
     transpose_spec,
     triangular,
+    user_symbol,
 )
 
 
@@ -56,20 +61,89 @@ class TestBoundaryProject:
 @pytest.mark.parametrize(
     "f,grad,z0,expect",
     [
-        (lambda z: z[0] ** 2 - 2.0, lambda z: 2.0 * z, [1.0], [math.sqrt(2.0)]),
+        (lambda z: z[:, 0] ** 2 - 2.0, lambda z: 2.0 * z, [1.0], [math.sqrt(2.0)]),
         # minimum-norm steps stay on the ray through the start
-        (lambda z: z @ z - 1.0, lambda z: 2.0 * z, [0.3, 0.4], [0.6, 0.8]),
-        (lambda z: z[0] ** 2 + 1.0, lambda z: 2.0 * z, [0.0], (DegenerateGradient, "vanishes")),
-        (lambda z: z @ z + 1.0, lambda z: 2.0 * z, [10.0, 1.0], (NoConvergence, "plateau")),
+        (lambda z: np.sum(z * z, axis=1) - 1.0, lambda z: 2.0 * z, [0.3, 0.4], [0.6, 0.8]),
+        (lambda z: z[:, 0] ** 2 + 1.0, lambda z: 2.0 * z, [0.0], (DegenerateGradient, "vanishes")),
+        (lambda z: np.sum(z * z, axis=1) + 1.0, lambda z: 2.0 * z, [10.0, 1.0], (NoConvergence, "plateau")),
     ],
     ids=["scalar-root", "vector-projection", "zero-gradient", "no-root-plateau"],
 )
 def test_newton(f, grad, z0, expect):
+    z, status = _newton(lambda z, _: f(z), lambda z, _: grad(z), [z0], 1e-12, 100)
     if isinstance(expect, tuple):
+        error, message = _NEWTON_FAILURES[status[0]]
+        assert error is expect[0] and expect[1] in message
         with pytest.raises(expect[0], match=expect[1]):
-            _newton(f, grad, z0, 1e-12, 100)
+            _newton_one(lambda z: f(z[None])[0], grad, z0, 1e-12, 100)
     else:
-        np.testing.assert_allclose(_newton(f, grad, z0, 1e-12, 100), expect, rtol=1e-10)
+        assert status.tolist() == [0]
+        np.testing.assert_allclose(z[0], expect, rtol=1e-10)
+
+
+def _reference_pool(spec, count, seed):
+    """sample_boundary_points ray by ray through the single-point solver."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(40 * count):
+        x = np.array([rng.uniform(lo, hi) for lo, hi in spec.x_box])
+        y0 = np.array([rng.uniform(lo, hi) for lo, hi in spec.y_box])
+        try:
+            pt = boundary_project(spec, x, y0)
+        except (NoConvergence, DegenerateGradient):
+            continue
+        if all(lo <= t <= hi for t, (lo, hi) in zip(pt.y, spec.y_box)):
+            pts.append(pt)
+            if len(pts) == count:
+                break
+    return pts
+
+
+# the reparametrization is written with products: numpy's t**3 on an
+# array can differ in the last bit from t**3 on a scalar
+_CUBIC = componentwise_reparam(
+    [lambda t: 0.9 * t + 0.2 * t * t * t, lambda t: t + 0.1 * t * t * t],
+    [lambda t: 0.9 + 0.6 * t * t, lambda t: 1.0 + 0.3 * t * t],
+)
+
+
+@pytest.mark.parametrize(
+    "spec,count,seed",
+    [
+        (ball(2, 1.0), 16, 3),
+        (sphere_delta(2, 0.3), 16, 3),
+        (halfspace(), 16, 3),
+        (toeplitz_ball(2, 1.0), 16, 3),
+        (triangular(), 16, 3),
+        (user_symbol("x1*y1+1.3*x2*y2+0.2", 2, 2, [[-1.0, 1.0]] * 4), 16, 3),
+        (pullback_symbol(sphere_delta(2, 0.3), _CUBIC, _CUBIC), 16, 3),
+        # the config that walks past its first sections in classify
+        (sphere_delta(3, 0.0), 64, 532220982),
+    ],
+    ids=["ball", "sphere", "halfspace", "toeplitz", "triangular", "fd-expr", "pullback", "sphere3"],
+)
+def test_batched_pool_matches_ray_by_ray(spec, count, seed):
+    batched = sample_boundary_points(spec, count, seed=seed)
+    reference = _reference_pool(spec, count, seed)
+    assert len(batched) == len(reference) > 0
+    for p, q in zip(batched, reference):
+        for name in ("x", "y", "n1", "n2"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+        assert p.residual == q.residual
+
+
+def test_ray_batch_evaluates_f_a_few_hundred_times():
+    # ray by ray, this pool takes 25,803 evaluations of F
+    spec = sphere_delta(3, 0.0)
+    calls = []
+
+    def f(x, y):
+        calls.append(1)
+        return spec.f(x, y)
+
+    pts = sample_boundary_points(dataclasses.replace(spec, f=f), 64, seed=7)
+    assert len(pts) == 64
+    assert len(calls) <= 1000
 
 
 class TestTransversality:

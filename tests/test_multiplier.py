@@ -167,6 +167,17 @@ class TestPullback:
         m = discretize_symbol(pulled, ginv, ginv)
         np.testing.assert_array_equal(m, np.tril(np.ones((12, 12))))
 
+    def test_batched_jacobian(self):
+        cubic = componentwise_reparam(
+            [lambda t: t + 0.3 * t**3, lambda t: 2.0 * t],
+            [lambda t: 1.0 + 0.9 * t**2, lambda t: 2.0],
+        )
+        pts = np.array([[[0.1, 0.2], [0.3, -0.4], [0.0, 1.0]]])
+        jac = cubic.jac(pts)
+        assert jac.shape == (1, 3, 2, 2)
+        np.testing.assert_array_equal(jac[0, 1], np.diag([1.0 + 0.9 * 0.3**2, 2.0]))
+        np.testing.assert_array_equal(cubic.jac(pts[0, 1]), jac[0, 1])
+
     def test_classify_verdict_invariant(self):
         spec = sphere_delta(2, 0.3)
         cubic = componentwise_reparam(

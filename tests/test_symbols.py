@@ -15,6 +15,7 @@ from schurlab.symbols import (
     evaluate_symbol,
     from_json,
     gradient,
+    gradient_rows,
     halfspace,
     indicator_values,
     mixed_hessian,
@@ -118,6 +119,19 @@ class TestGradient:
     def test_degenerate_gradient_raises(self):
         with pytest.raises(DegenerateGradient):
             gradient(ball(2, 1.0), [0.0, 0.0], [0.0, 0.0])
+
+    def test_batched_rows_match_single_points(self):
+        x = np.array([[0.3, -0.1], [0.0, 0.0], [0.5, 0.2]])
+        y = np.array([[0.2, 0.4], [0.0, 0.0], [-0.1, 0.3]])
+        _, _, degenerate = gradient_rows(ball(2, 1.0), x, y)
+        assert degenerate.tolist() == [False, True, False]
+        fd = user_symbol("x1*y1 + sin(x2)*y2 + 0.5*y1", 2, 2, [[-1.0, 1.0]] * 4)
+        gx, gy, degenerate = gradient_rows(fd, x, y)
+        assert not degenerate.any()
+        for i in range(3):
+            sx, sy = gradient(fd, x[i], y[i])
+            np.testing.assert_array_equal(gx[i], sx)
+            np.testing.assert_array_equal(gy[i], sy)
 
     def test_finite_differences_match_analytic(self):
         # 100 random points across the analytic builtins
