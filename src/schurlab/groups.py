@@ -32,7 +32,7 @@ from .errors import (
     NoConvergence,
 )
 from .geometry import _kernel_basis, _newton_one
-from .matcore import multiplier_norm_lower_bound, schatten_norm
+from .matcore import multiplier_norm_lower_bound
 from .multiplier import circulant
 from .symbols import parse_expression
 
@@ -814,16 +814,20 @@ def fourier_multiplier_norm_finite_cyclic(
     Herz-Schur multiplier M(i, j) = m(i - j mod N) on S_p.
 
     Circulants diagonalize in the Fourier basis, so the Fourier side only
-    needs vector norms of DFTs.  At p = inf and p = 1 both norms equal the
-    Fourier-algebra norm sum |fft(m)| / N (Bozejko-Fendler), and one
+    needs vector norms of DFTs.  At a circulant witness A = circulant(c)
+    the two bounds are the same ratio: M o A = circulant(m c), and the
+    singular values of circulant(v) are |fft(v)|, so ||M o A||_p / ||A||_p
+    = ||fft(m c)||_p / ||fft(c)||_p.  At p = inf and p = 1 both norms equal
+    the Fourier-algebra norm sum |fft(m)| / N (Bozejko-Fendler), and one
     circulant witness attains it: at p = inf the one whose DFT is
     conj(phase(fft(m)[-j])), which puts sum |fft(m)| / N in entry 0 of
-    fft(m c); at p = 1 the identity of the Fourier side, fft(c) = e_0.
-    Both bounds are then ratios at that witness and the estimator is
-    skipped.  Otherwise the best circulant witness is forwarded to the
-    Schur estimator, which makes fourier_lb <= schur_lb hold by
-    construction (the Fourier action is the restriction of the Schur
-    action to circulants).
+    fft(m c); at p = 1 the identity of the Fourier side, fft(c) = e_0.  At
+    p = 2 both norms equal sup |m|, attained by the single shift c = e_k at
+    k = argmax |m|.  These three exponents return that ratio for both
+    bounds and skip the estimator.  Otherwise the best circulant witness is
+    forwarded to the Schur estimator, which makes fourier_lb <= schur_lb
+    hold by construction (the Fourier action is the restriction of the
+    Schur action to circulants).
     """
     if n < 1 or n > MAX_CYCLIC_ORDER:
         raise ValueError(f"group order must be in [1, {MAX_CYCLIC_ORDER}]")
@@ -832,26 +836,22 @@ def fourier_multiplier_norm_finite_cyclic(
         raise ValueError(f"symbol must have length {n}")
     p = float(p)
     idx = np.arange(n)
-    schur_symbol = mv[(idx[:, None] - idx[None, :]) % n]
 
     def fourier_ratio(c):
         denom = _vec_lp(np.fft.fft(c), p)
         return _vec_lp(np.fft.fft(mv * c), p) / denom if denom else 0.0
 
-    if np.isinf(p) or p == 1.0:
+    if p in (1.0, 2.0) or np.isinf(p):
         if np.isinf(p):
             fm = np.fft.fft(mv)[-idx % n]
             fc = np.conj(np.divide(fm, np.abs(fm), out=np.ones(n, dtype=complex), where=fm != 0))
+            c = np.fft.ifft(fc)
+        elif p == 1.0:
+            c = np.fft.ifft((idx == 0).astype(complex))
         else:
-            fc = (idx == 0).astype(complex)
-        c = np.fft.ifft(fc)
-        a = circulant(c)
-        return TransferenceResult(
-            fourier_lb=fourier_ratio(c),
-            schur_lb=schatten_norm(schur_symbol * a, p) / schatten_norm(a, p),
-            n=n,
-            p=p,
-        )
+            c = (idx == int(np.argmax(np.abs(mv)))).astype(complex)
+        ratio = fourier_ratio(c)
+        return TransferenceResult(fourier_lb=ratio, schur_lb=ratio, n=n, p=p)
 
     starts = [np.zeros(n, dtype=complex)]
     starts[0][0] = 1.0  # identity of the group algebra
@@ -870,7 +870,7 @@ def fourier_multiplier_norm_finite_cyclic(
             best_ratio, best_c = ratio, c
 
     schur_lb = multiplier_norm_lower_bound(
-        schur_symbol,
+        circulant(mv),
         p,
         budget=budget,
         seed=seed,

@@ -111,6 +111,18 @@ def schur_product(m, a) -> np.ndarray:
 # witness is also a complex one, so running real symbols in real arithmetic
 # still bounds the complex S_p norm from below.
 #
+# The norming map picks its route from the exponent alone.  When the dual
+# exponent r' is an even integer 2k in GRAM_DUALS (the dual step at p = 4,
+# the primal step at p = 4/3, both steps at p = 2), the argmax is
+# proportional to X G^(k-1) with G = X^H X, and ||X||_r'^r' = tr G^k: k
+# matrix products, no SVD.  With the largest entry of X scaled to 1,
+# 1 <= tr G^k <= (rows * cols)^(k + 1), so a small k cannot overflow (at
+# r' = 200 an all-ones 64 x 64 block would).  At r = 1 (the dual step at
+# p = inf) the argmax is the rank-one u v^H built from the top eigenvector v
+# of G, and eigh costs well under an SVD.  The remaining steps (the polar
+# step at p = inf, the s^(1/3) step at p = 4) and the start norm ||A||_p
+# take a thin SVD.
+#
 # Starts are pruned by successive halving.  Every start gets WARMUP_STEPS
 # ascent steps; after them, only a start whose ratio ranks among the best
 # SURVIVORS of the starts up to it (in start order, earlier starts winning
@@ -124,20 +136,36 @@ def schur_product(m, a) -> np.ndarray:
 
 WARMUP_STEPS = 4  # ascent steps every start gets before it is judged
 SURVIVORS = 2  # starts that ascend past the warm-up rank in the top SURVIVORS
+GRAM_DUALS = (2.0, 4.0, 6.0, 8.0)  # dual exponents normed by Gram products
 
 
-def _norming(x, r):
-    """argmax of Re<X, Y> over the unit ball ||Y||_r <= 1, with the singular
-    values of X; the argmax is None when X = 0."""
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    if s[0] == 0.0:
-        return None, s
-    if np.isinf(r):
-        return u @ vh, s
-    if r == 1.0:
-        return np.outer(u[:, 0], vh[0, :]), s
-    w = (s / s[0]) ** (1.0 / (r - 1.0))  # s^(r'-1) with 1/r + 1/r' = 1
-    return (u * (w / np.sum(w**r) ** (1.0 / r))) @ vh, s
+def _norming(x, r, rd):
+    """argmax Y of Re<X, Y> over the unit ball ||Y||_r <= 1, and the maximum
+    ||X||_rd, where ``rd`` is the dual exponent of ``r`` (passed exactly, so
+    that an even ``rd`` is recognised); Y is None when X = 0."""
+    if r != 1.0 and rd not in GRAM_DUALS:
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+        if s[0] == 0.0:
+            return None, 0.0
+        if np.isinf(r):
+            return u @ vh, _schatten_from_sv(s, rd)
+        w = (s / s[0]) ** (1.0 / (r - 1.0))  # s^(rd-1)
+        return (u * (w / np.sum(w**r) ** (1.0 / r))) @ vh, _schatten_from_sv(s, rd)
+    t = float(np.abs(x).max())  # scale out the largest entry, as _schatten_from_sv does
+    if t == 0.0:
+        return None, 0.0
+    x = x / t
+    g = np.conj(x.T) @ x
+    if r == 1.0:  # the top right singular vector is the top eigenvector of G
+        v = np.linalg.eigh(g)[1][:, -1]
+        xv = x @ v
+        n = float(np.linalg.norm(xv))
+        return np.outer(xv / n, np.conj(v)), t * n
+    y = x  # x G^(k-1) = U s^(rd-1) V^H for rd = 2k
+    for _ in range(int(rd) // 2 - 1):
+        y = y @ g
+    trace = float(np.vdot(x, y).real)  # tr G^k = sum s^rd
+    return y / trace ** (1.0 - 1.0 / rd), t * trace ** (1.0 / rd)
 
 
 def _ascent(m, mc, a, p, rel_tol=1e-7):
@@ -148,16 +176,15 @@ def _ascent(m, mc, a, p, rel_tol=1e-7):
     if na == 0.0:
         yield 0.0, a
         return
-    a = a / na
+    a = a / na  # ||a||_p == 1 from here on
     q = 1.0 / (1.0 - 1.0 / p) if p > 1.0 else np.inf
-    z, s = _norming(m * a, q)
-    best_r, best_a = _schatten_from_sv(s, p), a  # ||a||_p == 1 from here on
+    z, best_r = _norming(m * a, q, p)
+    best_a = a
     yield best_r, best_a
     stall = 0
     while z is not None and stall < 2:
-        a, _ = _norming(mc * z, p)  # nonzero: Re<conj(M) o Z, A> = ||M o A||_p
-        z, s = _norming(m * a, q)
-        r = _schatten_from_sv(s, p)
+        a, _ = _norming(mc * z, p, q)  # nonzero: Re<conj(M) o Z, A> = ||M o A||_p
+        z, r = _norming(m * a, q, p)
         stall = 0 if r > best_r * (1.0 + rel_tol) else stall + 1
         if r > best_r:
             best_r, best_a = r, a

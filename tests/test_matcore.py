@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from schurlab.errors import InvalidExponent, NonFinite, ShapeMismatch
 from schurlab.matcore import (
+    _norming,
     multiplier_norm_lower_bound,
     schatten_norm,
     schur_product,
@@ -260,9 +261,7 @@ UNPRUNED_TRIANGULAR_SVD_CALLS = 422
 UNPRUNED_TRIANGULAR_BOUND = 2.1113665466
 
 
-def test_pruned_ascent_saves_svds(monkeypatch):
-    """Triangular N = 64, p = inf, budget 4: pruning after the warm-up makes
-    at most 75% of the unpruned SVD calls and keeps the bound."""
+def _count_svds(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -271,9 +270,72 @@ def test_pruned_ascent_saves_svds(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_pruned_ascent_saves_svds(monkeypatch):
+    """Triangular N = 64, p = inf, budget 4: pruning after the warm-up makes
+    at most 75% of the unpruned SVD calls and keeps the bound."""
+    calls = _count_svds(monkeypatch)
     v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), math.inf, budget=4, seed=0)
     assert len(calls) <= 0.75 * UNPRUNED_TRIANGULAR_SVD_CALLS, len(calls)
     assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("p, most", [(4.0, 240), (math.inf, 130)])
+def test_gram_norming_halves_the_svds(p, most, monkeypatch):
+    """Triangular N = 64, budget 4: the Gram-product step (even dual
+    exponent) and the Gram eigenpair (p = inf dual step) leave about one
+    SVD per ascent step (an SVD in every step made 454 calls at p = 4 and
+    250 at p = inf), and the bound stays where the SVD steps put it."""
+    calls = _count_svds(monkeypatch)
+    v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), p, budget=4, seed=0)
+    assert len(calls) <= most, len(calls)
+    if p == 4.0:
+        assert abs(v - 1.1910581114990977) <= 1e-12, v
+    else:
+        assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6), v
+
+
+@pytest.mark.parametrize("p", [4.0, 4.0 / 3.0, math.inf])
+@pytest.mark.parametrize("c", [1e-150, 1e150])
+def test_bound_scales_with_the_symbol(c, p):
+    """bound(c M) = c bound(M): the Gram routes scale out the largest entry
+    before forming X^H X, which would otherwise overflow or underflow."""
+    m = np.tril(np.ones((16, 16)))
+    v = multiplier_norm_lower_bound(m, p, budget=2, seed=0)
+    assert abs(multiplier_norm_lower_bound(c * m, p, budget=2, seed=0) - c * v) <= 1e-12 * c * v
+
+
+NORMING_EXPONENTS = [  # (r, dual exponent rd), rd as the estimator passes it
+    (1.0, math.inf),
+    (4.0 / 3.0, 4.0),
+    (1.5, 3.0),
+    (2.0, 2.0),
+    (3.0, 1.5),
+    (4.0, 4.0 / 3.0),
+    (math.inf, 1.0),
+]
+
+
+@pytest.mark.parametrize("r, rd", NORMING_EXPONENTS)
+@pytest.mark.parametrize("shape", [(6, 6), (7, 5)], ids=["6x6", "7x5"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_norming_contract(r, rd, shape, complex_):
+    """_norming(X, r, rd) returns Y with ||Y||_r = 1 and Re<X, Y> equal to
+    the returned ||X||_rd, on every route (Gram product, Gram eigenpair,
+    SVD); the zero matrix has no argmax."""
+    rng = np.random.default_rng([len(shape), shape[1], int(complex_)])
+    for _ in range(5):
+        x = rng.standard_normal(shape)
+        if complex_:
+            x = x + 1j * rng.standard_normal(shape)
+        y, value = _norming(x, r, rd)
+        exact = schatten_norm(x, rd)
+        assert abs(schatten_norm(y, r) - 1.0) <= 1e-12
+        assert abs(np.vdot(y, x).real - exact) <= 1e-12 * exact
+        assert abs(value - exact) <= 1e-12 * exact
+    assert _norming(np.zeros(shape), r, rd)[0] is None
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -288,3 +350,12 @@ def test_circulant_pinf_matches_fourier_algebra_norm(n):
         v = multiplier_norm_lower_bound(circulant(m), math.inf, budget=2, seed=n)
         assert v <= exact * (1.0 + 1e-9)
         assert v >= exact * (1.0 - 1e-3), f"N={n}: {v} vs exact {exact}"
+
+
+def test_norming_large_even_dual_takes_the_svd():
+    """At rd = 200 the Gram trace of an all-ones 64 x 64 block, 64^200,
+    would overflow; that exponent is normed through the SVD."""
+    x = np.ones((64, 64))
+    y, value = _norming(x, 200.0 / 199.0, 200.0)
+    assert abs(value - 64.0) <= 1e-12 * 64.0
+    assert np.all(np.isfinite(y)) and abs(np.vdot(y, x).real - 64.0) <= 1e-12 * 64.0
