@@ -177,7 +177,7 @@ def _cmd_norms(cfg, seed):
     sizes = cfg.get("sizes")
     if not isinstance(sizes, list) or not sizes:
         raise ConfigInvalid("'norms' needs a nonempty 'sizes' list")
-    sizes = [_int_param({"sizes": s}, "sizes", None, 1) for s in sizes]
+    sizes = [_int_param({"sizes": s}, "sizes", None, 1, multiplier.MAX_GRID_SIZE) for s in sizes]
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ConfigInvalid(f"'sizes' must be strictly increasing, got {sizes}")
     p = _parse_p(cfg.get("p", 2))

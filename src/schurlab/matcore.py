@@ -111,17 +111,33 @@ def schur_product(m, a) -> np.ndarray:
 # witness is also a complex one, so running real symbols in real arithmetic
 # still bounds the complex S_p norm from below.
 #
-# The norming map picks its route from the exponent alone.  When the dual
-# exponent r' is an even integer 2k in GRAM_DUALS (the dual step at p = 4,
-# the primal step at p = 4/3, both steps at p = 2), the argmax is
-# proportional to X G^(k-1) with G = X^H X, and ||X||_r'^r' = tr G^k: k
-# matrix products, no SVD.  With the largest entry of X scaled to 1,
-# 1 <= tr G^k <= (rows * cols)^(k + 1), so a small k cannot overflow (at
-# r' = 200 an all-ones 64 x 64 block would).  At r = 1 (the dual step at
-# p = inf) the argmax is the rank-one u v^H built from the top eigenvector v
-# of G, and eigh costs well under an SVD.  The remaining steps (the polar
-# step at p = inf, the s^(1/3) step at p = 4) and the start norm ||A||_p
-# take a thin SVD.
+# The norming map picks its route from the exponent alone, and it takes an
+# SVD only where no Gram route applies.  With G = X^H X, formed after the
+# largest entry of X is scaled to 1:
+# - When the dual exponent r' is an even integer 2k in GRAM_DUALS (the dual
+#   step at p = 4, the primal step at p = 4/3, both steps at p = 2), the
+#   argmax is proportional to X G^(k-1) and ||X||_r'^r' = tr G^k: k matrix
+#   products.  Since 1 <= tr G^k <= (rows * cols)^(k + 1), a small k cannot
+#   overflow (at r' = 200 an all-ones 64 x 64 block would).  The start norm
+#   ||A||_p at p in GRAM_DUALS is the same trace.
+# - At r = 1 (the dual step at p = inf, the primal step at p = 1) the argmax
+#   is the rank-one u v^H built from the top eigenvector v of G.
+# - At r = inf (the polar step at p = inf, the dual step at p = 1) and at
+#   r = 2k in GRAM_DUALS (the s^(1/3) step at p = 4, the dual step at
+#   p = 4/3), one eigh of G gives V and B = X V = U S.  Columns of B below
+#   numpy's matrix_rank tolerance are dropped.  At r = 2k, Y = U s^(r'-1) V^H
+#   is divided by (tr (Y^H Y)^k)^(1/r), so ||Y||_r = 1 by products whatever
+#   the accuracy of eigh.  At r = inf, Y = Q V^H with Q = B / |B| is divided
+#   by sqrt(1 + ||Q^H Q - I||_F), which bounds ||Q||.  When that defect
+#   exceeds sqrt(eps) the step takes the SVD instead: G cannot resolve
+#   singular values of X below sqrt(eps) ||X||, and a polar factor formed
+#   from it loses accuracy on an ill-conditioned X (Higham 1986).
+# Every Gram route returns the value Re<X, Y> (on the first two it is the
+# trace and |Xv| the products already give), which by Holder never exceeds
+# ||X||_r', so every ratio stays a lower bound.  The sum of |B|^r' is not
+# used: over an inexact eigenbasis it can exceed ||X||_r' when r' < 2
+# (Schur-Horn).  Other exponents (p = 3, 1.5, ...), the start norm at p
+# outside GRAM_DUALS and the fallback take a thin SVD.
 #
 # Starts are pruned by successive halving.  Every start gets WARMUP_STEPS
 # ascent steps; after them, only a start whose ratio ranks among the best
@@ -139,45 +155,71 @@ SURVIVORS = 2  # starts that ascend past the warm-up rank in the top SURVIVORS
 GRAM_DUALS = (2.0, 4.0, 6.0, 8.0)  # dual exponents normed by Gram products
 
 
-def _norming(x, r, rd):
-    """argmax Y of Re<X, Y> over the unit ball ||Y||_r <= 1, and the maximum
-    ||X||_rd, where ``rd`` is the dual exponent of ``r`` (passed exactly, so
-    that an even ``rd`` is recognised); Y is None when X = 0."""
-    if r != 1.0 and rd not in GRAM_DUALS:
-        u, s, vh = np.linalg.svd(x, full_matrices=False)
-        if s[0] == 0.0:
-            return None, 0.0
-        if np.isinf(r):
-            return u @ vh, _schatten_from_sv(s, rd)
-        w = (s / s[0]) ** (1.0 / (r - 1.0))  # s^(rd-1)
-        return (u * (w / np.sum(w**r) ** (1.0 / r))) @ vh, _schatten_from_sv(s, rd)
-    t = float(np.abs(x).max())  # scale out the largest entry, as _schatten_from_sv does
-    if t == 0.0:
-        return None, 0.0
-    x = x / t
-    g = np.conj(x.T) @ x
-    if r == 1.0:  # the top right singular vector is the top eigenvector of G
-        v = np.linalg.eigh(g)[1][:, -1]
-        xv = x @ v
-        n = float(np.linalg.norm(xv))
-        return np.outer(xv / n, np.conj(v)), t * n
-    y = x  # x G^(k-1) = U s^(rd-1) V^H for rd = 2k
-    for _ in range(int(rd) // 2 - 1):
+def _gram_power(x, g, k):
+    """(X G^(k-1), tr G^k) for G = X^H X given as ``g``; tr G^k = ||X||_2k^2k."""
+    y = x
+    for _ in range(k - 1):
         y = y @ g
-    trace = float(np.vdot(x, y).real)  # tr G^k = sum s^rd
-    return y / trace ** (1.0 - 1.0 / rd), t * trace ** (1.0 / rd)
+    return y, float(np.vdot(x, y).real)
+
+
+def _norming(x, r, rd):
+    """argmax Y of Re<X, Y> over the unit ball ||Y||_r <= 1, and the value
+    Re<X, Y> at it, which is ||X||_rd up to rounding and never exceeds it.
+    ``rd`` is the dual exponent of ``r`` (passed exactly, so that an even
+    ``rd`` is recognised); Y is None when X = 0."""
+    if r == 1.0 or np.isinf(r) or r in GRAM_DUALS or rd in GRAM_DUALS:
+        t = float(np.abs(x).max())  # scale out the largest entry, as _schatten_from_sv does
+        if t == 0.0:
+            return None, 0.0
+        xs = x / t
+        g = np.conj(xs.T) @ xs
+        if r == 1.0:  # the top right singular vector is the top eigenvector of G
+            v = np.linalg.eigh(g)[1][:, -1]
+            xv = xs @ v
+            n = float(np.linalg.norm(xv))
+            return np.outer(xv / n, np.conj(v)), t * n
+        if rd in GRAM_DUALS:  # X G^(k-1) = U s^(rd-1) V^H for rd = 2k
+            y, trace = _gram_power(xs, g, int(rd) // 2)
+            return y / trace ** (1.0 - 1.0 / rd), t * trace ** (1.0 / rd)
+        eps = np.finfo(float).eps
+        v = np.linalg.eigh(g)[1]  # B = X V = U S up to the accuracy of eigh
+        b = xs @ v
+        nb = np.linalg.norm(b, axis=0)
+        keep = nb > nb.max() * max(x.shape) * eps  # numpy's matrix_rank tolerance
+        b, nb, vh = b[:, keep], nb[keep], np.conj(v[:, keep].T)
+        if np.isinf(r):  # polar factor Q V^H, its norm bounded by ||Q^H Q - I||
+            q = b / nb
+            e = float(np.linalg.norm(np.conj(q.T) @ q - np.eye(nb.size)))
+            y = (q @ vh) / np.sqrt(1.0 + e) if e <= np.sqrt(eps) else None
+        else:  # U s^(rd-1) V^H, divided by ||Y||_r from its Gram trace
+            y = (b * (nb / nb.max()) ** (rd - 2.0)) @ vh
+            y = y / _gram_power(y, np.conj(y.T) @ y, int(r) // 2)[1] ** (1.0 / r)
+        if y is not None:
+            return y, t * float(np.vdot(y, xs).real)
+    # the SVD route, also taken when Q above is too far from orthonormal
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    if s[0] == 0.0:
+        return None, 0.0
+    if np.isinf(r):
+        return u @ vh, _schatten_from_sv(s, rd)
+    w = (s / s[0]) ** (1.0 / (r - 1.0))  # s^(rd-1)
+    return (u * (w / np.sum(w**r) ** (1.0 / r))) @ vh, _schatten_from_sv(s, rd)
 
 
 def _ascent(m, mc, a, p, rel_tol=1e-7):
     """Score start ``a``, then ascend; yields (best ratio, best test matrix)
     after the score and after every step.  Stops when M o A = 0 or after two
     steps without a relative gain of ``rel_tol``."""
-    na = _schatten_from_sv(np.linalg.svd(a, compute_uv=False), p)
+    q = 1.0 / (1.0 - 1.0 / p) if p > 1.0 else np.inf
+    if p in GRAM_DUALS:  # tr G^(p/2), exact up to rounding
+        na = _norming(a, q, p)[1]
+    else:
+        na = _schatten_from_sv(np.linalg.svd(a, compute_uv=False), p)
     if na == 0.0:
         yield 0.0, a
         return
     a = a / na  # ||a||_p == 1 from here on
-    q = 1.0 / (1.0 - 1.0 / p) if p > 1.0 else np.inf
     z, best_r = _norming(m * a, q, p)
     best_a = a
     yield best_r, best_a

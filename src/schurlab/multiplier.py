@@ -40,6 +40,8 @@ __all__ = [
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+MAX_GRID_SIZE = 2048  # largest grid size N the norms command accepts
+
 
 def _van_der_corput(count: int, base: int) -> np.ndarray:
     out = np.zeros(count)

@@ -280,6 +280,8 @@ class TestErrorPaths:
             {**TRIANGULAR_NORMS, "sizes": [16, 8]},
             {**TRIANGULAR_NORMS, "sizes": [0]},
             {**TRIANGULAR_NORMS, "sizes": [8, 16.5]},
+            {**TRIANGULAR_NORMS, "sizes": [4096]},
+            {**TRIANGULAR_NORMS, "sizes": [10000000]},
             {**TRIANGULAR_NORMS, "ascent_steps": -1},
             {**TRIANGULAR_NORMS, "p": 0.5},
             {**TRIANGULAR_NORMS, "p": float("nan")},
@@ -292,6 +294,8 @@ class TestErrorPaths:
             "norms-decreasing-sizes",
             "norms-zero-size",
             "norms-fractional-size",
+            "norms-size-above-max",
+            "norms-size-ten-million",
             "norms-negative-ascent-steps",
             "norms-p-below-1",
             "norms-p-nan",

@@ -261,22 +261,23 @@ UNPRUNED_TRIANGULAR_SVD_CALLS = 422
 UNPRUNED_TRIANGULAR_BOUND = 2.1113665466
 
 
-def _count_svds(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Count the calls of np.linalg.<name> ("svd" or "eigh")."""
     calls = []
-    svd = np.linalg.svd
+    func = getattr(np.linalg, name)
 
-    def counting_svd(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return svd(*args, **kwargs)
+        return func(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
 def test_pruned_ascent_saves_svds(monkeypatch):
     """Triangular N = 64, p = inf, budget 4: pruning after the warm-up makes
     at most 75% of the unpruned SVD calls and keeps the bound."""
-    calls = _count_svds(monkeypatch)
+    calls = _count_calls(monkeypatch, "svd")
     v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), math.inf, budget=4, seed=0)
     assert len(calls) <= 0.75 * UNPRUNED_TRIANGULAR_SVD_CALLS, len(calls)
     assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6)
@@ -288,10 +289,29 @@ def test_gram_norming_halves_the_svds(p, most, monkeypatch):
     exponent) and the Gram eigenpair (p = inf dual step) leave about one
     SVD per ascent step (an SVD in every step made 454 calls at p = 4 and
     250 at p = inf), and the bound stays where the SVD steps put it."""
-    calls = _count_svds(monkeypatch)
+    calls = _count_calls(monkeypatch, "svd")
     v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), p, budget=4, seed=0)
     assert len(calls) <= most, len(calls)
     if p == 4.0:
+        assert abs(v - 1.1910581114990977) <= 1e-12, v
+    else:
+        assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6), v
+
+
+@pytest.mark.parametrize("p, most", [(2.0, 0), (4.0, 0), (math.inf, 20)])
+def test_ascent_takes_no_svd(p, most, monkeypatch):
+    """Triangular N = 64, budget 4: at p in {2, 4} the start norms and both
+    steps are Gram products, so the estimate makes no SVD (227 at p = 4
+    with an SVD start norm and s^(1/3) step); at p = inf only the 9 start
+    norms and the polar steps whose Gram certificate fails take one.  The
+    bounds keep their pins."""
+    svds = _count_calls(monkeypatch, "svd")
+    eighs = _count_calls(monkeypatch, "eigh")
+    v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), p, budget=4, seed=0)
+    assert len(svds) <= most, len(svds)
+    if p == 2.0:
+        assert not eighs and abs(v - 1.0) <= 1e-12, v
+    elif p == 4.0:
         assert abs(v - 1.1910581114990977) <= 1e-12, v
     else:
         assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6), v
@@ -319,7 +339,7 @@ NORMING_EXPONENTS = [  # (r, dual exponent rd), rd as the estimator passes it
 
 
 @pytest.mark.parametrize("r, rd", NORMING_EXPONENTS)
-@pytest.mark.parametrize("shape", [(6, 6), (7, 5)], ids=["6x6", "7x5"])
+@pytest.mark.parametrize("shape", [(6, 6), (7, 5), (5, 7)], ids=["6x6", "7x5", "5x7"])
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_norming_contract(r, rd, shape, complex_):
     """_norming(X, r, rd) returns Y with ||Y||_r = 1 and Re<X, Y> equal to
@@ -336,6 +356,39 @@ def test_norming_contract(r, rd, shape, complex_):
         assert abs(np.vdot(y, x).real - exact) <= 1e-12 * exact
         assert abs(value - exact) <= 1e-12 * exact
     assert _norming(np.zeros(shape), r, rd)[0] is None
+
+
+def _degenerate_inputs(n=16):
+    rng = np.random.default_rng(5)
+    unit = np.zeros((n, n))
+    unit[3, 11] = 1.0
+    zero_column = rng.standard_normal((n, n))
+    zero_column[:, 7] = 0.0
+    q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return {
+        "rank-one": np.outer(rng.standard_normal(n), rng.standard_normal(n)),
+        "matrix-unit": unit,
+        "zero-column": zero_column,
+        "graded": q1 @ np.diag(np.logspace(0.0, -12.0, n)) @ q2,
+    }
+
+
+@pytest.mark.parametrize("r", [math.inf, 4.0, 6.0])
+@pytest.mark.parametrize("name", ["rank-one", "matrix-unit", "zero-column", "graded"])
+def test_norming_certified_on_degenerate_input(r, name):
+    """On rank-deficient and ill-conditioned X the Gram eigenbasis routes
+    keep ||Y||_r <= 1 and a value Re<X, Y> that never exceeds ||X||_rd and
+    falls short of it by at most 1e-9.  At r = inf the graded spectrum
+    (singular values 1 down to 1e-12) needs the SVD fallback: its Gram
+    eigenbasis gives a Q far from orthonormal."""
+    x = _degenerate_inputs()[name]
+    rd = 1.0 / (1.0 - 1.0 / r)  # as the estimator passes it
+    y, value = _norming(x, r, rd)
+    exact = schatten_norm(x, rd)
+    assert schatten_norm(y, r) <= 1.0 + 1e-12
+    assert value <= exact * (1.0 + 1e-12)
+    assert value >= exact * (1.0 - 1e-9), (value, exact)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
