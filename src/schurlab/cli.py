@@ -217,6 +217,11 @@ def _cmd_squarefn(cfg, seed):
     shape = tuple(_int_param({"shape": s}, "shape", None, 1) for s in shape)
     terms = _int_param(cfg, "terms", 4, 1)
     degree = _int_param(cfg, "degree", 4, 1)
+    if terms * math.prod(shape) > harmonic.MAX_SQUAREFN_ENTRIES:
+        raise ConfigInvalid(
+            f"'terms' x the grid size must be at most {harmonic.MAX_SQUAREFN_ENTRIES}, "
+            f"got {terms} x {'x'.join(map(str, shape))}"
+        )
     p = _parse_p(cfg.get("p", 4))
     c = cfg.get("C")
     if c is None:

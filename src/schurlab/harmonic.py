@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-9
+MAX_SQUAREFN_ENTRIES = 1 << 22  # largest terms * prod(shape) the squarefn command accepts
 
 
 def frequency_lattice(shape) -> list:

@@ -121,7 +121,14 @@ def schur_product(m, a) -> np.ndarray:
 #   overflow (at r' = 200 an all-ones 64 x 64 block would).  The start norm
 #   ||A||_p at p in GRAM_DUALS is the same trace.
 # - At r = 1 (the dual step at p = inf, the primal step at p = 1) the argmax
-#   is the rank-one u v^H built from the top eigenvector v of G.
+#   is the rank-one u v^H built from the top eigenvector v of G.  Given the
+#   same side's previous iterate u0 v0^H, v comes from a power iteration on
+#   G started at v0: it stops once v^H G v gains less than POWER_TOL
+#   relative.  That quotient never decreases, so the value never falls
+#   below |X v0|, which bounds the previous step's form Re(u0^H X v0).
+#   At a start's first step, when G v0 = 0 and after POWER_CAP iterations,
+#   v comes from eigh.  The value t |Xv| for a unit v never exceeds ||X||,
+#   however accurate v is.
 # - At r = inf (the polar step at p = inf, the dual step at p = 1) and at
 #   r = 2k in GRAM_DUALS (the s^(1/3) step at p = 4, the dual step at
 #   p = 4/3), one eigh of G gives V and B = X V = U S.  Columns of B below
@@ -136,8 +143,9 @@ def schur_product(m, a) -> np.ndarray:
 # trace and |Xv| the products already give), which by Holder never exceeds
 # ||X||_r', so every ratio stays a lower bound.  The sum of |B|^r' is not
 # used: over an inexact eigenbasis it can exceed ||X||_r' when r' < 2
-# (Schur-Horn).  Other exponents (p = 3, 1.5, ...), the start norm at p
-# outside GRAM_DUALS and the fallback take a thin SVD.
+# (Schur-Horn).  Other exponents (p = 3, 1.5, ...), the fallback and the
+# start norm at p outside GRAM_DUALS take a thin SVD, except for the matrix
+# unit (norm 1) and the rank-one starts u v^T (norm |u||v|).
 #
 # Starts are pruned by successive halving.  Every start gets WARMUP_STEPS
 # ascent steps; after them, only a start whose ratio ranks among the best
@@ -153,6 +161,8 @@ def schur_product(m, a) -> np.ndarray:
 WARMUP_STEPS = 4  # ascent steps every start gets before it is judged
 SURVIVORS = 2  # starts that ascend past the warm-up rank in the top SURVIVORS
 GRAM_DUALS = (2.0, 4.0, 6.0, 8.0)  # dual exponents normed by Gram products
+POWER_TOL = 1e-12  # relative gain of v^H G v below which the power iteration stops
+POWER_CAP = 60  # power iterations before the rank-one step falls back to eigh
 
 
 def _gram_power(x, g, k):
@@ -163,11 +173,33 @@ def _gram_power(x, g, k):
     return y, float(np.vdot(x, y).real)
 
 
-def _norming(x, r, rd):
+def _power_iteration(g, previous):
+    """Unit v from a power iteration on G started at the right factor v0 of
+    the rank-one ``previous`` = u0 v0^H; None when G v0 = 0 or after
+    POWER_CAP iterations without a stall.  On a positive semidefinite G the
+    Rayleigh quotient v^H G v never decreases (Chebyshev's sum inequality
+    over the spectral weights of v)."""
+    v = np.conj(previous[np.argmax(np.abs(previous)) // previous.shape[1]])  # a row is u0_i v0^H
+    v = v / np.linalg.norm(v)
+    w = g @ v
+    lam = np.vdot(v, w).real
+    if not lam > 0.0:
+        return None
+    for _ in range(POWER_CAP):
+        v = w / np.linalg.norm(w)
+        w = g @ v
+        lam, last = np.vdot(v, w).real, lam
+        if lam <= last * (1.0 + POWER_TOL):
+            return v
+    return None
+
+
+def _norming(x, r, rd, previous=None):
     """argmax Y of Re<X, Y> over the unit ball ||Y||_r <= 1, and the value
     Re<X, Y> at it, which is ||X||_rd up to rounding and never exceeds it.
     ``rd`` is the dual exponent of ``r`` (passed exactly, so that an even
-    ``rd`` is recognised); Y is None when X = 0."""
+    ``rd`` is recognised); Y is None when X = 0.  At r = 1, ``previous``
+    (the same side's last iterate, or None) starts a power iteration."""
     if r == 1.0 or np.isinf(r) or r in GRAM_DUALS or rd in GRAM_DUALS:
         t = float(np.abs(x).max())  # scale out the largest entry, as _schatten_from_sv does
         if t == 0.0:
@@ -175,7 +207,9 @@ def _norming(x, r, rd):
         xs = x / t
         g = np.conj(xs.T) @ xs
         if r == 1.0:  # the top right singular vector is the top eigenvector of G
-            v = np.linalg.eigh(g)[1][:, -1]
+            v = None if previous is None else _power_iteration(g, previous)
+            if v is None:
+                v = np.linalg.eigh(g)[1][:, -1]
             xv = xs @ v
             n = float(np.linalg.norm(xv))
             return np.outer(xv / n, np.conj(v)), t * n
@@ -207,14 +241,15 @@ def _norming(x, r, rd):
     return (u * (w / np.sum(w**r) ** (1.0 / r))) @ vh, _schatten_from_sv(s, rd)
 
 
-def _ascent(m, mc, a, p, rel_tol=1e-7):
+def _ascent(m, mc, a, p, na=None, rel_tol=1e-7):
     """Score start ``a``, then ascend; yields (best ratio, best test matrix)
-    after the score and after every step.  Stops when M o A = 0 or after two
-    steps without a relative gain of ``rel_tol``."""
+    after the score and after every step.  ``na`` is ||a||_p when known
+    exactly (it saves the SVD at p outside GRAM_DUALS).  Stops when M o A = 0
+    or after two steps without a relative gain of ``rel_tol``."""
     q = 1.0 / (1.0 - 1.0 / p) if p > 1.0 else np.inf
     if p in GRAM_DUALS:  # tr G^(p/2), exact up to rounding
         na = _norming(a, q, p)[1]
-    else:
+    elif na is None:
         na = _schatten_from_sv(np.linalg.svd(a, compute_uv=False), p)
     if na == 0.0:
         yield 0.0, a
@@ -223,10 +258,11 @@ def _ascent(m, mc, a, p, rel_tol=1e-7):
     z, best_r = _norming(m * a, q, p)
     best_a = a
     yield best_r, best_a
-    stall = 0
+    stall, previous = 0, None  # the start is no iterate of the primal side
     while z is not None and stall < 2:
-        a, _ = _norming(mc * z, p, q)  # nonzero: Re<conj(M) o Z, A> = ||M o A||_p
-        z, r = _norming(m * a, q, p)
+        a, _ = _norming(mc * z, p, q, previous)  # nonzero: Re<conj(M) o Z, A> = ||M o A||_p
+        z, r = _norming(m * a, q, p, z)
+        previous = a
         stall = 0 if r > best_r * (1.0 + rel_tol) else stall + 1
         if r > best_r:
             best_r, best_a = r, a
@@ -280,22 +316,23 @@ def multiplier_norm_lower_bound(
 
     unit = np.zeros((rows, cols), dtype=mm.dtype)
     unit[np.unravel_index(int(np.argmax(np.abs(mm))), mm.shape)] = 1.0
-    starts = [unit]
+    starts = [(unit, 1.0)]  # (start, its S_p norm when known exactly)
     for a in extra_starts:
         a = as_dense(a)
         if a.shape != mm.shape:
             raise ShapeMismatch(f"extra start shape {a.shape} vs {mm.shape}")
-        starts.append(a)
+        starts.append((a, None))
     for k in range(budget):
         rng = np.random.default_rng([seed, k])
-        starts.append(draw(rng, (rows, cols)))
-        starts.append(np.outer(draw(rng, rows), draw(rng, cols)))
+        starts.append((draw(rng, (rows, cols)), None))
+        u, v = draw(rng, rows), draw(rng, cols)
+        starts.append((np.outer(u, v), float(np.linalg.norm(u) * np.linalg.norm(v))))
 
     mc = np.conj(mm)
     warm = []  # ratio of each earlier start after its warm-up
-    best, best_a = 0.0, starts[0]
-    for a in starts:
-        run = _ascent(mm, mc, a, p)
+    best, best_a = 0.0, unit
+    for a, na in starts:
+        run = _ascent(mm, mc, a, p, na)
         r, a = _advance(run, 1 + min(WARMUP_STEPS, ascent_steps), None)
         survives = sum(w >= r for w in warm) < SURVIVORS
         warm.append(r)

@@ -230,20 +230,6 @@ def componentwise_reparam(fns, dfns=None, inverses=None) -> Reparam:
     return Reparam(fn=fn, jac=jac, inverse=inverse)
 
 
-def _invert_monotone(fn_1d, target, lo, hi):
-    """Bisection preimage of a scalar monotone map on [lo, hi]."""
-    flo, fhi = fn_1d(lo), fn_1d(hi)
-    sign = 1.0 if fhi >= flo else -1.0
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if sign * (fn_1d(mid) - target) < 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def _transport_box(reparam: Reparam, box):
     """Preimage of the box under the reparametrization."""
     if reparam.inverse is not None:
@@ -252,21 +238,32 @@ def _transport_box(reparam: Reparam, box):
         return tuple(
             (min(float(a), float(b)), max(float(a), float(b))) for a, b in zip(los, his)
         )
-    # componentwise monotone fallback: bisection inside a widened search range
-    out = []
-    for i, (lo, hi) in enumerate(box):
-        span = hi - lo
-        search_lo, search_hi = lo - 4.0 * span, hi + 4.0 * span
+    # componentwise monotone fallback: all 2d endpoints are bisected together,
+    # each along its axis through the box centre, inside a range widened by 4
+    # box widths; once no midpoint lies strictly inside its interval, further
+    # halvings would not move any endpoint
+    edges = np.array(box, dtype=float)  # (d, 2)
+    d = edges.shape[0]
+    rows, axis = np.arange(2 * d), np.repeat(np.arange(d), 2)
+    target = edges.ravel()  # lo_0, hi_0, lo_1, ...
+    span = (edges[:, 1] - edges[:, 0])[axis]
+    a, b = edges[axis, 0] - 4.0 * span, edges[axis, 1] + 4.0 * span
+    centre = 0.5 * (edges[:, 0] + edges[:, 1])
 
-        def f1(t, i=i, lo=lo, hi=hi):
-            pt = np.array([0.5 * (l + h) for l, h in box], dtype=float)
-            pt[i] = t
-            return float(reparam.fn(pt)[i])
+    def f(t):
+        pts = np.tile(centre, (2 * d, 1))
+        pts[rows, axis] = t
+        return np.asarray(reparam.fn(pts), dtype=float)[rows, axis]
 
-        a = _invert_monotone(f1, lo, search_lo, search_hi)
-        b = _invert_monotone(f1, hi, search_lo, search_hi)
-        out.append((min(a, b), max(a, b)))
-    return tuple(out)
+    sign = np.where(f(b) >= f(a), 1.0, -1.0)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if not np.any((a < mid) & (mid < b)):
+            break
+        below = sign * (f(mid) - target) < 0.0
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    t = 0.5 * (a + b)
+    return tuple((float(min(x, y)), float(max(x, y))) for x, y in zip(t[0::2], t[1::2]))
 
 
 def pullback_symbol(

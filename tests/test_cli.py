@@ -318,6 +318,8 @@ class TestErrorPaths:
             {"command": "squarefn", "shape": 8, "C": 10},
             {"command": "squarefn", "terms": 0, "C": 10},
             {"command": "squarefn", "degree": 0, "C": 10},
+            {"command": "squarefn", "shape": [100000, 100000], "C": 1},
+            {"command": "squarefn", "shape": [64, 64, 64], "terms": 17, "C": 1},
             {**SPHERE_CLASSIFY, "boundary_samples": 0},
             {**SPHERE_CLASSIFY, "sections": -1},
             {**SPHERE_CLASSIFY, "points_per_section": 0},
@@ -329,6 +331,8 @@ class TestErrorPaths:
             "squarefn-shape-not-a-list",
             "squarefn-zero-terms",
             "squarefn-zero-degree",
+            "squarefn-grid-ten-billion",
+            "squarefn-terms-times-grid-above-max",
             "classify-zero-boundary-samples",
             "classify-negative-sections",
             "classify-zero-points-per-section",

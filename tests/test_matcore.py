@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurlab import matcore
 from schurlab.errors import InvalidExponent, NonFinite, ShapeMismatch
 from schurlab.matcore import (
     _norming,
@@ -317,6 +318,131 @@ def test_ascent_takes_no_svd(p, most, monkeypatch):
         assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6), v
 
 
+@pytest.mark.parametrize("p", [math.inf, 3.0])
+def test_known_start_norms_take_no_svd(p, monkeypatch):
+    """Outside GRAM_DUALS the matrix-unit start (norm 1) and the rank-one
+    starts u v^T (norm |u||v|) reach _ascent with their exact S_p norm, so
+    only the Gaussian starts take an SVD for it: at p = inf, where the
+    scoring step takes none, a budget-4 estimate scored without ascent
+    makes 4 SVDs."""
+    seen = []
+    ascent = matcore._ascent
+
+    def recording(m, mc, a, p, na=None):
+        seen.append((a, na))
+        return ascent(m, mc, a, p, na)
+
+    monkeypatch.setattr(matcore, "_ascent", recording)
+    calls = _count_calls(monkeypatch, "svd")
+    multiplier_norm_lower_bound(np.tril(np.ones((16, 16))), p, budget=4, seed=0, ascent_steps=0)
+    svds = len(calls)  # before the checks below take their own
+    assert svds == 4 or not math.isinf(p), svds
+    assert [na is None for _, na in seen] == [False] + [True, False] * 4
+    for a, na in seen[::2]:
+        assert abs(na - schatten_norm(a, p)) <= 1e-13 * na, (na, schatten_norm(a, p))
+
+
+@pytest.mark.parametrize("p", [math.inf, 1.0])
+def test_rank_one_steps_take_one_eigh_per_start(p, monkeypatch):
+    """Triangular N = 64, budget 4: after a start's first rank-one step
+    (r = 1: the dual step at p = inf, the primal step at p = 1) the power
+    iteration from the previous iterate replaces eigh, unless it reaches
+    POWER_CAP.  The S_1 and S_inf norms of a real symbol agree (duality),
+    so both keep the p = inf bound."""
+    state = {"r": None, "steps": 0, "eighs": 0, "fallbacks": 0}
+    norming, power, eigh = matcore._norming, matcore._power_iteration, np.linalg.eigh
+
+    def counting_norming(x, r, rd, previous=None):
+        state["r"] = r
+        state["steps"] += r == 1.0
+        return norming(x, r, rd, previous)
+
+    def counting_power(g, previous):
+        v = power(g, previous)
+        state["fallbacks"] += v is None
+        return v
+
+    def counting_eigh(*args, **kwargs):
+        state["eighs"] += state["r"] == 1.0
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(matcore, "_norming", counting_norming)
+    monkeypatch.setattr(matcore, "_power_iteration", counting_power)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), p, budget=4, seed=0)
+    starts = 1 + 2 * 4
+    assert state["eighs"] <= starts + state["fallbacks"], state
+    assert state["steps"] >= 5 * starts, state
+    assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6), v
+
+
+def _warm_inputs(rows=10, cols=12):
+    """(X, v0) pairs for the warm-started rank-one step."""
+    rng = np.random.default_rng(11)
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    graded = np.zeros((rows, cols))
+    graded[np.arange(rows), np.arange(rows)] = np.arange(rows, 0, -1.0)
+    return {
+        "real": (rng.standard_normal((rows, cols)), unit(rng.standard_normal(cols))),
+        "complex": (  # a rank-one spike opens the spectral gap the power iteration needs
+            rng.standard_normal((rows, cols))
+            + 1j * rng.standard_normal((rows, cols))
+            + 3.0 * np.outer(np.ones(rows), np.exp(1j * np.arange(cols))),
+            unit(rng.standard_normal(cols) + 1j * rng.standard_normal(cols)),
+        ),
+        "rank-one": (
+            np.outer(rng.standard_normal(rows), rng.standard_normal(cols)),
+            unit(rng.standard_normal(cols)),
+        ),
+        "identity": (np.eye(rows, cols), unit(rng.standard_normal(cols))),
+        "orthogonal-start": (graded, np.eye(cols)[1]),  # v0 is orthogonal to the top e_0
+    }
+
+
+def _previous(v0, rows):
+    """A rank-one iterate u v0^H, as the ascent passes it."""
+    u = np.random.default_rng(3).standard_normal(rows)
+    return np.outer(u / np.linalg.norm(u), np.conj(v0))
+
+
+@pytest.mark.parametrize("name", ["real", "complex", "rank-one", "identity", "orthogonal-start"])
+def test_warm_rank_one_step_is_certified(name):
+    """_norming(X, 1, inf, previous) keeps ||Y||_1 = 1, reports Re<X, Y>,
+    never exceeds ||X||_inf and never ends below |X v0|, also from a start
+    orthogonal to the top singular vector, where it stays below ||X||_inf."""
+    x, v0 = _warm_inputs()[name]
+    y, value = _norming(x, 1.0, math.inf, _previous(v0, x.shape[0]))
+    exact = schatten_norm(x, math.inf)
+    assert abs(schatten_norm(y, 1.0) - 1.0) <= 1e-12
+    assert abs(np.vdot(y, x).real - value) <= 1e-12 * value
+    assert value <= exact * (1.0 + 1e-12)
+    assert value >= np.linalg.norm(x @ v0) * (1.0 - 1e-13)
+    if name == "orthogonal-start":
+        assert abs(value - 9.0) <= 1e-12 * 9.0, value  # the second singular value
+    elif name in ("rank-one", "identity"):
+        assert abs(value - exact) <= 1e-12 * exact, (value, exact)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(10, 12), (12, 10), (64, 64)], ids=["10x12", "12x10", "64x64"])
+def test_warm_rank_one_step_from_a_good_start(shape, complex_):
+    """From the top right singular vector perturbed by 1e-3 the step ends
+    within 1e-10 of ||X||_inf: by the power iteration, or by eigh where it
+    reaches POWER_CAP (the complex 64 x 64 case, s_2 / s_1 = 0.96)."""
+    rng = np.random.default_rng([shape[0], shape[1], int(complex_)])
+    x = rng.standard_normal(shape)
+    if complex_:
+        x = x + 1j * rng.standard_normal(shape)
+    _, s, vh = np.linalg.svd(x)
+    v0 = np.conj(vh[0]) + 1e-3 * rng.standard_normal(shape[1])
+    y, value = _norming(x, 1.0, math.inf, _previous(v0 / np.linalg.norm(v0), shape[0]))
+    assert abs(value - s[0]) <= 1e-10 * s[0], (value, s[0])
+    assert abs(schatten_norm(y, 1.0) - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0, math.inf])
 @pytest.mark.parametrize("c", [1e-150, 1e150])
 def test_bound_scales_with_the_symbol(c, p):
@@ -344,7 +470,7 @@ NORMING_EXPONENTS = [  # (r, dual exponent rd), rd as the estimator passes it
 def test_norming_contract(r, rd, shape, complex_):
     """_norming(X, r, rd) returns Y with ||Y||_r = 1 and Re<X, Y> equal to
     the returned ||X||_rd, on every route (Gram product, Gram eigenpair,
-    SVD); the zero matrix has no argmax."""
+    SVD); the zero matrix has no argmax, also given a previous iterate."""
     rng = np.random.default_rng([len(shape), shape[1], int(complex_)])
     for _ in range(5):
         x = rng.standard_normal(shape)
@@ -356,6 +482,7 @@ def test_norming_contract(r, rd, shape, complex_):
         assert abs(np.vdot(y, x).real - exact) <= 1e-12 * exact
         assert abs(value - exact) <= 1e-12 * exact
     assert _norming(np.zeros(shape), r, rd)[0] is None
+    assert _norming(np.zeros(shape), r, rd, np.ones(shape))[0] is None
 
 
 def _degenerate_inputs(n=16):

@@ -6,6 +6,7 @@ from schurlab.geometry import classify
 from schurlab.matcore import multiplier_norm_lower_bound, schatten_norm
 from schurlab.multiplier import (
     CSV_HEADER,
+    Reparam,
     circulant,
     componentwise_reparam,
     compression_jp,
@@ -177,6 +178,47 @@ class TestPullback:
         assert jac.shape == (1, 3, 2, 2)
         np.testing.assert_array_equal(jac[0, 1], np.diag([1.0 + 0.9 * 0.3**2, 2.0]))
         np.testing.assert_array_equal(cubic.jac(pts[0, 1]), jac[0, 1])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
+    def test_bisected_box_matches_pointwise_bisection(self, sign):
+        """Without an inverse the box's 2d endpoints are bisected as one
+        batch, and the box is bit-identical to 200 scalar halvings per
+        endpoint (808 calls of the map for a 2-D box; the batch stops once
+        no interval can be split)."""
+        calls = []
+
+        def fn(pts):
+            calls.append(1)
+            pts = np.asarray(pts, dtype=float)
+            return sign * np.stack([pts[..., 0] + 0.3 * pts[..., 0] ** 3, 2.0 * pts[..., 1]], axis=-1)
+
+        spec = sphere_delta(2, 0.3)
+        box = pullback_symbol(spec, Reparam(fn=fn), Reparam(fn=fn)).domain_box
+        assert len(calls) <= 2 * 70, len(calls)  # two factors
+
+        def scalar(i, target, lo, hi, factor_box):
+            def f1(t):
+                pt = np.array([0.5 * (l + h) for l, h in factor_box], dtype=float)
+                pt[i] = t
+                return float(fn(pt)[i])
+
+            direction = 1.0 if f1(hi) >= f1(lo) else -1.0
+            a, b = lo, hi
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                if direction * (f1(mid) - target) < 0.0:
+                    a = mid
+                else:
+                    b = mid
+            return 0.5 * (a + b)
+
+        expected = []
+        for factor_box in (spec.domain_box[:2], spec.domain_box[2:]):
+            for i, (lo, hi) in enumerate(factor_box):
+                span = hi - lo
+                ends = [scalar(i, t, lo - 4.0 * span, hi + 4.0 * span, factor_box) for t in (lo, hi)]
+                expected.append((min(ends), max(ends)))
+        assert box == tuple(expected)
 
     def test_classify_verdict_invariant(self):
         spec = sphere_delta(2, 0.3)
