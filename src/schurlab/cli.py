@@ -25,7 +25,7 @@ from .errors import ConfigInvalid, GroupMismatch, SchurLabError
 
 SCHEMA = "schur-lab/1"
 
-COMMANDS = ("classify", "norms", "squarefn", "cotlar", "groupcheck", "transfer")
+FORMATS = ("json", "csv", "svg")
 
 
 def _load_config(path: str) -> dict:
@@ -39,7 +39,7 @@ def _load_config(path: str) -> dict:
     if cfg.get("schema", SCHEMA) != SCHEMA:
         raise ConfigInvalid(f"unsupported schema {cfg.get('schema')!r}")
     if cfg.get("command") not in COMMANDS:
-        raise ConfigInvalid(f"command must be one of {COMMANDS}")
+        raise ConfigInvalid(f"command must be one of {tuple(COMMANDS)}")
     return cfg
 
 
@@ -64,16 +64,8 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _dump_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
-
-
-def _parse_p(value):
-    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
-        return math.inf
-    if type(value) not in (int, float) or not value >= 1:  # NaN fails too
-        raise ConfigInvalid(f"exponent must be a number >= 1 or 'inf', got {value!r}")
-    return float(value)
+def _p_label(p):
+    return "inf" if math.isinf(p) else p
 
 
 def _finite_number(value) -> bool:
@@ -84,21 +76,53 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _int_param(cfg, key, default, lo, hi=math.inf) -> int:
-    value = cfg.get(key, default)
-    if type(value) not in (int, float) or not (lo <= value <= hi and float(value).is_integer()):
-        raise ConfigInvalid(f"{key!r} must be an integer in [{lo}, {hi}], got {value!r}")
-    return int(value)
+def _integer(lo, hi=math.inf):
+    def parse(key, value):
+        whole = type(value) is int or (type(value) is float and value.is_integer())
+        if not (whole and lo <= value <= hi):
+            raise ConfigInvalid(f"{key!r} must be an integer in [{lo}, {hi}], got {value!r}")
+        return int(value)
+
+    return parse
 
 
-def _symbol_from_config(cfg) -> symbols.SymbolSpec:
-    payload = cfg.get("symbol")
-    if not isinstance(payload, dict):
-        raise ConfigInvalid("config needs a 'symbol' object")
+_count = _integer(1)
+
+
+def _integers(lo, hi=math.inf):
+    def parse(key, value):
+        if not isinstance(value, list) or not value:
+            raise ConfigInvalid(f"{key!r} must be a nonempty list of integers, got {value!r}")
+        return [_integer(lo, hi)(key, v) for v in value]
+
+    return parse
+
+
+def _exponent(key, value):
+    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    if not (_finite_number(value) or value == math.inf) or not value >= 1:  # NaN fails too
+        raise ConfigInvalid(f"{key!r} must be a number >= 1 or 'inf', got {value!r}")
+    return float(value)
+
+
+def _positive(key, value):
+    if not (_finite_number(value) and value > 0):
+        raise ConfigInvalid(f"{key!r} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def _symbol(key, value) -> symbols.SymbolSpec:
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"config needs a {key!r} object")
     try:
-        return symbols.from_json(payload)
+        return symbols.from_json(value)
     except (KeyError, TypeError, ValueError, SchurLabError) as exc:
         raise ConfigInvalid(f"bad symbol payload: {exc}") from exc
+
+
+def _raw(key, value):  # a parameter its handler checks
+    return value
 
 
 def _svg_norm_plot(records) -> str:
@@ -124,7 +148,7 @@ def _svg_norm_plot(records) -> str:
             f'<text x="{sx(x):.2f}" y="{height - margin + 16}" font-size="10"'
             f' text-anchor="middle">{r.n}</text>'
         )
-    title = f"{records[0].symbol_id}  p={'inf' if math.isinf(records[0].p) else records[0].p}"
+    title = f"{records[0].symbol_id}  p={_p_label(records[0].p)}"
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
@@ -138,11 +162,9 @@ def _svg_norm_plot(records) -> str:
     )
 
 
-def _cmd_classify(cfg, seed):
-    spec = _symbol_from_config(cfg)
-    z0 = cfg.get("z0")
+def _classify(seed, symbol, z0, boundary_samples, sections, points_per_section):
+    dims = (symbol.m_dim, symbol.n_dim)
     if z0 is not None:
-        dims = (spec.m_dim, spec.n_dim)
         if not (
             isinstance(z0, list)
             and len(z0) == 2
@@ -155,46 +177,33 @@ def _cmd_classify(cfg, seed):
                 f"'z0' must be two lists of {dims[0]} and {dims[1]} finite numbers, got {z0!r}"
             )
         z0 = (np.array(z0[0], dtype=float), np.array(z0[1], dtype=float))
-    t0 = time.perf_counter()
+    rays = max(40 * boundary_samples, points_per_section * min(sections, boundary_samples))
+    if rays * sum(dims) > geometry.MAX_RAY_ENTRIES:
+        raise ConfigInvalid(f"{rays} rays x {sum(dims)} axes > {geometry.MAX_RAY_ENTRIES} entries")
     report = geometry.classify(
-        spec,
+        symbol,
         z0=z0,
-        boundary_samples=_int_param(cfg, "boundary_samples", 64, 1),
-        sections=_int_param(cfg, "sections", 8, 1),
-        points_per_section=_int_param(cfg, "points_per_section", 8, 1),
+        boundary_samples=boundary_samples,
+        sections=sections,
+        points_per_section=points_per_section,
         seed=seed,
     )
-    wall_ms = int(round(1000 * (time.perf_counter() - t0)))
-    out = {"schema": SCHEMA, "command": "classify", "wall_ms": wall_ms}
-    out.update(report.to_json())
-    ok = report.verdict == geometry.TRIANGULAR_MODEL
-    failed = report.verdict in (geometry.CURVATURE_FAIL, geometry.NON_TRANSVERSE)
-    return out, ok, failed
+    verdict = report.verdict
+    passed = None if verdict == geometry.INCONCLUSIVE else verdict == geometry.TRIANGULAR_MODEL
+    return report.to_json(), passed, None
 
 
-def _cmd_norms(cfg, seed):
-    spec = _symbol_from_config(cfg)
-    sizes = cfg.get("sizes")
-    if not isinstance(sizes, list) or not sizes:
-        raise ConfigInvalid("'norms' needs a nonempty 'sizes' list")
-    sizes = [_int_param({"sizes": s}, "sizes", None, 1, multiplier.MAX_GRID_SIZE) for s in sizes]
+def _norms(seed, symbol, sizes, p, budget, ascent_steps):
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ConfigInvalid(f"'sizes' must be strictly increasing, got {sizes}")
-    p = _parse_p(cfg.get("p", 2))
+    if max(symbol.m_dim, symbol.n_dim) > multiplier.MAX_GRID_DIM:
+        raise ConfigInvalid(f"'norms' grids factors of dimension at most {multiplier.MAX_GRID_DIM}")
     records = multiplier.norm_growth_experiment(
-        spec,
-        p,
-        sizes,
-        budget=_int_param(cfg, "budget", 6, 1),
-        seed=seed,
-        ascent_steps=_int_param(cfg, "ascent_steps", 50, 0),
+        symbol, p, sizes, budget=budget, seed=seed, ascent_steps=ascent_steps
     )
-    out = {
-        "schema": SCHEMA,
-        "command": "norms",
-        "symbol_id": spec.symbol_id,
-        "p": "inf" if math.isinf(p) else p,
-        "seed": seed,
+    fields = {
+        "symbol_id": symbol.symbol_id,
+        "p": _p_label(p),
         "records": [
             {
                 "N": r.n,
@@ -207,198 +216,158 @@ def _cmd_norms(cfg, seed):
         ],
     }
     monotone = all(b.lower_bound >= a.lower_bound for a, b in zip(records, records[1:]))
-    return out, monotone, not monotone, records
+    return fields, monotone, records
 
 
-def _cmd_squarefn(cfg, seed):
-    shape = cfg.get("shape", [32, 32])
-    if not isinstance(shape, list) or not shape:
-        raise ConfigInvalid(f"'shape' must be a nonempty list of positive integers, got {shape!r}")
-    shape = tuple(_int_param({"shape": s}, "shape", None, 1) for s in shape)
-    terms = _int_param(cfg, "terms", 4, 1)
-    degree = _int_param(cfg, "degree", 4, 1)
+def _squarefn(seed, shape, terms, degree, p, C):
     if terms * math.prod(shape) > harmonic.MAX_SQUAREFN_ENTRIES:
         raise ConfigInvalid(
             f"'terms' x the grid size must be at most {harmonic.MAX_SQUAREFN_ENTRIES}, "
             f"got {terms} x {'x'.join(map(str, shape))}"
         )
-    p = _parse_p(cfg.get("p", 4))
-    c = cfg.get("C")
-    if c is None:
-        raise ConfigInvalid("'squarefn' needs the constant 'C'")
-    if not (_finite_number(c) and c > 0):
-        raise ConfigInvalid(f"'C' must be a finite positive number, got {c!r}")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     fs, us = [], []
     for k in range(terms):
-        fs.append(harmonic.random_trig_polynomial(shape, degree, seed=seed * 1000 + k))
+        fs.append(harmonic.random_trig_polynomial(tuple(shape), degree, seed=seed * 1000 + k))
         u = rng.standard_normal(len(shape))
         us.append(u / np.linalg.norm(u))
-    res = harmonic.square_function_test(fs, us, p, float(c))
-    out = {
-        "schema": SCHEMA,
-        "command": "squarefn",
+    res = harmonic.square_function_test(fs, us, p, C)
+    fields = {
         "lhs": res.lhs,
         "rhs": res.rhs,
         "C": res.constant,
         "pass": res.passed,
-        "p": "inf" if math.isinf(p) else p,
-        "shape": list(shape),
+        "p": _p_label(p),
+        "shape": shape,
         "terms": terms,
         "degree": degree,
-        "seed": seed,
-        "wall_ms": int(round(1000 * (time.perf_counter() - t0))),
     }
-    return out, res.passed, not res.passed
+    return fields, res.passed, None
 
 
-def _cmd_cotlar(cfg, seed):
-    group = cfg.get("group")
-    samples = _int_param(cfg, "samples", 100_000, 1)
-    t0 = time.perf_counter()
+def _cotlar(seed, group, samples):
     try:
         failures = groups.cotlar_pointwise_check(group, samples=samples, seed=seed)
     except GroupMismatch as exc:
         raise ConfigInvalid(str(exc)) from exc
-    wall_ms = int(round(1000 * (time.perf_counter() - t0)))
-    out = {
-        "schema": SCHEMA,
-        "command": "cotlar",
-        "group": group,
-        "samples": samples,
-        "failures": failures,
-        "seed": seed,
-        "wall_ms": wall_ms,
-    }
-    return out, failures == 0, failures > 0
+    return {"group": group, "samples": samples, "failures": failures}, failures == 0, None
 
 
-def _cmd_groupcheck(cfg, seed):
-    group = cfg.get("group")
-    field_name = cfg.get("field", cfg.get("symbol"))
-    if not isinstance(field_name, str):
+def _groupcheck(seed, group, field, g0):
+    if not isinstance(field, str):
         raise ConfigInvalid("'groupcheck' needs a boundary field name or expression")
     try:
-        omega = groups.named_boundary_field(group, field_name)
+        omega = groups.named_boundary_field(group, field)
     except SchurLabError as exc:
         raise ConfigInvalid(str(exc)) from exc
-    g0 = _group_point(cfg, group)
-    t0 = time.perf_counter()
-    verdict = groups.boundary_subalgebra_verdict(group, omega, g0, seed=seed)
-    out = {
-        "schema": SCHEMA,
-        "command": "groupcheck",
-        "group": group,
-        "field": field_name,
-        "seed": seed,
-        "wall_ms": int(round(1000 * (time.perf_counter() - t0))),
-    }
-    out.update(verdict.to_json())
-    return out, verdict.passed, not verdict.passed
-
-
-def _group_point(cfg, group) -> groups.GroupElement:
-    """The base point g0 of a known matrix Lie group: the config's
-    coordinates in the group's coordinate shape, or the group's default."""
-    row = groups.GROUPS[group]
+    row = groups.GROUPS[group]  # g0: coordinates in the group's shape, or its default
     try:
-        coords = np.array(cfg.get("g0", row.g0), dtype=float)
+        coords = np.array(row.g0 if g0 is None else g0, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"g0 for group {group!r} is not numeric: {exc}") from exc
-    if coords.size != math.prod(row.shape):
+    if coords.size != math.prod(row.shape) or not np.isfinite(coords).all():
         raise ConfigInvalid(
-            f"g0 for group {group!r} needs {math.prod(row.shape)} numbers "
-            f"(shape {list(row.shape)}), got {coords.size}"
+            f"g0 for group {group!r} needs {math.prod(row.shape)} finite numbers "
+            f"(shape {list(row.shape)}), got {g0!r}"
         )
     try:
-        return row.make(coords.reshape(row.shape))
+        g0 = row.make(coords.reshape(row.shape))
     except SchurLabError as exc:
         raise ConfigInvalid(f"bad g0 for group {group!r}: {exc}") from exc
+    verdict = groups.boundary_subalgebra_verdict(group, omega, g0, seed=seed)
+    return {"group": group, "field": field, **verdict.to_json()}, verdict.passed, None
 
 
-def _cmd_transfer(cfg, seed):
-    n = _int_param(cfg, "N", 16, 1, groups.MAX_CYCLIC_ORDER)
-    p = _parse_p(cfg.get("p", 4))
-    m_spec = cfg.get("m", "half")
-    if m_spec == "half":
-        mv = np.zeros(n)
-        mv[1 : n // 2 + 1] = 1.0
-    elif m_spec == "delta":
-        mv = np.zeros(n)
+def _transfer(seed, N, p, m, budget):
+    if m == "half":
+        mv = np.zeros(N)
+        mv[1 : N // 2 + 1] = 1.0
+    elif m == "delta":
+        mv = np.zeros(N)
         mv[0] = 1.0
-    elif isinstance(m_spec, list):
+    elif isinstance(m, list):
         try:
-            mv = np.array(m_spec, dtype=float)
-        except (TypeError, ValueError) as exc:
+            mv = np.array(m, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid(f"'m' is not a list of numbers: {exc}") from exc
-        if mv.shape != (n,):
-            raise ConfigInvalid(f"'m' must be a flat list of N = {n} values, got shape {mv.shape}")
+        if mv.shape != (N,):
+            raise ConfigInvalid(f"'m' must be a flat list of N = {N} values, got shape {mv.shape}")
+        if not np.all(np.isfinite(mv)):
+            raise ConfigInvalid("'m' must hold finite numbers")
     else:
         raise ConfigInvalid("'m' must be 'half', 'delta', or a list of values")
-    t0 = time.perf_counter()
-    res = groups.fourier_multiplier_norm_finite_cyclic(
-        mv, n, p, budget=_int_param(cfg, "budget", 8, 1), seed=seed
-    )
-    out = {
-        "schema": SCHEMA,
-        "command": "transfer",
-        "N": n,
-        "p": "inf" if math.isinf(p) else p,
+    res = groups.fourier_multiplier_norm_finite_cyclic(mv, N, p, budget=budget, seed=seed)
+    fields = {
+        "N": N,
+        "p": _p_label(p),
         "fourier_lb": res.fourier_lb,
         "schur_lb": res.schur_lb,
         "contract_ok": res.contract_ok,
-        "seed": seed,
-        "wall_ms": int(round(1000 * (time.perf_counter() - t0))),
     }
-    return out, res.contract_ok, not res.contract_ok
+    return fields, res.contract_ok, None
+
+
+# command -> (handler, {parameter: (default, parser)}).  run parses every
+# parameter before the handler runs: a parser takes (key, value) and returns
+# the checked value or raises ConfigInvalid, and never accepts None, the
+# default of a required parameter.  A handler takes the seed and the parsed
+# parameters, checks what involves more than one of them, and returns (report
+# fields, passed, norm records or None), passed being None when the result
+# is neither a pass nor a failure.
+COMMANDS = {
+    "classify": (_classify, {
+        "symbol": (None, _symbol), "z0": (None, _raw), "boundary_samples": (64, _count),
+        "sections": (8, _count), "points_per_section": (8, _count)}),
+    "norms": (_norms, {
+        "symbol": (None, _symbol), "sizes": (None, _integers(1, multiplier.MAX_GRID_SIZE)),
+        "p": (2, _exponent), "budget": (6, _count), "ascent_steps": (50, _integer(0))}),
+    "squarefn": (_squarefn, {
+        "shape": ([32, 32], _integers(1)), "terms": (4, _count), "degree": (4, _count),
+        "p": (4, _exponent), "C": (None, _positive)}),
+    "cotlar": (_cotlar, {"group": (None, _raw), "samples": (100_000, _count)}),
+    "groupcheck": (_groupcheck, {"group": (None, _raw), "field": (None, _raw), "g0": (None, _raw)}),
+    "transfer": (_transfer, {
+        "N": (16, _integer(1, groups.MAX_CYCLIC_ORDER)), "p": (4, _exponent),
+        "m": ("half", _raw), "budget": (8, _count)}),
+}
 
 
 def run(config: dict, out_path=None, fmt="json", seed=None, expect=None) -> int:
     """Execute one experiment config; returns the process exit code."""
+    seed = _integer(0)("seed", config.get("seed", 0) if seed is None else seed)
     command = config["command"]
-    seed = _int_param(config if seed is None else {"seed": seed}, "seed", 0, 0)
-    records = None
+    handler, params = COMMANDS[command]
+    unknown = sorted(set(config) - {"schema", "command", "seed"} - set(params))
+    if unknown:
+        raise ConfigInvalid(f"unknown key(s) for {command!r}: {', '.join(map(repr, unknown))}")
+    if fmt not in FORMATS:
+        raise ConfigInvalid(f"unknown format {fmt!r}")
+    if fmt != "json" and command != "norms":
+        raise ConfigInvalid(f"{fmt} output is only defined for 'norms', not {command!r}")
+    args = {key: parse(key, config.get(key, default)) for key, (default, parse) in params.items()}
+
+    t0 = time.perf_counter()
     # expression symbols overflow or leave their domain at some sample
     # points; every solver checks finiteness itself, so numpy's warnings
     # would only be noise on stderr
     with np.errstate(all="ignore"):
-        if command == "classify":
-            report, ok, failed = _cmd_classify(config, seed)
-        elif command == "norms":
-            report, ok, failed, records = _cmd_norms(config, seed)
-        elif command == "squarefn":
-            report, ok, failed = _cmd_squarefn(config, seed)
-        elif command == "cotlar":
-            report, ok, failed = _cmd_cotlar(config, seed)
-        elif command == "groupcheck":
-            report, ok, failed = _cmd_groupcheck(config, seed)
-        elif command == "transfer":
-            report, ok, failed = _cmd_transfer(config, seed)
-        else:  # pragma: no cover - guarded by _load_config
-            raise ConfigInvalid(f"unknown command {command!r}")
+        fields, passed, records = handler(seed, **args)
+    wall_ms = int(round(1000 * (time.perf_counter() - t0)))
+    report = {"schema": SCHEMA, "command": command, "seed": seed, "wall_ms": wall_ms, **fields}
 
     if fmt == "json":
-        payload = _dump_json(report)
+        payload = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     elif fmt == "csv":
-        if records is None:
-            raise ConfigInvalid(f"csv output is only defined for 'norms', not {command!r}")
         payload = multiplier.records_to_csv(records)
-    elif fmt == "svg":
-        if records is None:
-            raise ConfigInvalid(f"svg output is only defined for 'norms', not {command!r}")
-        payload = _svg_norm_plot(records)
     else:
-        raise ConfigInvalid(f"unknown format {fmt!r}")
+        payload = _svg_norm_plot(records)
 
     if out_path:
         _atomic_write(out_path, payload)
     else:
         sys.stdout.write(payload)
 
-    if expect == "pass" and not ok:
-        return 2
-    if expect == "fail" and not failed:
+    if expect is not None and passed is not (expect == "pass"):
         return 2
     return 0
 
@@ -410,7 +379,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the experiment config")
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    parser.add_argument("--format", default="json", choices=("json", "csv", "svg"))
+    parser.add_argument("--format", default="json", choices=FORMATS)
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     parser.add_argument("--expect", choices=("pass", "fail"), default=None)

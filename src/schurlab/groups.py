@@ -32,7 +32,7 @@ from .errors import (
     NoConvergence,
 )
 from .geometry import _kernel_basis, _newton_one
-from .matcore import multiplier_norm_lower_bound
+from .matcore import _schatten_from_sv, multiplier_norm_lower_bound
 from .multiplier import circulant
 from .symbols import parse_expression
 
@@ -793,16 +793,6 @@ class TransferenceResult:
         return self.fourier_lb <= self.schur_lb * (1.0 + 1e-9)
 
 
-def _vec_lp(v, p) -> float:
-    mag = np.abs(v)
-    if np.isinf(p):
-        return float(mag.max())
-    top = float(mag.max())
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((mag / top) ** p) ** (1.0 / p))
-
-
 def fourier_multiplier_norm_finite_cyclic(
     m,
     n: int,
@@ -838,8 +828,8 @@ def fourier_multiplier_norm_finite_cyclic(
     idx = np.arange(n)
 
     def fourier_ratio(c):
-        denom = _vec_lp(np.fft.fft(c), p)
-        return _vec_lp(np.fft.fft(mv * c), p) / denom if denom else 0.0
+        denom = _schatten_from_sv(np.abs(np.fft.fft(c)), p)
+        return _schatten_from_sv(np.abs(np.fft.fft(mv * c)), p) / denom if denom else 0.0
 
     if p in (1.0, 2.0) or np.isinf(p):
         if np.isinf(p):

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonTransverse, ShapeMismatch, ZeroDirection, ZeroVector
-from .geometry import transversality_check
+from .geometry import _householder, transversality_check
 from .symbols import BoundaryPoint, SymbolSpec, indicator_values
 
 __all__ = [
@@ -162,16 +162,8 @@ def solve_T(n1, n2) -> np.ndarray:
         raise ZeroVector("both normal components must be nonzero")
     a = n1 / a1
     b = -n2 / a2
-    d = a.shape[0]
-    v = a - b
-    vn = float(np.linalg.norm(v))
-    if vn < 1e-14:
-        r = np.eye(d)
-    else:
-        v = v / vn
-        r = np.eye(d) - 2.0 * np.outer(v, v)  # reflection with r @ a = b
     s = a2 / a1
-    tt = r + (s - 1.0) * np.outer(b, a)  # scales the a-direction only
+    tt = _householder(a, b) + (s - 1.0) * np.outer(b, a)  # scales the a-direction only
     return tt.T
 
 

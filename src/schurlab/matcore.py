@@ -67,9 +67,9 @@ def _check_exponent(p) -> float:
 def _schatten_from_sv(s: np.ndarray, p: float) -> float:
     if s.size == 0:
         return 0.0
+    top = float(s.max())  # s[0] for sorted singular values
     if np.isinf(p):
-        return float(s[0])
-    top = float(s[0])
+        return top
     if top == 0.0:
         return 0.0
     # factor out the top value to avoid overflow for large p

@@ -41,6 +41,7 @@ __all__ = [
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MAX_GRID_SIZE = 2048  # largest grid size N the norms command accepts
+MAX_GRID_DIM = len(_PRIMES)  # largest factor dimension a Halton grid covers
 
 
 def _van_der_corput(count: int, base: int) -> np.ndarray:

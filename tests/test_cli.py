@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from schurlab import groups
 from schurlab.cli import main
 
 
@@ -250,6 +252,8 @@ class TestErrorPaths:
             ({"command": "cotlar", "samples": 10}, 64),
             ({"command": "groupcheck", "group": "heisenberg", "field": "x", "g0": [1]}, 64),
             ({"command": "groupcheck", "group": "real", "field": "t", "g0": [0.5]}, 0),
+            ({"command": "groupcheck", "group": "real", "field": "t", "g0": [math.nan]}, 64),
+            ({"command": "groupcheck", "group": "affine", "field": "b", "g0": [1, math.inf]}, 64),
             ({"command": "transfer", "N": 1000}, 64),
             ({"command": "transfer", "N": 8, "m": [1, 0, 1]}, 64),
         ],
@@ -259,6 +263,8 @@ class TestErrorPaths:
             "cotlar-no-group",
             "groupcheck-short-g0",
             "groupcheck-real-g0-list",
+            "groupcheck-real-g0-nan",
+            "groupcheck-affine-g0-inf",
             "transfer-N-too-large",
             "transfer-m-wrong-length",
         ],
@@ -286,6 +292,10 @@ class TestErrorPaths:
             {**TRIANGULAR_NORMS, "p": 0.5},
             {**TRIANGULAR_NORMS, "p": float("nan")},
             {**TRIANGULAR_NORMS, "p": [4]},
+            {**TRIANGULAR_NORMS, "p": 10**400},
+            {**TRIANGULAR_NORMS, "symbol": {"builtin": "ball", "params": {"n": 13}}, "sizes": [8]},
+            {"command": "transfer", "N": 4, "p": 4, "m": [1, math.nan, 0, 1]},
+            {"command": "transfer", "N": 4, "p": "inf", "m": [1, math.nan, 0, 1]},
         ],
         ids=[
             "transfer-negative-budget",
@@ -300,6 +310,10 @@ class TestErrorPaths:
             "norms-p-below-1",
             "norms-p-nan",
             "norms-p-list",
+            "norms-p-beyond-float-range",
+            "norms-factor-dim-13",
+            "transfer-m-nan-p4",
+            "transfer-m-nan-pinf",
         ],
     )
     def test_estimator_configs_exit_64(self, tmp_path, capsys, cfg):
@@ -323,6 +337,9 @@ class TestErrorPaths:
             {**SPHERE_CLASSIFY, "boundary_samples": 0},
             {**SPHERE_CLASSIFY, "sections": -1},
             {**SPHERE_CLASSIFY, "points_per_section": 0},
+            {**SPHERE_CLASSIFY, "boundary_samples": 1_000_000_000},
+            {**SPHERE_CLASSIFY, "points_per_section": 1_000_000_000},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": {"n": 1_000_000}}},
         ],
         ids=[
             "squarefn-zero-shape",
@@ -336,6 +353,9 @@ class TestErrorPaths:
             "classify-zero-boundary-samples",
             "classify-negative-sections",
             "classify-zero-points-per-section",
+            "classify-billion-boundary-samples",
+            "classify-billion-points-per-section",
+            "classify-ball-dim-million",
         ],
     )
     def test_count_configs_exit_64(self, tmp_path, capsys, cfg):
@@ -353,6 +373,8 @@ class TestErrorPaths:
             {**SPHERE_CLASSIFY, "seed": "x"},
             {"command": "squarefn", "C": "x"},
             {"command": "cotlar", "group": "affine", "samples": 10, "seed": -1},
+            {**SPHERE_CLASSIFY, "symbol": {**SPHERE_CLASSIFY["symbol"], "builtin": None,
+                                           "expr": "x1 - y1", "box": [[-1, math.inf]] + [[-1, 1]] * 3}},
         ],
         ids=[
             "classify-z0-string",
@@ -360,6 +382,7 @@ class TestErrorPaths:
             "classify-seed-string",
             "squarefn-C-string",
             "cotlar-negative-seed",
+            "classify-infinite-box",
         ],
     )
     def test_malformed_values_exit_64(self, tmp_path, capsys, cfg):
@@ -372,6 +395,22 @@ class TestErrorPaths:
         path = _write_config(tmp_path, SPHERE_CLASSIFY)
         assert main(["--config", path, "--seed", "-1", "--out", str(tmp_path / "r.json")]) == 64
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_key_exits_64_and_names_it(self, tmp_path, capsys):
+        path = _write_config(tmp_path, {**TRIANGULAR_NORMS, "budjet": 3})
+        assert main(["--config", path, "--out", str(tmp_path / "r.json")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'budjet'" in err
+
+    def test_svg_for_transfer_rejected_before_work(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the transfer ran before its --format was checked")
+
+        monkeypatch.setattr(groups, "fourier_multiplier_norm_finite_cyclic", must_not_run)
+        path = _write_config(tmp_path, {"schema": "schur-lab/1", "command": "transfer", "N": 8})
+        out = tmp_path / "r.svg"
+        assert main(["--config", path, "--out", str(out), "--format", "svg"]) == 64
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
 
 
 def test_norms_zero_ascent_steps_reports_best_start(tmp_path):

@@ -262,6 +262,13 @@ class TestJsonSchema:
         with pytest.raises(ExpressionError):
             from_json({"m_dim": 1, "n_dim": 1, "builtin": "nope", "params": {}})
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_non_finite_box_rejected(self, bound):
+        with pytest.raises(ValueError):
+            user_symbol("x1 - y1", 1, 1, [[-1.0, bound], [-1.0, 1.0]])
+        with pytest.raises(ValueError):
+            triangular(box=((0.0, 1024.0), (bound, 1.0)))
+
 
 class TestTranspose:
     def test_transpose_swaps_factors(self):
