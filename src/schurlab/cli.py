@@ -204,16 +204,7 @@ def _norms(seed, symbol, sizes, p, budget, ascent_steps):
     fields = {
         "symbol_id": symbol.symbol_id,
         "p": _p_label(p),
-        "records": [
-            {
-                "N": r.n,
-                "lower_bound": r.lower_bound,
-                "trials": r.trials,
-                "seed": r.seed,
-                "wall_ms": r.wall_ms,
-            }
-            for r in records
-        ],
+        "records": [{"N": r.n, **{k: getattr(r, k) for k in multiplier.RECORD_FIELDS}} for r in records],
     }
     monotone = all(b.lower_bound >= a.lower_bound for a, b in zip(records, records[1:]))
     return fields, monotone, records

@@ -9,6 +9,8 @@ complex; real input stays real, so its SVDs run in real arithmetic.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +23,7 @@ __all__ = [
     "schatten_norm",
     "schur_product",
     "multiplier_norm_lower_bound",
+    "Estimate",
 ]
 
 
@@ -98,71 +101,70 @@ def schur_product(m, a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Randomized lower bounds for multiplier norms.
+# Lower bounds for multiplier norms.
 #
 # The norm of A -> M o A on S_p is bounded below by ||M o A||_p / ||A||_p for
-# any test matrix A.  Starting from a deterministic matrix unit at the largest
-# |M| entry, any extra starts, and seeded Gaussian and rank-one draws, each
-# start is scored and then refined by alternating duality ascent on the
-# bilinear form Re<Z, M o A> over unit balls ||A||_p <= 1, ||Z||_q <= 1.  Both
-# half-steps are the same exact maximization (the norming map of S_q, then of
-# S_p), so the form increases monotonically; the reported value is always the
-# plain ratio at the best iterate and hence a genuine lower bound.  A real
-# witness is also a complex one, so running real symbols in real arithmetic
-# still bounds the complex S_p norm from below.
+# any test matrix A.  At 1 < p < inf, starting from a deterministic matrix
+# unit at the largest |M| entry, any extra starts, and seeded Gaussian and
+# rank-one draws, each start is scored and then refined by alternating
+# duality ascent on the bilinear form Re<Z, M o A> over unit balls
+# ||A||_p <= 1, ||Z||_q <= 1: both half-steps are the norming map (of S_q,
+# then of S_p), so the form never decreases.  A real witness is also a
+# complex one, so real symbols run in real arithmetic.
 #
-# The norming map picks its route from the exponent alone, and it takes an
-# SVD only where no Gram route applies.  With G = X^H X, formed after the
-# largest entry of X is scaled to 1:
-# - When the dual exponent r' is an even integer 2k in GRAM_DUALS (the dual
-#   step at p = 4, the primal step at p = 4/3, both steps at p = 2), the
-#   argmax is proportional to X G^(k-1) and ||X||_r'^r' = tr G^k: k matrix
-#   products.  Since 1 <= tr G^k <= (rows * cols)^(k + 1), a small k cannot
-#   overflow (at r' = 200 an all-ones 64 x 64 block would).  The start norm
-#   ||A||_p at p in GRAM_DUALS is the same trace.
-# - At r = 1 (the dual step at p = inf, the primal step at p = 1) the argmax
-#   is the rank-one u v^H built from the top eigenvector v of G.  Given the
-#   same side's previous iterate u0 v0^H, v comes from a power iteration on
-#   G started at v0: it stops once v^H G v gains less than POWER_TOL
-#   relative.  That quotient never decreases, so the value never falls
-#   below |X v0|, which bounds the previous step's form Re(u0^H X v0).
-#   At a start's first step, when G v0 = 0 and after POWER_CAP iterations,
-#   v comes from eigh.  The value t |Xv| for a unit v never exceeds ||X||,
-#   however accurate v is.
-# - At r = inf (the polar step at p = inf, the dual step at p = 1) and at
-#   r = 2k in GRAM_DUALS (the s^(1/3) step at p = 4, the dual step at
-#   p = 4/3), one eigh of G gives V and B = X V = U S.  Columns of B below
-#   numpy's matrix_rank tolerance are dropped.  At r = 2k, Y = U s^(r'-1) V^H
-#   is divided by (tr (Y^H Y)^k)^(1/r), so ||Y||_r = 1 by products whatever
-#   the accuracy of eigh.  At r = inf, Y = Q V^H with Q = B / |B| is divided
-#   by sqrt(1 + ||Q^H Q - I||_F), which bounds ||Q||.  When that defect
-#   exceeds sqrt(eps) the step takes the SVD instead: G cannot resolve
-#   singular values of X below sqrt(eps) ||X||, and a polar factor formed
-#   from it loses accuracy on an ill-conditioned X (Higham 1986).
-# Every Gram route returns the value Re<X, Y> (on the first two it is the
-# trace and |Xv| the products already give), which by Holder never exceeds
-# ||X||_r', so every ratio stays a lower bound.  The sum of |B|^r' is not
-# used: over an inexact eigenbasis it can exceed ||X||_r' when r' < 2
-# (Schur-Horn).  Other exponents (p = 3, 1.5, ...), the fallback and the
-# start norm at p outside GRAM_DUALS take a thin SVD, except for the matrix
+# The norming map takes an SVD only where no Gram route applies.  With
+# G = X^H X, formed after the largest entry of X is scaled to 1:
+# - when the dual exponent r' is 2k in GRAM_DUALS, the argmax is
+#   proportional to X G^(k-1) and ||X||_r'^r' = tr G^k (also the start norm
+#   at p in GRAM_DUALS); at r' = 200 an all-ones 64 x 64 block would overflow;
+# - at r = 2k in GRAM_DUALS, one eigh of G gives B = X V = U S (_gram_eig),
+#   and Y = U s^(r'-1) V^H is divided by (tr (Y^H Y)^k)^(1/r).  The value
+#   Re<X, Y> never exceeds ||X||_r' (Holder); sum |B|^r' can (Schur-Horn).
+# Other exponents and start norms take a thin SVD, except for the matrix
 # unit (norm 1) and the rank-one starts u v^T (norm |u||v|).
 #
-# Starts are pruned by successive halving.  Every start gets WARMUP_STEPS
-# ascent steps; after them, only a start whose ratio ranks among the best
-# SURVIVORS of the starts up to it (in start order, earlier starts winning
-# ties) ascends on to the step cap.  A start is judged only against earlier
-# starts, so a larger budget, which only appends starts, never changes the
-# fate of an earlier one, and the bound never decreases with the budget.
-# The scores and best iterates of pruned starts still count.  On the
-# triangular symbol all random starts reach the same p = inf value to about
-# 1e-7, so ascending more than the best two of them wastes SVDs.
+# Starts are pruned by successive halving: after WARMUP_STEPS steps only a
+# start whose ratio ranks among the best SURVIVORS of the starts up to it
+# (earlier starts winning ties) ascends on to the step cap.  A larger budget
+# only appends starts, so the bound never decreases with the budget.
+#
+# At p in {1, inf}, where the norm is one number (duality), a diagonal-
+# scaling loop brackets it instead.  With M stripped of its all-zero rows
+# and columns and A = diag(d) M diag(e) = U S V^H for positive d, e:
+# - M = X Y^H with X = D^-1 U S^(1/2), Y = E^-1 V S^(1/2), so ||S_M|| is at
+#   most max_i |x_i| max_j |y_j| (Haagerup; Paulsen, Completely Bounded Maps
+#   and Operator Algebras (2002), Thm 8.7), where |x_i|^2 = |A^H|_ii / d_i^2
+#   and |y_j|^2 = |A|_jj / e_j^2;
+# - ||A||_1 / (|d||e|) is the ratio at d e^T on S_1, and at most the ratio
+#   at conj(U V^H) on S_inf, since d^T (M o conj(U V^H)) e = ||A||_1.
+# Each step takes one eigh of A^H A and moves d *= X / mean X, e *= Y / mean Y
+# for the diagonals X_ii = |x_i|^2, Y_jj = |y_j|^2, which all equal the
+# lower bound at a stationary point.  SCALE_FLOOR keeps every row and column
+# of A above the rank tolerance of _gram_eig.  The reported lower bound is
+# the ratio, by SVD, at the witness of the best lower iterate; the upper
+# bound of the best upper iterate adds the largest row norm of the residual
+# R = M - X Y^H, which bounds ||S_R|| (factor R = R I).
 # ---------------------------------------------------------------------------
 
 WARMUP_STEPS = 4  # ascent steps every start gets before it is judged
 SURVIVORS = 2  # starts that ascend past the warm-up rank in the top SURVIVORS
 GRAM_DUALS = (2.0, 4.0, 6.0, 8.0)  # dual exponents normed by Gram products
-POWER_TOL = 1e-12  # relative gain of v^H G v below which the power iteration stops
-POWER_CAP = 60  # power iterations before the rank-one step falls back to eigh
+GAP_TOL = 1e-6  # relative gap between the bounds that stops the scaling loop
+SCALING_STALL = 15  # scaling steps with neither bound improving before it stops
+SCALING_CAP = 300  # most scaling steps
+SCALE_FLOOR = 1e-5  # smallest entry of d and e, relative to their largest
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """The ratio at a witness; at p in {1, inf} also the scaling loop's
+    certified upper bound, step count and stop reason (gap, stall or cap)."""
+
+    lower_bound: float
+    witness: np.ndarray
+    upper_bound: Optional[float] = None
+    iterations: Optional[int] = None
+    stop: Optional[str] = None
 
 
 def _gram_power(x, g, k):
@@ -173,80 +175,47 @@ def _gram_power(x, g, k):
     return y, float(np.vdot(x, y).real)
 
 
-def _power_iteration(g, previous):
-    """Unit v from a power iteration on G started at the right factor v0 of
-    the rank-one ``previous`` = u0 v0^H; None when G v0 = 0 or after
-    POWER_CAP iterations without a stall.  On a positive semidefinite G the
-    Rayleigh quotient v^H G v never decreases (Chebyshev's sum inequality
-    over the spectral weights of v)."""
-    v = np.conj(previous[np.argmax(np.abs(previous)) // previous.shape[1]])  # a row is u0_i v0^H
-    v = v / np.linalg.norm(v)
-    w = g @ v
-    lam = np.vdot(v, w).real
-    if not lam > 0.0:
-        return None
-    for _ in range(POWER_CAP):
-        v = w / np.linalg.norm(w)
-        w = g @ v
-        lam, last = np.vdot(v, w).real, lam
-        if lam <= last * (1.0 + POWER_TOL):
-            return v
-    return None
+def _gram_eig(x):
+    """(B = X V = U S, its column norms nb, V) from one eigh of X^H X (X != 0),
+    without the columns below numpy's matrix_rank tolerance."""
+    v = np.linalg.eigh(np.conj(x.T) @ x)[1]
+    b = x @ v
+    nb = np.linalg.norm(b, axis=0)
+    keep = nb > nb.max() * max(x.shape) * np.finfo(float).eps
+    return b[:, keep], nb[keep], v[:, keep]
 
 
-def _norming(x, r, rd, previous=None):
-    """argmax Y of Re<X, Y> over the unit ball ||Y||_r <= 1, and the value
-    Re<X, Y> at it, which is ||X||_rd up to rounding and never exceeds it.
-    ``rd`` is the dual exponent of ``r`` (passed exactly, so that an even
-    ``rd`` is recognised); Y is None when X = 0.  At r = 1, ``previous``
-    (the same side's last iterate, or None) starts a power iteration."""
-    if r == 1.0 or np.isinf(r) or r in GRAM_DUALS or rd in GRAM_DUALS:
+def _norming(x, r, rd):
+    """argmax Y of Re<X, Y> over the unit ball ||Y||_r <= 1 (1 <= r <= inf),
+    and the value Re<X, Y> at it, which is ||X||_rd up to rounding and never
+    exceeds it.  ``rd`` is the dual exponent of ``r`` (passed exactly, so
+    that an even ``rd`` is recognised); Y is None when X = 0."""
+    if r in GRAM_DUALS or rd in GRAM_DUALS:
         t = float(np.abs(x).max())  # scale out the largest entry, as _schatten_from_sv does
         if t == 0.0:
             return None, 0.0
         xs = x / t
-        g = np.conj(xs.T) @ xs
-        if r == 1.0:  # the top right singular vector is the top eigenvector of G
-            v = None if previous is None else _power_iteration(g, previous)
-            if v is None:
-                v = np.linalg.eigh(g)[1][:, -1]
-            xv = xs @ v
-            n = float(np.linalg.norm(xv))
-            return np.outer(xv / n, np.conj(v)), t * n
         if rd in GRAM_DUALS:  # X G^(k-1) = U s^(rd-1) V^H for rd = 2k
-            y, trace = _gram_power(xs, g, int(rd) // 2)
+            y, trace = _gram_power(xs, np.conj(xs.T) @ xs, int(rd) // 2)
             return y / trace ** (1.0 - 1.0 / rd), t * trace ** (1.0 / rd)
-        eps = np.finfo(float).eps
-        v = np.linalg.eigh(g)[1]  # B = X V = U S up to the accuracy of eigh
-        b = xs @ v
-        nb = np.linalg.norm(b, axis=0)
-        keep = nb > nb.max() * max(x.shape) * eps  # numpy's matrix_rank tolerance
-        b, nb, vh = b[:, keep], nb[keep], np.conj(v[:, keep].T)
-        if np.isinf(r):  # polar factor Q V^H, its norm bounded by ||Q^H Q - I||
-            q = b / nb
-            e = float(np.linalg.norm(np.conj(q.T) @ q - np.eye(nb.size)))
-            y = (q @ vh) / np.sqrt(1.0 + e) if e <= np.sqrt(eps) else None
-        else:  # U s^(rd-1) V^H, divided by ||Y||_r from its Gram trace
-            y = (b * (nb / nb.max()) ** (rd - 2.0)) @ vh
-            y = y / _gram_power(y, np.conj(y.T) @ y, int(r) // 2)[1] ** (1.0 / r)
-        if y is not None:
-            return y, t * float(np.vdot(y, xs).real)
-    # the SVD route, also taken when Q above is too far from orthonormal
+        b, nb, v = _gram_eig(xs)  # U s^(rd-1) V^H, divided by ||Y||_r from its Gram trace
+        y = (b * (nb / nb.max()) ** (rd - 2.0)) @ np.conj(v.T)
+        y = y / _gram_power(y, np.conj(y.T) @ y, int(r) // 2)[1] ** (1.0 / r)
+        return y, t * float(np.vdot(y, xs).real)
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     if s[0] == 0.0:
         return None, 0.0
-    if np.isinf(r):
-        return u @ vh, _schatten_from_sv(s, rd)
-    w = (s / s[0]) ** (1.0 / (r - 1.0))  # s^(rd-1)
+    # s^(rd-1), scaled; at r = 1 (rd = inf) the top singular pairs
+    w = (s / s[0]) ** (1.0 / (r - 1.0)) if r > 1.0 else np.where(s == s[0], 1.0, 0.0)
     return (u * (w / np.sum(w**r) ** (1.0 / r))) @ vh, _schatten_from_sv(s, rd)
 
 
 def _ascent(m, mc, a, p, na=None, rel_tol=1e-7):
-    """Score start ``a``, then ascend; yields (best ratio, best test matrix)
-    after the score and after every step.  ``na`` is ||a||_p when known
-    exactly (it saves the SVD at p outside GRAM_DUALS).  Stops when M o A = 0
-    or after two steps without a relative gain of ``rel_tol``."""
-    q = 1.0 / (1.0 - 1.0 / p) if p > 1.0 else np.inf
+    """Score start ``a``, then ascend (1 < p < inf); yields (best ratio, best
+    test matrix) after the score and after every step.  ``na`` is ||a||_p
+    when known exactly (it saves the SVD at p outside GRAM_DUALS).  Stops
+    when M o A = 0 or after two steps without a relative gain of ``rel_tol``."""
+    q = 1.0 / (1.0 - 1.0 / p)
     if p in GRAM_DUALS:  # tr G^(p/2), exact up to rounding
         na = _norming(a, q, p)[1]
     elif na is None:
@@ -258,15 +227,59 @@ def _ascent(m, mc, a, p, na=None, rel_tol=1e-7):
     z, best_r = _norming(m * a, q, p)
     best_a = a
     yield best_r, best_a
-    stall, previous = 0, None  # the start is no iterate of the primal side
+    stall = 0
     while z is not None and stall < 2:
-        a, _ = _norming(mc * z, p, q, previous)  # nonzero: Re<conj(M) o Z, A> = ||M o A||_p
-        z, r = _norming(m * a, q, p, z)
-        previous = a
+        a, _ = _norming(mc * z, p, q)  # nonzero: Re<conj(M) o Z, A> = ||M o A||_p
+        z, r = _norming(m * a, q, p)
         stall = 0 if r > best_r * (1.0 + rel_tol) else stall + 1
         if r > best_r:
             best_r, best_a = r, a
         yield best_r, best_a
+
+
+def _ratio(m, a, p):
+    """||M o A||_p / ||A||_p, both by SVD."""
+    na = _schatten_from_sv(np.linalg.svd(a, compute_uv=False), p)
+    return _schatten_from_sv(np.linalg.svd(m * a, compute_uv=False), p) / na if na else 0.0
+
+
+def _scaling_bracket(m, p):
+    """The p in {1, inf} bracket of the scaling loop (see the comment above)
+    as an Estimate; its witness is conj(U V^H) at p = inf and d e^T at p = 1."""
+    t = float(np.abs(m).max())
+    witness = np.zeros_like(m)
+    if t == 0.0:
+        witness[0, 0] = 1.0  # the matrix unit, a witness of the norm 0
+        return Estimate(0.0, witness, 0.0, 0, "gap")
+    keep = np.ix_(m.any(axis=1), m.any(axis=0))
+    ms = m[keep] / t
+    d, e = (np.full(k, k**-0.5) for k in ms.shape)
+    best_low, best_up, stall, stop = (0.0,), (np.inf,), 0, "cap"
+    for steps in range(1, SCALING_CAP + 1):
+        b, nb, v = _gram_eig(d[:, None] * ms * e)
+        x, y = (np.abs(b) ** 2 @ (1.0 / nb)) / d**2, (np.abs(v) ** 2 @ nb) / e**2
+        low, up = nb.sum(), np.sqrt(x.max() * y.max())  # |d| = |e| = 1
+        stall = stall + 1 if low <= best_low[0] and up >= best_up[0] else 0
+        if low > best_low[0]:
+            best_low = (low, d, e)
+        if up < best_up[0]:
+            best_up = (up, d, e, b, nb, v)
+        gap = best_up[0] <= best_low[0] * (1.0 + GAP_TOL)
+        if gap or stall >= SCALING_STALL:
+            stop = "gap" if gap else "stall"
+            break
+        d, e = (np.maximum(f, SCALE_FLOOR * f.max()) for f in (d * x / x.mean(), e * y / y.mean()))
+        d, e = d / np.linalg.norm(d), e / np.linalg.norm(e)
+    _, d, e, b, nb, v = best_up
+    fx, fy = b / np.sqrt(nb) / d[:, None], v * np.sqrt(nb) / e[:, None]  # M = X Y^H + R
+    row = [np.linalg.norm(f, axis=1).max() for f in (fx, fy, ms - fx @ np.conj(fy.T))]
+    _, d, e = best_low
+    if np.isinf(p):  # conj of the polar factor U V^H, the S_inf-norming Y of A
+        witness[keep] = np.conj(_norming(d[:, None] * ms * e, np.inf, 1.0)[0])
+    else:
+        witness[keep] = np.outer(d, e)
+    certified = t * float(row[0] * row[1] + row[2])
+    return Estimate(_ratio(m, witness, p), witness, certified, steps, stop)
 
 
 def _advance(run, steps, state):
@@ -284,22 +297,22 @@ def multiplier_norm_lower_bound(
     *,
     extra_starts=(),
     ascent_steps: int = 50,
-    return_witness: bool = False,
+    report: bool = False,
 ):
     """Lower bound for the S_p -> S_p norm of the Schur multiplier with
-    symbol ``m``.
+    symbol ``m``; with ``report`` the Estimate, which holds the witness.
 
-    Maximizes ||M o A||_p / ||A||_p over, in this start order, a
-    deterministic matrix unit at argmax |M|, any ``extra_starts``, and
-    ``budget`` seeded Gaussian and rank-one starts.  Each start is scored
-    and ascended for WARMUP_STEPS steps of alternating duality ascent; only
-    a start that ranks in the top SURVIVORS of the starts up to it goes on
-    to the ``ascent_steps`` cap (0 keeps the best start).  A symbol with no
-    imaginary part runs in real arithmetic: its matrix unit and its seeded
-    starts are real.  Otherwise they are complex Gaussian.  Extra starts
-    keep their own dtype.  Trial k draws from the substream (seed, k), so
-    enlarging the budget with a fixed seed only appends starts and never
-    lowers the bound.  The result never exceeds the true multiplier norm;
+    At p in {1, inf} the bound is the ratio at the witness of the scaling
+    loop, which also certifies an upper bound; ``budget``, ``seed`` and
+    ``ascent_steps`` change nothing there.  At other p the starts are, in
+    order, a matrix unit at argmax |M|, any ``extra_starts``, and ``budget``
+    seeded Gaussian and rank-one starts (real for a symbol with no
+    imaginary part; trial k draws from the substream (seed, k), so a larger
+    budget only appends starts).  Each is scored and ascended for
+    WARMUP_STEPS steps; only one that ranks in the top SURVIVORS of the
+    starts up to it goes on to the ``ascent_steps`` cap (0 keeps the best
+    start).  At every p the ratio at each extra start (which keeps its own
+    dtype) floors the bound, which never exceeds the true multiplier norm;
     at p = 2 the matrix-unit start attains the exact value sup |M|.
     """
     mm = as_dense(m)
@@ -308,6 +321,17 @@ def multiplier_norm_lower_bound(
     p = _check_exponent(p)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    extras = [as_dense(a) for a in extra_starts]
+    for a in extras:
+        if a.shape != mm.shape:
+            raise ShapeMismatch(f"extra start shape {a.shape} vs {mm.shape}")
+    if p == 1.0 or np.isinf(p):
+        est = _scaling_bracket(mm, p)
+        for a in extras:
+            r = _ratio(mm, a, p)
+            if r > est.lower_bound:
+                est = replace(est, lower_bound=r, witness=a)
+        return est if report else est.lower_bound
     rows, cols = mm.shape
 
     def draw(rng, shape):
@@ -316,12 +340,7 @@ def multiplier_norm_lower_bound(
 
     unit = np.zeros((rows, cols), dtype=mm.dtype)
     unit[np.unravel_index(int(np.argmax(np.abs(mm))), mm.shape)] = 1.0
-    starts = [(unit, 1.0)]  # (start, its S_p norm when known exactly)
-    for a in extra_starts:
-        a = as_dense(a)
-        if a.shape != mm.shape:
-            raise ShapeMismatch(f"extra start shape {a.shape} vs {mm.shape}")
-        starts.append((a, None))
+    starts = [(unit, 1.0)] + [(a, None) for a in extras]  # (start, its S_p norm when known)
     for k in range(budget):
         rng = np.random.default_rng([seed, k])
         starts.append((draw(rng, (rows, cols)), None))
@@ -340,6 +359,4 @@ def multiplier_norm_lower_bound(
             r, a = _advance(run, ascent_steps - WARMUP_STEPS, (r, a))
         if r > best:
             best, best_a = r, a
-    if return_witness:
-        return best, best_a
-    return best
+    return Estimate(best, best_a) if report else best

@@ -28,6 +28,7 @@ __all__ = [
     "norm_growth_experiment",
     "records_to_csv",
     "CSV_HEADER",
+    "RECORD_FIELDS",
     "Reparam",
     "componentwise_reparam",
     "pullback_symbol",
@@ -103,21 +104,26 @@ class NormGrowthRecord:
     p: float
     n: int
     lower_bound: float
+    upper_bound: Optional[float]  # certified, at p in {1, inf}; else None
+    iterations: Optional[int]  # scaling-loop steps, at p in {1, inf}
+    stop: Optional[str]  # why the scaling loop stopped: gap, stall or cap
     trials: int
     seed: int
     wall_ms: int
 
 
-CSV_HEADER = "symbol_id,p,N,lower_bound,trials,seed,wall_ms"
+# a record's fields after (symbol_id, p, N), in report order; wall_ms is last
+RECORD_FIELDS = ("lower_bound", "upper_bound", "iterations", "stop", "trials", "seed", "wall_ms")
+CSV_HEADER = ",".join(("symbol_id", "p", "N") + RECORD_FIELDS)
 
 
 def records_to_csv(records) -> str:
+    """One CSV row per record; a None field (at p outside {1, inf}) is empty."""
     lines = [CSV_HEADER]
     for r in records:
         p = "inf" if np.isinf(r.p) else repr(float(r.p))
-        lines.append(
-            f"{r.symbol_id},{p},{r.n},{r.lower_bound!r},{r.trials},{r.seed},{r.wall_ms}"
-        )
+        cells = [r.symbol_id, p, r.n] + [getattr(r, k) for k in RECORD_FIELDS]
+        lines.append(",".join("" if c is None else str(c) for c in cells))
     return "\n".join(lines) + "\n"
 
 
@@ -135,7 +141,8 @@ def norm_growth_experiment(
     (larger grids contain the smaller ones as leading prefixes), so the
     reported bounds never decrease with N.  A record's ``trials`` counts
     the estimator's starts: the matrix unit, the carried witness (after the
-    first size) and ``2 * budget`` seeded starts.
+    first size) and ``2 * budget`` seeded starts; at p in {1, inf}, where
+    the scaling loop replaces the starts, its witness and the carried one.
     """
     sizes = list(sizes)
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
@@ -152,24 +159,27 @@ def norm_growth_experiment(
             pad[: prev_witness.shape[0], : prev_witness.shape[1]] = prev_witness
             extra.append(pad)
         t0 = time.perf_counter()
-        bound, witness = multiplier_norm_lower_bound(
+        est = multiplier_norm_lower_bound(
             m,
             p,
             budget=budget,
             seed=seed,
             extra_starts=extra,
             ascent_steps=ascent_steps,
-            return_witness=True,
+            report=True,
         )
         wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
-        prev_witness = witness
+        prev_witness = est.witness
         records.append(
             NormGrowthRecord(
                 symbol_id=spec.symbol_id,
                 p=float(p),
                 n=n,
-                lower_bound=float(bound),
-                trials=1 + len(extra) + 2 * budget,
+                lower_bound=float(est.lower_bound),
+                upper_bound=est.upper_bound,
+                iterations=est.iterations,
+                stop=est.stop,
+                trials=1 + len(extra) + (2 * budget if est.stop is None else 0),
                 seed=seed,
                 wall_ms=wall_ms,
             )

@@ -424,6 +424,15 @@ def _num(v):
     return int(fv) if fv == int(fv) else fv
 
 
+MAX_AXES = 104_857  # geometry.MAX_RAY_ENTRIES // 40: the smallest classify batch fits it
+
+_BUILTIN_AXES = {  # m_dim + n_dim of a builtin, read from its params
+    "ball": lambda params: 2 * int(params["n"]),
+    "sphere_delta": lambda params: 2 * int(params["n"]),
+    "halfspace": lambda params: int(params.get("m_dim", 1)) + int(params.get("n_dim", 1)),
+    "toeplitz_ball": lambda params: 2 * int(params["n"]),
+    "triangular": lambda params: 2,
+}
 _BUILTIN_FACTORY = {
     "ball": lambda params, box: ball(int(params["n"]), params.get("R", 1.0), box),
     "sphere_delta": lambda params, box: sphere_delta(int(params["n"]), params["delta"], box),
@@ -444,15 +453,24 @@ def from_json(obj: dict) -> SymbolSpec:
 
     Schema: {"m_dim": int, "n_dim": int, "builtin": str|null,
     "params": {...}, "expr": str|null, "box": [[lo, hi], ...]}.
+    A symbol of more than MAX_AXES axes is rejected before it is built.
     """
     builtin = obj.get("builtin")
+    params = obj.get("params") or {}
+    if builtin is not None and builtin not in _BUILTIN_FACTORY:
+        raise ExpressionError(f"unknown builtin {builtin!r}")
+    axes = (
+        _BUILTIN_AXES[builtin](params)
+        if builtin is not None
+        else int(obj.get("m_dim", 0)) + int(obj.get("n_dim", 0))
+    )
+    if axes > MAX_AXES:
+        raise ExpressionError(f"symbol has {axes} axes, more than {MAX_AXES}")
     box = obj.get("box")
     if box is not None:
         box = tuple((float(lo), float(hi)) for lo, hi in box)
     if builtin is not None:
-        if builtin not in _BUILTIN_FACTORY:
-            raise ExpressionError(f"unknown builtin {builtin!r}")
-        return _BUILTIN_FACTORY[builtin](obj.get("params") or {}, box)
+        return _BUILTIN_FACTORY[builtin](params, box)
     expr = obj.get("expr")
     if expr is None:
         raise ExpressionError("symbol needs either 'builtin' or 'expr'")

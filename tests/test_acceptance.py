@@ -170,9 +170,16 @@ def test_criterion_4_triangular_growth_probe():
         assert b >= ref * (1.0 - 1e-6), f"p=inf bound {b} below the reference {ref}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"growth probe took {elapsed:.1f}s (limit 60s)"
+    # diagnostic, not a gate: the p = inf growth per doubling of N that the
+    # brackets certify, next to the Kwapien-Pelczynski rate ln 2 / pi
+    uinf = [r.upper_bound for r in rec_inf]
+    doublings = math.log2(rec_inf[-1].n / rec_inf[0].n)
+    slope = ((binf[-1] - uinf[0]) / doublings, (uinf[-1] - binf[0]) / doublings)
     _report(
         "4 (triangular probe)",
-        f"p=4 plateau ratio {ratio:.3f}; p=inf {binf[0]:.2f} -> {binf[-1]:.2f} in {elapsed:.0f}s",
+        f"p=4 plateau ratio {ratio:.3f}; p=inf {binf[0]:.2f} -> {binf[-1]:.2f} in {elapsed:.0f}s; "
+        f"certified p=inf slope per doubling [{slope[0]:.6f}, {slope[1]:.6f}]"
+        f" (ln 2/pi = {math.log(2.0) / math.pi:.4f})",
     )
 
 

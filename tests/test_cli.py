@@ -105,7 +105,7 @@ class TestNormsCommand:
         code = main(["--config", cfg, "--out", str(out), "--format", "csv"])
         assert code == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "symbol_id,p,N,lower_bound,trials,seed,wall_ms"
+        assert lines[0] == "symbol_id,p,N,lower_bound,upper_bound,iterations,stop,trials,seed,wall_ms"
         assert len(lines) == 5  # four monotone data rows
         bounds = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(bounds, bounds[1:]))
@@ -208,6 +208,35 @@ class TestDeterminism:
         assert main(["--config", cfg, "--out", str(out1)]) == 0
         assert main(["--config", cfg, "--out", str(out2)]) == 0
         assert _strip_wall_ms(out1.read_text()) == _strip_wall_ms(out2.read_text())
+
+    def test_pinf_csv_strip_keeps_the_bracket_columns(self, tmp_path):
+        """At p = inf the CSV rows carry the bracket columns; wall_ms stays
+        last, so stripping the last cell leaves byte-identical rows that
+        still hold every bound."""
+        cfg = _write_config(tmp_path, {**TRIANGULAR_NORMS, "p": "inf"})
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(["--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+        texts = [_strip_wall_ms(out.read_text()) for out in outs]
+        assert texts[0] == texts[1]
+        header, *rows = [line.split(",") for line in texts[0].split("\n")]
+        assert header[-1] == "wall_ms" and header[3:7] == ["lower_bound", "upper_bound", "iterations", "stop"]
+        for row in rows:
+            assert len(row) == len(header) and row[-1] == "0"
+            assert float(row[3]) <= float(row[4]) and row[6] in ("gap", "stall", "cap")
+
+    def test_pinf_report_ignores_seed_and_budget(self, tmp_path):
+        """The scaling loop draws nothing: a p = inf report is the same for
+        any seed and budget, up to the seed it echoes and its timings."""
+        reports = []
+        for k, (seed, budget) in enumerate([(0, 2), (7, 5)]):
+            cfg = {**TRIANGULAR_NORMS, "p": "inf", "seed": seed, "budget": budget}
+            out = tmp_path / f"r{k}.json"
+            assert main(["--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+            records = json.loads(out.read_text())["records"]
+            reports.append([{k: v for k, v in r.items() if k not in ("seed", "wall_ms")} for r in records])
+        assert reports[0] == reports[1]
+        assert all(r["upper_bound"] >= r["lower_bound"] for r in reports[0])
 
     def test_jobs_flag_does_not_change_bytes(self, tmp_path):
         cfg = _write_config(tmp_path, TRIANGULAR_NORMS)
@@ -340,6 +369,10 @@ class TestErrorPaths:
             {**SPHERE_CLASSIFY, "boundary_samples": 1_000_000_000},
             {**SPHERE_CLASSIFY, "points_per_section": 1_000_000_000},
             {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": {"n": 1_000_000}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": {"n": 1_000_000_000}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "halfspace", "params": {"m_dim": 10**9}}},
+            {**SPHERE_CLASSIFY, "symbol": {"m_dim": 10**9, "n_dim": 1, "expr": "x1 - y1",
+                                           "box": [[-1, 1], [-1, 1]]}},
         ],
         ids=[
             "squarefn-zero-shape",
@@ -356,6 +389,9 @@ class TestErrorPaths:
             "classify-billion-boundary-samples",
             "classify-billion-points-per-section",
             "classify-ball-dim-million",
+            "classify-ball-dim-billion",
+            "classify-halfspace-dim-billion",
+            "classify-expression-dim-billion",
         ],
     )
     def test_count_configs_exit_64(self, tmp_path, capsys, cfg):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from schurlab.matcore import (
     singular_spectrum,
     svd_factors,
 )
-from schurlab.multiplier import circulant
+from schurlab.multiplier import circulant, discretize_symbol, nested_grids
+from schurlab.symbols import ball, sphere_delta, triangular
 
 
 class TestSingularSpectrum:
@@ -231,34 +233,35 @@ class TestMultiplierNormLowerBound:
     def test_real_symbol_gives_real_witness(self):
         m = np.tril(np.ones((8, 8)))
         for symbol in (m, m.astype(complex)):
-            _, witness = multiplier_norm_lower_bound(
-                symbol, 4.0, budget=2, seed=0, return_witness=True
-            )
-            assert np.isrealobj(witness)
+            for p in (4.0, math.inf, 1.0):
+                est = multiplier_norm_lower_bound(symbol, p, budget=2, seed=0, report=True)
+                assert np.isrealobj(est.witness)
 
     def test_complex_symbol_runs_complex(self):
         rng = np.random.default_rng(12)
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        v, witness = multiplier_norm_lower_bound(m, 2.0, budget=2, seed=0, return_witness=True)
-        assert np.iscomplexobj(witness)
-        assert abs(v - np.max(np.abs(m))) <= 1e-9 * np.max(np.abs(m))
+        est = multiplier_norm_lower_bound(m, 2.0, budget=2, seed=0, report=True)
+        assert np.iscomplexobj(est.witness)
+        assert abs(est.lower_bound - np.max(np.abs(m))) <= 1e-9 * np.max(np.abs(m))
 
     def test_complex_extra_start_keeps_its_dtype(self):
+        # at p = 4, where the starts ascend; at p in {1, inf} an extra start
+        # is only scored, and the scaling loop's witness ties with it
         m = np.tril(np.ones((8, 8)))
-        best, witness = multiplier_norm_lower_bound(
-            m, math.inf, budget=1, seed=0, return_witness=True
+        best = multiplier_norm_lower_bound(m, 4.0, budget=1, seed=0, report=True)
+        kept = multiplier_norm_lower_bound(
+            m, 4.0, budget=1, seed=0, extra_starts=[1j * best.witness], ascent_steps=0,
+            report=True,
         )
-        v, kept = multiplier_norm_lower_bound(
-            m, math.inf, budget=1, seed=0, extra_starts=[1j * witness], ascent_steps=0,
-            return_witness=True,
-        )
-        assert np.iscomplexobj(kept)
-        assert abs(v - best) <= 1e-12 * best
+        assert np.iscomplexobj(kept.witness)
+        assert abs(kept.lower_bound - best.lower_bound) <= 1e-12 * best.lower_bound
 
 
-# np.linalg.svd calls of the estimate below when every start ascends to the
-# step cap (no pruning), with the bound it reaches
-UNPRUNED_TRIANGULAR_SVD_CALLS = 422
+# np.linalg.svd calls of the p = 3 estimate below when every start ascends
+# to the step cap (no pruning), with the bound it reaches
+UNPRUNED_P3_SVD_CALLS = 817
+UNPRUNED_P3_BOUND = 1.0779312130494911
+# the p = inf bound of the triangular symbol at N = 64 from the unpruned ascent
 UNPRUNED_TRIANGULAR_BOUND = 2.1113665466
 
 
@@ -276,20 +279,21 @@ def _count_calls(monkeypatch, name):
 
 
 def test_pruned_ascent_saves_svds(monkeypatch):
-    """Triangular N = 64, p = inf, budget 4: pruning after the warm-up makes
+    """Triangular N = 64, p = 3, budget 4: pruning after the warm-up makes
     at most 75% of the unpruned SVD calls and keeps the bound."""
     calls = _count_calls(monkeypatch, "svd")
-    v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), math.inf, budget=4, seed=0)
-    assert len(calls) <= 0.75 * UNPRUNED_TRIANGULAR_SVD_CALLS, len(calls)
-    assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6)
+    v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), 3.0, budget=4, seed=0)
+    assert len(calls) <= 0.75 * UNPRUNED_P3_SVD_CALLS, len(calls)
+    assert v >= UNPRUNED_P3_BOUND * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("p, most", [(4.0, 240), (math.inf, 130)])
 def test_gram_norming_halves_the_svds(p, most, monkeypatch):
     """Triangular N = 64, budget 4: the Gram-product step (even dual
-    exponent) and the Gram eigenpair (p = inf dual step) leave about one
-    SVD per ascent step (an SVD in every step made 454 calls at p = 4 and
-    250 at p = inf), and the bound stays where the SVD steps put it."""
+    exponent) leaves about one SVD per ascent step at p = 4 (an SVD in
+    every step made 454 calls), and the scaling loop at p = inf takes SVDs
+    only for its witness (the ascent made 250).  The bounds stay where the
+    SVD steps put them."""
     calls = _count_calls(monkeypatch, "svd")
     v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), p, budget=4, seed=0)
     assert len(calls) <= most, len(calls)
@@ -303,8 +307,8 @@ def test_gram_norming_halves_the_svds(p, most, monkeypatch):
 def test_ascent_takes_no_svd(p, most, monkeypatch):
     """Triangular N = 64, budget 4: at p in {2, 4} the start norms and both
     steps are Gram products, so the estimate makes no SVD (227 at p = 4
-    with an SVD start norm and s^(1/3) step); at p = inf only the 9 start
-    norms and the polar steps whose Gram certificate fails take one.  The
+    with an SVD start norm and s^(1/3) step); at p = inf only the scaling
+    loop's witness takes them (3: the polar factor and the ratio).  The
     bounds keep their pins."""
     svds = _count_calls(monkeypatch, "svd")
     eighs = _count_calls(monkeypatch, "eigh")
@@ -315,16 +319,14 @@ def test_ascent_takes_no_svd(p, most, monkeypatch):
     elif p == 4.0:
         assert abs(v - 1.1910581114990977) <= 1e-12, v
     else:
-        assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6), v
+        assert len(svds) == 3 and v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6), v
 
 
-@pytest.mark.parametrize("p", [math.inf, 3.0])
+@pytest.mark.parametrize("p", [3.0])
 def test_known_start_norms_take_no_svd(p, monkeypatch):
     """Outside GRAM_DUALS the matrix-unit start (norm 1) and the rank-one
     starts u v^T (norm |u||v|) reach _ascent with their exact S_p norm, so
-    only the Gaussian starts take an SVD for it: at p = inf, where the
-    scoring step takes none, a budget-4 estimate scored without ascent
-    makes 4 SVDs."""
+    only the Gaussian starts take an SVD for it."""
     seen = []
     ascent = matcore._ascent
 
@@ -333,10 +335,7 @@ def test_known_start_norms_take_no_svd(p, monkeypatch):
         return ascent(m, mc, a, p, na)
 
     monkeypatch.setattr(matcore, "_ascent", recording)
-    calls = _count_calls(monkeypatch, "svd")
     multiplier_norm_lower_bound(np.tril(np.ones((16, 16))), p, budget=4, seed=0, ascent_steps=0)
-    svds = len(calls)  # before the checks below take their own
-    assert svds == 4 or not math.isinf(p), svds
     assert [na is None for _, na in seen] == [False] + [True, False] * 4
     for a, na in seen[::2]:
         assert abs(na - schatten_norm(a, p)) <= 1e-13 * na, (na, schatten_norm(a, p))
@@ -344,110 +343,23 @@ def test_known_start_norms_take_no_svd(p, monkeypatch):
 
 @pytest.mark.parametrize("p", [math.inf, 1.0])
 def test_rank_one_steps_take_one_eigh_per_start(p, monkeypatch):
-    """Triangular N = 64, budget 4: after a start's first rank-one step
-    (r = 1: the dual step at p = inf, the primal step at p = 1) the power
-    iteration from the previous iterate replaces eigh, unless it reaches
-    POWER_CAP.  The S_1 and S_inf norms of a real symbol agree (duality),
-    so both keep the p = inf bound."""
-    state = {"r": None, "steps": 0, "eighs": 0, "fallbacks": 0}
-    norming, power, eigh = matcore._norming, matcore._power_iteration, np.linalg.eigh
-
-    def counting_norming(x, r, rd, previous=None):
-        state["r"] = r
-        state["steps"] += r == 1.0
-        return norming(x, r, rd, previous)
-
-    def counting_power(g, previous):
-        v = power(g, previous)
-        state["fallbacks"] += v is None
-        return v
-
-    def counting_eigh(*args, **kwargs):
-        state["eighs"] += state["r"] == 1.0
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(matcore, "_norming", counting_norming)
-    monkeypatch.setattr(matcore, "_power_iteration", counting_power)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    v = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), p, budget=4, seed=0)
-    starts = 1 + 2 * 4
-    assert state["eighs"] <= starts + state["fallbacks"], state
-    assert state["steps"] >= 5 * starts, state
-    assert v >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6), v
-
-
-def _warm_inputs(rows=10, cols=12):
-    """(X, v0) pairs for the warm-started rank-one step."""
-    rng = np.random.default_rng(11)
-
-    def unit(v):
-        return v / np.linalg.norm(v)
-
-    graded = np.zeros((rows, cols))
-    graded[np.arange(rows), np.arange(rows)] = np.arange(rows, 0, -1.0)
-    return {
-        "real": (rng.standard_normal((rows, cols)), unit(rng.standard_normal(cols))),
-        "complex": (  # a rank-one spike opens the spectral gap the power iteration needs
-            rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))
-            + 3.0 * np.outer(np.ones(rows), np.exp(1j * np.arange(cols))),
-            unit(rng.standard_normal(cols) + 1j * rng.standard_normal(cols)),
-        ),
-        "rank-one": (
-            np.outer(rng.standard_normal(rows), rng.standard_normal(cols)),
-            unit(rng.standard_normal(cols)),
-        ),
-        "identity": (np.eye(rows, cols), unit(rng.standard_normal(cols))),
-        "orthogonal-start": (graded, np.eye(cols)[1]),  # v0 is orthogonal to the top e_0
-    }
-
-
-def _previous(v0, rows):
-    """A rank-one iterate u v0^H, as the ascent passes it."""
-    u = np.random.default_rng(3).standard_normal(rows)
-    return np.outer(u / np.linalg.norm(u), np.conj(v0))
-
-
-@pytest.mark.parametrize("name", ["real", "complex", "rank-one", "identity", "orthogonal-start"])
-def test_warm_rank_one_step_is_certified(name):
-    """_norming(X, 1, inf, previous) keeps ||Y||_1 = 1, reports Re<X, Y>,
-    never exceeds ||X||_inf and never ends below |X v0|, also from a start
-    orthogonal to the top singular vector, where it stays below ||X||_inf."""
-    x, v0 = _warm_inputs()[name]
-    y, value = _norming(x, 1.0, math.inf, _previous(v0, x.shape[0]))
-    exact = schatten_norm(x, math.inf)
-    assert abs(schatten_norm(y, 1.0) - 1.0) <= 1e-12
-    assert abs(np.vdot(y, x).real - value) <= 1e-12 * value
-    assert value <= exact * (1.0 + 1e-12)
-    assert value >= np.linalg.norm(x @ v0) * (1.0 - 1e-13)
-    if name == "orthogonal-start":
-        assert abs(value - 9.0) <= 1e-12 * 9.0, value  # the second singular value
-    elif name in ("rank-one", "identity"):
-        assert abs(value - exact) <= 1e-12 * exact, (value, exact)
-
-
-@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("shape", [(10, 12), (12, 10), (64, 64)], ids=["10x12", "12x10", "64x64"])
-def test_warm_rank_one_step_from_a_good_start(shape, complex_):
-    """From the top right singular vector perturbed by 1e-3 the step ends
-    within 1e-10 of ||X||_inf: by the power iteration, or by eigh where it
-    reaches POWER_CAP (the complex 64 x 64 case, s_2 / s_1 = 0.96)."""
-    rng = np.random.default_rng([shape[0], shape[1], int(complex_)])
-    x = rng.standard_normal(shape)
-    if complex_:
-        x = x + 1j * rng.standard_normal(shape)
-    _, s, vh = np.linalg.svd(x)
-    v0 = np.conj(vh[0]) + 1e-3 * rng.standard_normal(shape[1])
-    y, value = _norming(x, 1.0, math.inf, _previous(v0 / np.linalg.norm(v0), shape[0]))
-    assert abs(value - s[0]) <= 1e-10 * s[0], (value, s[0])
-    assert abs(schatten_norm(y, 1.0) - 1.0) <= 1e-12
+    """Triangular N = 64, budget 4: at p in {1, inf} the scaling loop takes
+    the place of the starts and their rank-one norming steps.  It runs from
+    one start (d = e = 1) and takes exactly one eigh per step, the Gram eigh
+    of A^H A, and no other.  The S_1 and S_inf norms of a real symbol agree
+    (duality), so both keep the p = inf bound."""
+    eighs = _count_calls(monkeypatch, "eigh")
+    est = multiplier_norm_lower_bound(np.tril(np.ones((64, 64))), p, budget=4, seed=0, report=True)
+    assert est.iterations >= 5 and len(eighs) == est.iterations, (len(eighs), est)
+    assert est.lower_bound >= UNPRUNED_TRIANGULAR_BOUND * (1.0 - 1e-6), est
 
 
 @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0, math.inf])
 @pytest.mark.parametrize("c", [1e-150, 1e150])
 def test_bound_scales_with_the_symbol(c, p):
-    """bound(c M) = c bound(M): the Gram routes scale out the largest entry
-    before forming X^H X, which would otherwise overflow or underflow."""
+    """bound(c M) = c bound(M): the Gram routes and the scaling loop scale
+    out the largest entry before forming X^H X, which would otherwise
+    overflow or underflow."""
     m = np.tril(np.ones((16, 16)))
     v = multiplier_norm_lower_bound(m, p, budget=2, seed=0)
     assert abs(multiplier_norm_lower_bound(c * m, p, budget=2, seed=0) - c * v) <= 1e-12 * c * v
@@ -470,7 +382,8 @@ NORMING_EXPONENTS = [  # (r, dual exponent rd), rd as the estimator passes it
 def test_norming_contract(r, rd, shape, complex_):
     """_norming(X, r, rd) returns Y with ||Y||_r = 1 and Re<X, Y> equal to
     the returned ||X||_rd, on every route (Gram product, Gram eigenpair,
-    SVD); the zero matrix has no argmax, also given a previous iterate."""
+    SVD, whose r = inf case gives the scaling loop's p = inf witness); the
+    zero matrix has no argmax."""
     rng = np.random.default_rng([len(shape), shape[1], int(complex_)])
     for _ in range(5):
         x = rng.standard_normal(shape)
@@ -482,7 +395,6 @@ def test_norming_contract(r, rd, shape, complex_):
         assert abs(np.vdot(y, x).real - exact) <= 1e-12 * exact
         assert abs(value - exact) <= 1e-12 * exact
     assert _norming(np.zeros(shape), r, rd)[0] is None
-    assert _norming(np.zeros(shape), r, rd, np.ones(shape))[0] is None
 
 
 def _degenerate_inputs(n=16):
@@ -505,10 +417,9 @@ def _degenerate_inputs(n=16):
 @pytest.mark.parametrize("name", ["rank-one", "matrix-unit", "zero-column", "graded"])
 def test_norming_certified_on_degenerate_input(r, name):
     """On rank-deficient and ill-conditioned X the Gram eigenbasis routes
-    keep ||Y||_r <= 1 and a value Re<X, Y> that never exceeds ||X||_rd and
-    falls short of it by at most 1e-9.  At r = inf the graded spectrum
-    (singular values 1 down to 1e-12) needs the SVD fallback: its Gram
-    eigenbasis gives a Q far from orthonormal."""
+    and the r = inf SVD route (the polar factor) keep ||Y||_r <= 1 and a
+    value Re<X, Y> that never exceeds ||X||_rd and falls short of it by at
+    most 1e-9."""
     x = _degenerate_inputs()[name]
     rd = 1.0 / (1.0 - 1.0 / r)  # as the estimator passes it
     y, value = _norming(x, r, rd)
@@ -539,3 +450,150 @@ def test_norming_large_even_dual_takes_the_svd():
     y, value = _norming(x, 200.0 / 199.0, 200.0)
     assert abs(value - 64.0) <= 1e-12 * 64.0
     assert np.all(np.isfinite(y)) and abs(np.vdot(y, x).real - 64.0) <= 1e-12 * 64.0
+
+
+# ---------------------------------------------------------------------------
+# The p in {1, inf} scaling loop: every estimate is a bracket
+# [lower_bound, upper_bound] whose lower end is the ratio at its witness.
+# ---------------------------------------------------------------------------
+
+
+def _bracket(m, p=math.inf):
+    """The Estimate of ``m`` at ``p``, checked against its own witness: the
+    lower bound is the ratio there, recomputed by SVD, and it is at most
+    the upper bound."""
+    est = multiplier_norm_lower_bound(m, p, report=True)
+    m = np.asarray(m)
+    ratio = schatten_norm(m * est.witness, p) / schatten_norm(est.witness, p)
+    assert abs(est.lower_bound - ratio) <= 1e-12 * ratio, (est.lower_bound, ratio)
+    assert est.lower_bound <= est.upper_bound, est
+    return est
+
+
+def _symbol_matrix(spec, n):
+    gx, gy = nested_grids(spec, [n])[n]
+    return discretize_symbol(spec, gx, gy)
+
+
+@pytest.mark.parametrize("p", [math.inf, 1.0])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_circulant_bracket_closes_at_the_first_step(n, p):
+    """D = E = I is optimal for a circulant 0/1 symbol: the loop stops at
+    its first step with a bracket around sum |fft(m)| / N of width 1e-12."""
+    rng = np.random.default_rng([78, n])
+    for _ in range(3):
+        m = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
+        m[int(rng.integers(n))] = 1.0
+        exact = float(np.sum(np.abs(np.fft.fft(m))) / n)
+        est = _bracket(circulant(m).real, p)
+        assert (est.iterations, est.stop) == (1, "gap"), est
+        assert est.lower_bound <= exact * (1.0 + 1e-14) and exact <= est.upper_bound, (est, exact)
+        assert est.upper_bound - est.lower_bound <= 1e-12 * exact, est
+
+
+def test_2x2_triangular_bracket_contains_the_exact_value():
+    est = _bracket([[1.0, 0.0], [1.0, 1.0]])
+    exact = 2.0 / math.sqrt(3.0)
+    assert est.lower_bound <= exact * (1.0 + 1e-15) and exact <= est.upper_bound, est
+    assert est.stop == "gap" and est.upper_bound <= exact * (1.0 + 2.0 * matcore.GAP_TOL), est
+
+
+@pytest.mark.parametrize("p", [math.inf, 1.0])
+@pytest.mark.parametrize("name", ["all-ones", "block", "complex-rank-one"])
+def test_rank_one_symbols_have_norm_one(name, p):
+    """A rank-one symbol u v^H with |u_i|, |v_j| in {0, 1} multiplies by
+    unitary diagonals: its norm is 1 at every p."""
+    rng = np.random.default_rng(4)
+    u, v = np.ones(6), np.ones(5)
+    if name == "block":
+        u[[0, 4]], v[[1, 2]] = 0.0, 0.0
+    elif name == "complex-rank-one":
+        u, v = np.exp(1j * rng.uniform(0, 6, 6)), np.exp(1j * rng.uniform(0, 6, 5))
+    est = _bracket(np.outer(u, np.conj(v)), p)
+    assert abs(est.lower_bound - 1.0) <= 1e-12 and 1.0 <= est.upper_bound <= 1.0 + 1e-12, est
+
+
+def test_zero_rows_and_columns_are_dropped():
+    """All-zero rows and columns change neither bound, and the witness is
+    zero on them."""
+    m = np.tril(np.ones((9, 9)))
+    m[3], m[:, 5] = 0.0, 0.0
+    est = _bracket(m)
+    kept = np.delete(np.delete(m, 3, axis=0), 5, axis=1)
+    ref = _bracket(kept)
+    assert not est.witness[3].any() and not est.witness[:, 5].any()
+    assert abs(est.lower_bound - ref.lower_bound) <= 1e-12 * ref.lower_bound
+    assert abs(est.upper_bound - ref.upper_bound) <= 1e-12 * ref.upper_bound
+
+
+def test_zero_symbol_has_norm_zero():
+    est = _bracket(np.zeros((3, 4)) + 0j * np.ones((3, 4)))
+    assert (est.lower_bound, est.upper_bound) == (0.0, 0.0)
+
+
+def test_complex_symbol_bracket():
+    """A complex symbol runs complex; its bracket closes to the gap and its
+    upper bound exceeds the ratio at random test matrices and at the
+    witness's transpose-conjugate ascent start."""
+    rng = np.random.default_rng(13)
+    m = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
+    est = _bracket(m)
+    assert np.iscomplexobj(est.witness) and est.stop == "gap"
+    assert est.upper_bound <= est.lower_bound * (1.0 + 2.0 * matcore.GAP_TOL), est
+    for _ in range(20):
+        a = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
+        assert schatten_norm(m * a, math.inf) <= est.upper_bound * schatten_norm(a, math.inf)
+
+
+def test_curved_symbol_reaches_the_step_cap():
+    """sphere_delta(2, 0.3) at N = 64 closes slowly: the loop stops at
+    SCALING_CAP with a bracket of relative width below 1e-5, and the p = 1
+    witness d e^T shows the floor holding the scalings."""
+    m = _symbol_matrix(sphere_delta(2, 0.3), 64)
+    for p in (math.inf, 1.0):
+        est = _bracket(m, p)
+        assert (est.iterations, est.stop) == (matcore.SCALING_CAP, "cap"), est
+        assert est.upper_bound <= est.lower_bound * (1.0 + 1e-5), est
+    d, e = est.witness.max(axis=1), est.witness.max(axis=0)
+    assert d.min() >= matcore.SCALE_FLOOR * d.max() * (1.0 - 1e-12)
+    assert e.min() >= matcore.SCALE_FLOOR * e.max() * (1.0 - 1e-12)
+
+
+def test_floor_keeps_an_isolated_block():
+    """In the direct sum [1] + T_32 the optimal scaling sends the 1 x 1
+    block to zero.  The floor keeps its row and column above the rank
+    tolerance of the Gram eigh: no division by zero, and no entry of M left
+    whole in the certificate's residual (which would add 1 to the upper
+    bound).  The norm of a direct sum is the larger of the two norms."""
+    tri = np.tril(np.ones((32, 32)))
+    m = np.zeros((33, 33))
+    m[0, 0], m[1:, 1:] = 1.0, tri
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = _bracket(m)
+    ref = _bracket(tri)
+    assert est.stop == "gap" and est.upper_bound <= ref.upper_bound * (1.0 + 1e-9), (est, ref)
+    assert est.lower_bound >= ref.lower_bound * (1.0 - 1e-9), (est, ref)
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(triangular(), 64), (sphere_delta(2, 0.0), 32), (ball(2, 1.0), 32)],
+    ids=["triangular", "sphere", "ball"],
+)
+def test_p1_and_pinf_agree(spec, n):
+    """The S_1 and S_inf multiplier norms are one number (duality): both
+    exponents run the same loop, and their lower bounds agree within the
+    gap of their shared upper bound."""
+    m = _symbol_matrix(spec, n)
+    one, inf = _bracket(m, 1.0), _bracket(m, math.inf)
+    assert one.upper_bound == inf.upper_bound and one.iterations == inf.iterations
+    assert abs(one.lower_bound - inf.lower_bound) <= matcore.GAP_TOL * inf.lower_bound, (one, inf)
+
+
+def test_scaling_loop_ignores_seed_budget_and_steps():
+    m = np.tril(np.ones((16, 16)))
+    ref = multiplier_norm_lower_bound(m, math.inf, report=True)
+    for kwargs in ({"seed": 5}, {"budget": 1}, {"ascent_steps": 0}):
+        est = multiplier_norm_lower_bound(m, math.inf, report=True, **kwargs)
+        assert est.lower_bound == ref.lower_bound and est.upper_bound == ref.upper_bound
+        assert np.array_equal(est.witness, ref.witness)

@@ -119,7 +119,7 @@ class TestNormGrowth:
         text = records_to_csv(records)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
-        assert CSV_HEADER == "symbol_id,p,N,lower_bound,trials,seed,wall_ms"
+        assert CSV_HEADER == "symbol_id,p,N,lower_bound,upper_bound,iterations,stop,trials,seed,wall_ms"
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "triangular"

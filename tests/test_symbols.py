@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from schurlab import geometry, symbols
 from schurlab.errors import (
     DegenerateGradient,
     ExpressionError,
@@ -261,6 +262,32 @@ class TestJsonSchema:
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ExpressionError):
             from_json({"m_dim": 1, "n_dim": 1, "builtin": "nope", "params": {}})
+
+    def test_axis_cap_is_the_smallest_classify_batch(self):
+        assert symbols.MAX_AXES == geometry.MAX_RAY_ENTRIES // 40
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"builtin": "ball", "params": {"n": 52_429}},
+            {"builtin": "toeplitz_ball", "params": {"n": 10**9}},
+            {"builtin": "halfspace", "params": {"m_dim": 104_857, "n_dim": 1}},
+            {"m_dim": 10**9, "n_dim": 10**9, "expr": "x1 - y1", "box": [[-1, 1], [-1, 1]]},
+        ],
+        ids=["ball", "toeplitz-ball", "halfspace", "expression"],
+    )
+    def test_too_many_axes_rejected_before_building(self, obj, monkeypatch):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("the symbol was built before its size was checked")
+
+        for name in ("ball", "toeplitz_ball", "halfspace", "user_symbol"):
+            monkeypatch.setattr(symbols, name, must_not_build)
+        with pytest.raises(ExpressionError, match="axes"):
+            from_json(obj)
+
+    def test_largest_symbol_accepted(self):
+        spec = from_json({"builtin": "halfspace", "params": {"m_dim": 104_856, "n_dim": 1}})
+        assert spec.m_dim + spec.n_dim == symbols.MAX_AXES
 
     @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
     def test_non_finite_box_rejected(self, bound):
