@@ -96,12 +96,16 @@ def _newton(f, grad, z, tol, max_iter):
     of the batch z (k, d).
 
     ``f(zs, rows)`` and ``grad(zs, rows)`` evaluate the batch rows ``rows``
-    at the points zs (j, d), returning (j,) and (j, d).  Each row takes
-    minimum-norm Newton steps -f / |grad f|^2 * grad f, each halved up to
-    30 times until |f| decreases.  Returns (z, status): status[i] is 0
-    where row i converged, else the index into ``_NEWTON_FAILURES`` of
-    why it stopped: a vanishing gradient, no decrease of |f|, a plateau,
-    or ``max_iter`` steps.
+    (which may repeat) at the points zs (j, d), returning (j,) and (j, d).
+    Each row takes minimum-norm Newton steps -f / |grad f|^2 * grad f; a
+    step that does not decrease |f| is replaced by the longest of its
+    halvings 2^-1 ... 2^-29 that does.  The rising rows try their next
+    halvings together, as many per call of f as keep the call to k rows
+    (one at a time when they are more than k / 2, and for k = 1), so f
+    never sees more rows at once than the batch has.
+    Returns (z, status): status[i] is 0 where row i converged, else the
+    index into ``_NEWTON_FAILURES`` of why it stopped: a vanishing
+    gradient, no decrease of |f|, a plateau, or ``max_iter`` steps.
     """
     z = np.array(z, dtype=float)
     active = np.arange(z.shape[0])
@@ -129,26 +133,25 @@ def _newton(f, grad, z, tol, max_iter):
                 return z, status
         step = (-va / g2)[:, None] * g
         z_new = za + step
-        val_new = f(z_new, active)
+        val_new = np.array(f(z_new, active), dtype=float)
         rise = ~(np.isfinite(val_new) & (np.abs(val_new) < np.abs(va)))
-        if rise.any():
-            # halve the steps that do not decrease |f|, 29 more times
-            val_new = np.array(val_new)
-            lam = 1.0
-            for _ in range(29):
-                lam *= 0.5
-                rows = np.flatnonzero(rise)
-                cand = za[rows] + lam * step[rows]
-                cval = f(cand, active[rows])
-                dec = np.isfinite(cval) & (np.abs(cval) < np.abs(va[rows]))
-                z_new[rows[dec]] = cand[dec]
-                val_new[rows[dec]] = cval[dec]
-                rise[rows[dec]] = False
-                if not rise.any():
-                    break
-            else:
-                keep = drop(rise, 2)
-                active, va, z_new, val_new = active[keep], va[keep], z_new[keep], val_new[keep]
+        rows = np.flatnonzero(rise)
+        done = 0
+        while rows.size and done < 29:
+            lams = 0.5 ** np.arange(done + 1, min(29, done + z.shape[0] // rows.size) + 1)
+            done += lams.size
+            cand = za[rows, None] + lams[:, None] * step[rows, None]
+            cval = np.reshape(f(cand.reshape(-1, z.shape[1]), np.repeat(active[rows], lams.size)), cand.shape[:2])
+            dec = np.isfinite(cval) & (np.abs(cval) < np.abs(va[rows, None]))
+            hit = dec.any(axis=1)
+            first = dec[hit].argmax(axis=1)
+            z_new[rows[hit]] = cand[hit, first]
+            val_new[rows[hit]] = cval[hit, first]
+            rise[rows[hit]] = False
+            rows = rows[~hit]
+        if rows.size:
+            keep = drop(rise, 2)
+            active, va, z_new, val_new = active[keep], va[keep], z_new[keep], val_new[keep]
         # Newton contracts fast near a simple root; a plateau means the
         # equation has no root to find
         stall[active] = (stall[active] + 1) * (np.abs(val_new) > 0.75 * np.abs(va))
@@ -266,14 +269,23 @@ def sample_boundary_points(
     """Boundary points from random rays: draw (x, y_init) uniformly in the
     domain box and project y.  Non-converging draws are skipped.
 
-    All ``max_attempts`` (default ``40 * count``) rays are solved as one
-    batch; the first ``count`` in-box points, in draw order, are kept.
+    All ``max_attempts`` (default ``40 * count``) rays are drawn at once and
+    solved in draw order, in ``_newton`` batches of ``2 * count`` rays and
+    then twice as many as the batch before, until ``count`` in-box points
+    are found; the first ``count``, in draw order, are kept.
     """
     rng = np.random.default_rng(seed)
     cap = max_attempts if max_attempts is not None else 40 * count
     rays = _uniform_in_box(rng, spec.domain_box, (cap,))
-    _, x, y, gx, gy = _project_rays(spec, rays[:, : spec.m_dim], rays[:, spec.m_dim :], move_x=False)
-    return _boundary_points(spec, x[:count], y[:count], gx[:count], gy[:count])
+    pts = []
+    start, size = 0, 2 * count
+    while len(pts) < count and start < cap:
+        chunk = rays[start : start + size]
+        _, x, y, gx, gy = _project_rays(spec, chunk[:, : spec.m_dim], chunk[:, spec.m_dim :], move_x=False)
+        k = count - len(pts)
+        pts.extend(_boundary_points(spec, x[:k], y[:k], gx[:k], gy[:k]))
+        start, size = start + size, 2 * size
+    return pts
 
 
 def _angle_between_lines(u, v) -> float:
@@ -322,12 +334,9 @@ def _section_witnesses(pts, tol_angle):
 
 
 def _kernel_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the hyperplane orthogonal to v."""
-    d = v.shape[0]
-    if d == 1:
-        return np.zeros((0, 1))
-    _, _, vh = np.linalg.svd(v.reshape(1, -1))
-    return vh[1:]
+    """Orthonormal basis (rows) of the hyperplane orthogonal to v, or of
+    each hyperplane orthogonal to a row of v (k, d) by one stacked SVD."""
+    return np.linalg.svd(v[..., None, :])[2][..., 1:, :]
 
 
 def mixed_hessian_check(
@@ -342,22 +351,22 @@ def mixed_hessian_check(
     points is <= tol * max ||H_xy||.  Returns (ok, max_violation) with the
     violation already normalized by the Hessian scale.
     """
-    worst = 0.0
-    scale = 0.0
+    hs = []
     for pt in pts:
         if not transversality_check(pt):
             raise NonTransverseSample(f"point at x = {pt.x} is not transverse")
-        h = mixed_hessian(spec, pt.x, pt.y)
-        hnorm = float(np.linalg.norm(h, 2))
-        scale = max(scale, hnorm)
-        bu = _kernel_basis(pt.n1)
-        bv = _kernel_basis(pt.n2)
-        if bu.shape[0] == 0 or bv.shape[0] == 0:
-            continue  # one factor is 1-dimensional: nothing to test
-        vals = np.abs(bu @ h @ bv.T)
-        worst = max(worst, float(vals.max()))
+        hs.append(mixed_hessian(spec, pt.x, pt.y))
+    if not hs:
+        return True, 0.0
+    h = np.array(hs)
+    scale = float(np.linalg.norm(h, 2, axis=(1, 2)).max())
     if scale == 0.0:
         return True, 0.0
+    worst = 0.0
+    if min(h.shape[1:]) > 1:  # else one factor is 1-dimensional: nothing to test
+        bu = _kernel_basis(np.array([pt.n1 for pt in pts]))
+        bv = _kernel_basis(np.array([pt.n2 for pt in pts]))
+        worst = float(np.abs(bu @ h @ np.swapaxes(bv, 1, 2)).max())
     rel = worst / scale
     return rel <= tol, rel
 

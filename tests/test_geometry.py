@@ -11,8 +11,12 @@ from schurlab.geometry import (
     NON_TRANSVERSE,
     TRIANGULAR_MODEL,
     _NEWTON_FAILURES,
+    _boundary_points,
+    _kernel_basis,
     _newton,
     _newton_one,
+    _project_rays,
+    _uniform_in_box,
     boundary_project,
     classify,
     mixed_hessian_check,
@@ -25,6 +29,7 @@ from schurlab.geometry import (
 from schurlab.multiplier import componentwise_reparam, pullback_symbol
 from schurlab.symbols import (
     ball,
+    mixed_hessian,
     halfspace,
     sphere_delta,
     toeplitz_ball,
@@ -79,6 +84,115 @@ def test_newton(f, grad, z0, expect):
     else:
         assert status.tolist() == [0]
         np.testing.assert_allclose(z[0], expect, rtol=1e-10)
+
+
+def _sequential_newton(f, grad, z, tol, max_iter, halvings):
+    """``_newton`` with each rising step halved one length at a time, one
+    call of f per halving; appends each accepted halving count to
+    ``halvings``."""
+    z = np.array(z, dtype=float)
+    active = np.arange(z.shape[0])
+    val = np.array(f(z, active), dtype=float)
+    stall = np.zeros(z.shape[0], dtype=int)
+    status = np.zeros(z.shape[0], dtype=np.int8)
+
+    def drop(mask, code):
+        status[active[mask]] = code
+        return ~mask
+
+    for _ in range(max_iter):
+        active = active[~(np.abs(val[active]) <= tol)]
+        if not active.size:
+            return z, status
+        za, va = z[active], val[active]
+        g = grad(za, active)
+        g2 = (g**2).sum(axis=-1)
+        vanishing = g2 < 1e-24
+        if vanishing.any():
+            keep = drop(vanishing, 1)
+            active, za, va, g, g2 = active[keep], za[keep], va[keep], g[keep], g2[keep]
+            if not active.size:
+                return z, status
+        step = (-va / g2)[:, None] * g
+        z_new = za + step
+        val_new = np.array(f(z_new, active))
+        rise = ~(np.isfinite(val_new) & (np.abs(val_new) < np.abs(va)))
+        lam = 1.0
+        for k in range(1, 30):
+            if not rise.any():
+                break
+            lam *= 0.5
+            rows = np.flatnonzero(rise)
+            cand = za[rows] + lam * step[rows]
+            cval = f(cand, active[rows])
+            dec = np.isfinite(cval) & (np.abs(cval) < np.abs(va[rows]))
+            z_new[rows[dec]] = cand[dec]
+            val_new[rows[dec]] = cval[dec]
+            rise[rows[dec]] = False
+            halvings.extend([k] * int(dec.sum()))
+        if rise.any():
+            keep = drop(rise, 2)
+            active, va, z_new, val_new = active[keep], va[keep], z_new[keep], val_new[keep]
+        stall[active] = (stall[active] + 1) * (np.abs(val_new) > 0.75 * np.abs(va))
+        plateau = stall[active] >= 5
+        if plateau.any():
+            keep = drop(plateau, 3)
+            active, z_new, val_new = active[keep], z_new[keep], val_new[keep]
+        z[active] = z_new
+        val[active] = val_new
+    status[active] = 4
+    return z, status
+
+
+def test_batched_halvings_match_one_at_a_time():
+    # y-solves of ball(2, 1) rays: those with |x| > 1 have no root, shrink
+    # y towards 0 with ever more halvings and stop on a plateau, on a step
+    # that no halving decreases, or (from y = 0) on a vanishing gradient;
+    # no call of f takes more rows than the batch has
+    spec = ball(2, 1.0)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.5, 1.5, (200, 2))
+    y = rng.uniform(-1.1, 1.1, (200, 2))
+    y[0] = 0.0
+    calls = []
+
+    def f(z, rows):
+        calls.append(len(z))
+        return spec.f(x[rows], z)
+
+    def grad(z, rows):
+        return spec.grad(x[rows], z)[1]
+
+    halvings = []
+    z_ref, status_ref = _sequential_newton(f, grad, y, 1e-9, 100, halvings)
+    assert set(status_ref.tolist()) == {0, 1, 2, 3}
+    assert max(halvings) >= 20
+    calls.clear()
+    z, status = _newton(f, grad, y, 1e-9, 100)
+    np.testing.assert_array_equal(status, status_ref)
+    np.testing.assert_array_equal(z, z_ref)
+    assert max(calls) == 200
+
+
+def test_single_point_solve_halves_one_length_per_call():
+    # a y-solve of ball(2, 1) at |x| > 1 has no root; its steps take ever
+    # more halvings, each in its own call of f, as in the sequential loop
+    # (the last call evaluates |f| for the error message)
+    spec = ball(2, 1.0)
+    x = np.array([0.8, 0.7])
+    batched, sequential = [], []
+    with pytest.raises(NoConvergence):
+        _newton_one(lambda y: batched.append(y) or spec.f(x, y), lambda y: spec.grad(x, y)[1], [0.3, 0.1], 1e-9, 100)
+
+    def f(z, rows):
+        sequential.extend(z)
+        return spec.f(x, z)
+
+    halvings = []
+    _sequential_newton(f, lambda z, rows: spec.grad(x, z)[1], np.array([[0.3, 0.1]]), 1e-9, 100, halvings)
+    assert max(halvings) >= 8
+    assert len(batched) == len(sequential) + 1
+    np.testing.assert_array_equal(batched[:-1], sequential)
 
 
 def _reference_pool(spec, count, seed):
@@ -146,6 +260,67 @@ def test_ray_batch_evaluates_f_a_few_hundred_times():
     assert len(calls) <= 1000
 
 
+def _one_batch_pool(spec, seed, cap):
+    """The in-box boundary points, in draw order, of all ``cap`` rays of
+    ``sample_boundary_points`` solved as one batch, and their ray rows."""
+    rays = _uniform_in_box(np.random.default_rng(seed), spec.domain_box, (cap,))
+    rows, x, y, gx, gy = _project_rays(spec, rays[:, : spec.m_dim], rays[:, spec.m_dim :], move_x=False)
+    return rows, _boundary_points(spec, x, y, gx, gy)
+
+
+def _assert_same_points(pts, reference):
+    assert len(pts) == len(reference)
+    for p, q in zip(pts, reference):
+        for name in ("x", "y", "n1", "n2"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+        assert p.residual == q.residual
+
+
+@pytest.mark.parametrize(
+    "spec,count,seed,cap",
+    [
+        # fewer rays than the first batch of 2 * count
+        (ball(2, 1.0), 16, 3, 20),
+        # the rays run out with 11 of 64 points found, mid-batch
+        (sphere_delta(3, 0.0), 64, 7, 300),
+    ],
+    ids=["cap-below-first-batch", "runs-dry"],
+)
+def test_pool_with_few_rays_is_the_one_batch_pool(spec, count, seed, cap):
+    pts = sample_boundary_points(spec, count, seed=seed, max_attempts=cap)
+    _, reference = _one_batch_pool(spec, seed, cap)
+    assert 0 < len(reference) <= count
+    _assert_same_points(pts, reference)
+
+
+def test_pool_filled_at_a_batch_boundary():
+    # the batches of count 4 end at rays 8, 24 and 56; the 4th in-box point
+    # comes from ray 56, the last of the third batch
+    spec = sphere_delta(3, 0.0)
+    rows, reference = _one_batch_pool(spec, 32, 160)
+    assert rows[3] == 55
+    _assert_same_points(sample_boundary_points(spec, 4, seed=32), reference[:4])
+
+
+def test_pool_without_rays_is_empty():
+    assert sample_boundary_points(ball(2, 1.0), 16, max_attempts=0) == []
+
+
+def test_pool_solves_only_the_rays_it_needs():
+    # all 2,560 rays solved as one batch take 59,306 rows of F; the 64th
+    # in-box point comes from ray 94, inside the first batch of 128
+    spec = ball(2, 1.0)
+    rows = []
+
+    def f(x, y):
+        rows.append(np.shape(x)[0] if np.ndim(x) > 1 else 1)
+        return spec.f(x, y)
+
+    pts = sample_boundary_points(dataclasses.replace(spec, f=f), 64, seed=0)
+    assert len(pts) == 64
+    assert sum(rows) <= 8000
+
+
 class TestTransversality:
     def test_toeplitz_always_transverse(self):
         pts = sample_boundary_points(toeplitz_ball(2, 1.0), 20, seed=0)
@@ -195,6 +370,17 @@ class TestMixedHessianCheck:
     def test_halfspace_passes(self):
         ok, violation = mixed_hessian_check(halfspace(), self._pts(halfspace()))
         assert ok and violation <= 1e-6
+
+    def test_stacked_bases_match_point_by_point(self):
+        spec = sphere_delta(3, 0.0)
+        pts = self._pts(spec, seed=7, count=12)
+        worst = scale = 0.0
+        for pt in pts:
+            h = mixed_hessian(spec, pt.x, pt.y)
+            scale = max(scale, float(np.linalg.norm(h, 2)))
+            vals = _kernel_basis(pt.n1) @ h @ _kernel_basis(pt.n2).T
+            worst = max(worst, float(np.abs(vals).max()))
+        assert mixed_hessian_check(spec, pts) == (worst / scale <= 1e-6, worst / scale)
 
     def test_sphere_fails_consistently_with_c1(self):
         spec = sphere_delta(2, 0.3)
