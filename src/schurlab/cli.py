@@ -216,13 +216,25 @@ def _squarefn(seed, shape, terms, degree, p, C):
             f"'terms' x the grid size must be at most {harmonic.MAX_SQUAREFN_ENTRIES}, "
             f"got {terms} x {'x'.join(map(str, shape))}"
         )
+    # At an even p the p-th power of a square function of polynomials of
+    # degree <= degree is a polynomial of degree <= p * degree on each axis,
+    # and its Riemann sum on an axis of more than p * degree points is its
+    # mean: the sums run on the smallest such grid.  The same polynomials are
+    # drawn there, rescaled because ifftn divides by the grid size, and the
+    # masks keep the tie tolerance of the requested shape.
+    grid = list(shape)
+    if p.is_integer() and int(p) % 2 == 0:  # inf is not an integer
+        top = int(p) * degree
+        grid = [n if n <= top else top + 1 for n in shape]
+    scale = math.prod(grid) / math.prod(shape)
     rng = np.random.default_rng(seed)
     fs, us = [], []
     for k in range(terms):
-        fs.append(harmonic.random_trig_polynomial(tuple(shape), degree, seed=seed * 1000 + k))
+        f = harmonic.random_trig_polynomial(tuple(grid), degree, seed=seed * 1000 + k)
+        fs.append(f * scale)
         u = rng.standard_normal(len(shape))
         us.append(u / np.linalg.norm(u))
-    res = harmonic.square_function_test(fs, us, p, C)
+    res = harmonic.square_function_test(fs, us, p, C, tie_shape=shape)
     fields = {
         "lhs": res.lhs,
         "rhs": res.rhs,
@@ -230,6 +242,7 @@ def _squarefn(seed, shape, terms, degree, p, C):
         "pass": res.passed,
         "p": _p_label(p),
         "shape": shape,
+        "grid": grid,
         "terms": terms,
         "degree": degree,
     }

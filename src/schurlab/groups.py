@@ -601,7 +601,7 @@ def cotlar_pointwise_check(
         gi = grp.inv(g)
         gih = grp.op(gi, h)
         hi = grp.inv(h)
-        vals = np.stack([act0(gi), act0(gih), act0(h), act0(hi)])
+        vals = np.stack([act0(gi), act0(gih), beta, act0(hi)])
         valid = (
             np.isfinite(alpha)
             & np.isfinite(beta)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NonTransverse, ShapeMismatch, ZeroDirection, ZeroVector
 from .geometry import _householder, transversality_check
+from .matcore import _schatten_from_sv
 from .symbols import BoundaryPoint, SymbolSpec, indicator_values
 
 __all__ = [
@@ -41,11 +42,16 @@ MAX_SQUAREFN_ENTRIES = 1 << 22  # largest terms * prod(shape) the squarefn comma
 
 
 def frequency_lattice(shape) -> list:
-    """Integer frequency arrays (one per axis, fftfreq layout)."""
-    return [np.fft.fftfreq(n, d=1.0 / n) for n in shape]
+    """Integer frequency arrays (one per axis, fftfreq layout).
+
+    Rounded, because fftfreq scales by 1 / (n * (1 / n)), which exceeds 1
+    for some n (49, 98, 103, ...): on 49 points frequency 6 came out as
+    6.000000000000002 and failed a |xi| <= 6 test.
+    """
+    return [np.rint(np.fft.fftfreq(n, d=1.0 / n)) for n in shape]
 
 
-def _direction_masks(shape, u):
+def _direction_masks(shape, u, tie_shape=None):
     u = np.asarray(u, dtype=float)
     un = float(np.linalg.norm(u))
     if un < 1e-12:
@@ -58,20 +64,24 @@ def _direction_masks(shape, u):
         reshape = [1] * len(shape)
         reshape[axis] = -1
         dot = dot + f.reshape(reshape) * u[axis]
-    # tie tolerance scaled by |u| and the lattice radius
-    tol = _TIE_TOL * un * (1.0 + sum(float(np.max(np.abs(f))) for f in freqs))
+    # tie tolerance scaled by |u| and the radius of the lattice of tie_shape
+    # (default: the grid's own); the largest |frequency| on an axis of n is n // 2
+    radius = sum(n // 2 for n in (shape if tie_shape is None else tie_shape))
+    tol = _TIE_TOL * un * (1.0 + radius)
     pos = dot > tol
     zero = np.abs(dot) <= tol
     return pos, zero
 
 
-def directional_hilbert(f: np.ndarray, u) -> np.ndarray:
+def directional_hilbert(f: np.ndarray, u, tie_shape=None) -> np.ndarray:
     """Fourier projection onto frequencies with <xi, u> > 0.
 
     Frequencies with <xi, u> = 0 (within a tie tolerance) are annihilated.
+    The tolerance grows with the lattice radius of ``tie_shape``, by default
+    the shape of ``f``.
     """
     f = np.asarray(f, dtype=complex)
-    pos, _ = _direction_masks(f.shape, u)
+    pos, _ = _direction_masks(f.shape, u, tie_shape)
     spec = np.fft.fftn(f)
     return np.fft.ifftn(spec * pos)
 
@@ -84,11 +94,14 @@ def zero_mode_projection(f: np.ndarray, u) -> np.ndarray:
 
 
 def grid_lp_norm(f: np.ndarray, p: float) -> float:
-    """L_p norm by the plain Riemann sum on the uniform unit-cube grid."""
-    mag = np.abs(np.asarray(f))
-    if np.isinf(p):
-        return float(mag.max())
-    return float(np.mean(mag**p) ** (1.0 / p))
+    """L_p norm by the plain Riemann sum on the uniform unit-cube grid.
+
+    That is the l_p norm of the N grid values, scaled by N^(-1/p) (1 at
+    p = inf).  The l_p norm factors out max|f| before taking powers, so
+    neither a large p nor a small max|f| underflows to 0.
+    """
+    mag = np.abs(np.asarray(f)).ravel()
+    return _schatten_from_sv(mag, p) / mag.size ** (1.0 / p)
 
 
 def vector_lp_norm(fs, p: float) -> float:
@@ -105,11 +118,12 @@ class SquareFunctionResult:
     passed: bool
 
 
-def square_function_test(fs, us, p, c) -> SquareFunctionResult:
+def square_function_test(fs, us, p, c, tie_shape=None) -> SquareFunctionResult:
     """Compare the square functions of (H_{u_j} f_j) and (f_j) in L_p.
 
     Passes iff ||(sum |H_{u_j} f_j|^2)^(1/2)||_p <= c * ||(sum |f_j|^2)^(1/2)||_p
-    up to a 1e-9 relative slack.
+    up to a 1e-9 relative slack.  ``tie_shape`` is passed to
+    ``directional_hilbert``.
     """
     fs = [np.asarray(f, dtype=complex) for f in fs]
     if len(fs) != len(us):
@@ -119,7 +133,7 @@ def square_function_test(fs, us, p, c) -> SquareFunctionResult:
     shape = fs[0].shape
     if any(f.shape != shape for f in fs):
         raise ShapeMismatch("grid functions must share one shape")
-    transformed = [directional_hilbert(f, u) for f, u in zip(fs, us)]
+    transformed = [directional_hilbert(f, u, tie_shape) for f, u in zip(fs, us)]
     lhs = vector_lp_norm(transformed, p)
     rhs = vector_lp_norm(fs, p)
     return SquareFunctionResult(

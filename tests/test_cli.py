@@ -7,9 +7,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from schurlab import groups
+from schurlab import groups, harmonic
 from schurlab.cli import main
 
 
@@ -189,6 +190,89 @@ class TestOtherCommands:
         assert main(["--config", cfg, "--out", str(out), "--expect", "pass"]) == 0
         rep = json.loads(out.read_text())
         assert rep["pass"] is True and rep["lhs"] > 0
+
+    @pytest.mark.parametrize("p", [1000, 1e300])
+    def test_squarefn_at_a_huge_exponent_is_not_vacuous(self, tmp_path, p):
+        rep = _squarefn_report(tmp_path, {"C": 1, "p": p})
+        for key in ("lhs", "rhs"):
+            assert math.isfinite(rep[key]) and rep[key] > 0.0
+        assert rep["grid"] == rep["shape"]
+
+
+def _squarefn_report(tmp_path, params):
+    cfg = {"schema": "schur-lab/1", "command": "squarefn", **params}
+    out = tmp_path / "r.json"
+    assert main(["--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _full_grid_square_functions(seed, shape, terms, degree, p, us=None):
+    """The squarefn sums on the requested grid itself, as before the grid rule."""
+    rng = np.random.default_rng(seed)
+    fs, drawn = [], []
+    for k in range(terms):
+        fs.append(harmonic.random_trig_polynomial(tuple(shape), degree, seed=seed * 1000 + k))
+        u = rng.standard_normal(len(shape))
+        drawn.append(u / np.linalg.norm(u))
+    return harmonic.square_function_test(fs, drawn if us is None else us, p, 1.0)
+
+
+class TestSquarefnGrid:
+    """At an even p squarefn sums on p * degree + 1 points per longer axis;
+    the sums are exact there, so lhs and rhs are those of the full grid."""
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize(
+        "shape, degree, grid",
+        [
+            ([200], 3, lambda p: [3 * p + 1]),
+            ([64, 48], 2, lambda p: [2 * p + 1] * 2),
+            ([24, 20, 16], 1, lambda p: [p + 1] * 3),
+            ([3, 100], 2, lambda p: [3, 2 * p + 1]),  # the axis of 3 <= p * degree stays
+            ([100], 12, lambda p: [12 * p + 1]),  # 49 points at p = 4
+        ],
+        ids=["1d", "2d", "3d", "mixed", "degree12"],
+    )
+    def test_coarse_grid_matches_full_grid(self, tmp_path, p, shape, degree, grid):
+        params = {"shape": shape, "terms": 3, "degree": degree, "p": p, "C": 1.0, "seed": 5}
+        rep = _squarefn_report(tmp_path, params)
+        assert rep["grid"] == grid(p) and rep["shape"] == shape
+        full = _full_grid_square_functions(5, shape, 3, degree, float(p))
+        assert rep["lhs"] == pytest.approx(full.lhs, rel=1e-12, abs=0.0)
+        assert rep["rhs"] == pytest.approx(full.rhs, rel=1e-12, abs=0.0)
+        assert rep["pass"] is full.passed
+
+    @pytest.mark.parametrize("p", [3, 1.5, "inf"])
+    def test_grid_is_the_shape_at_other_exponents(self, tmp_path, p):
+        params = {"shape": [40, 24], "terms": 2, "degree": 2, "p": p, "C": 1.0, "seed": 3}
+        rep = _squarefn_report(tmp_path, params)
+        assert rep["grid"] == [40, 24]
+        full = _full_grid_square_functions(3, [40, 24], 2, 2, math.inf if p == "inf" else float(p))
+        assert (rep["lhs"], rep["rhs"]) == (full.lhs, full.rhs)
+
+    def test_coarse_grid_keeps_the_tie_tolerance_of_the_shape(self, tmp_path, monkeypatch):
+        # <(1, 1), u> = 7.1e-8 lies between the tie tolerances of the 3 x 3
+        # grid (3e-9) and the 512 x 512 shape (5.1e-7): a tie on the shape
+        u = np.array([1.0, -(1.0 - 1e-7)])
+        u /= np.linalg.norm(u)
+        shape, grid = (512, 512), (3, 3)
+        coarse = []
+        original = harmonic.square_function_test
+
+        def with_direction_u(fs, us, p, c, **kwargs):
+            coarse[:] = [fs]
+            return original(fs, [u] * len(fs), p, c, **kwargs)
+
+        monkeypatch.setattr(harmonic, "square_function_test", with_direction_u)
+        params = {"shape": list(shape), "terms": 2, "degree": 1, "p": 2, "C": 1.0, "seed": 0}
+        rep = _squarefn_report(tmp_path, params)
+        monkeypatch.undo()
+        assert rep["grid"] == list(grid)
+        full = _full_grid_square_functions(0, shape, 2, 1, 2.0, us=[u, u])
+        assert rep["lhs"] == pytest.approx(full.lhs, rel=1e-12, abs=0.0)
+        # the coarse grid's own tolerance keeps the (1, 1) mode instead
+        own = original(coarse[0], [u, u], 2.0, 1.0)
+        assert own.lhs > full.lhs * (1 + 1e-6)
 
 
 class TestDeterminism:

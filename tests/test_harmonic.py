@@ -7,6 +7,7 @@ from schurlab.errors import ShapeMismatch, ZeroDirection, ZeroVector
 from schurlab.geometry import boundary_project, sample_boundary_points, transversality_check
 from schurlab.harmonic import (
     directional_hilbert,
+    frequency_lattice,
     grid_from_json,
     grid_lp_norm,
     grid_to_json,
@@ -61,6 +62,32 @@ class TestDirectionalHilbert:
         f = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         fhat = np.fft.fftn(f) / f.size
         assert abs(grid_lp_norm(f, 2.0) ** 2 - np.sum(np.abs(fhat) ** 2)) <= 1e-10
+
+
+class TestGridNorms:
+    @pytest.mark.parametrize("p", [1.0, 4.0, 1000.0, np.inf])
+    def test_constant_has_norm_its_value(self, p):
+        for c in (1e-200, 0.37, 3.0, 1e200):
+            assert grid_lp_norm(np.full((7, 5), c), p) == pytest.approx(c, rel=1e-14)
+
+    def test_large_exponent_does_not_underflow(self):
+        f = 0.25 * random_trig_polynomial((16, 16), 3, seed=4)
+        top = float(np.abs(f).max())
+        for p in (1000.0, 1e300):
+            norm = grid_lp_norm(f, p)
+            assert 0.0 < norm <= top
+        assert grid_lp_norm(f, 1e300) == pytest.approx(top, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [49, 98, 103, 64])
+    def test_frequency_lattice_is_integer(self, n):
+        (freqs,) = frequency_lattice((n,))
+        assert np.array_equal(freqs, np.rint(freqs))
+        assert freqs.max() == (n - 1) // 2 and freqs.min() == -(n // 2)
+
+    def test_trig_polynomial_keeps_its_top_frequency(self):
+        # fftfreq(49, 1 / 49) puts frequency 6 at 6.000000000000002
+        spec = np.fft.fft(random_trig_polynomial((49,), 6, seed=1))
+        assert np.count_nonzero(np.abs(spec) > 1e-9) == 13
 
 
 def _riesz_constant_oracle(shape, degree, u, p, include, seed):
