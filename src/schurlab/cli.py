@@ -328,7 +328,8 @@ COMMANDS = {
     "squarefn": (_squarefn, {
         "shape": ([32, 32], _integers(1)), "terms": (4, _count), "degree": (4, _count),
         "p": (4, _exponent), "C": (None, _positive)}),
-    "cotlar": (_cotlar, {"group": (None, _raw), "samples": (100_000, _count)}),
+    "cotlar": (_cotlar, {
+        "group": (None, _raw), "samples": (100_000, _integer(1, groups.MAX_COTLAR_SAMPLES))}),
     "groupcheck": (_groupcheck, {"group": (None, _raw), "field": (None, _raw), "g0": (None, _raw)}),
     "transfer": (_transfer, {
         "N": (16, _integer(1, groups.MAX_CYCLIC_ORDER)), "p": (4, _exponent),

@@ -76,6 +76,7 @@ HEISENBERG = "heisenberg"
 CYCLIC = "cyclic"
 
 MAX_CYCLIC_ORDER = 512  # largest order the transference check accepts
+MAX_COTLAR_SAMPLES = 10**8  # most pairs the cotlar command checks, which bounds its run time
 
 _CONSTRAINT_TOL = 1e-10
 
@@ -581,8 +582,14 @@ def cotlar_pointwise_check(
 
     With m = chi_{g . 0 > 0}, checks
     m(g^-1) m(g^-1 h) = m(h) m(g^-1) + m(h^-1) m(g^-1 h)
-    on seeded samples, rejecting the measure-zero sets alpha = 0, beta = 0,
-    alpha = beta (band 1e-9) and chart poles.  Contract: 0 failures.
+    on ``samples`` seeded pairs (g, h), rejecting the measure-zero sets
+    alpha = g . 0 = 0, beta = h . 0 = 0, alpha = beta, any other action
+    value within ``band`` of 0 (band 1e-9) and chart poles.
+
+    The symbol values are boolean masks.  With t1 = m(h) m(g^-1) and
+    t2 = m(h^-1) m(g^-1 h), a pair fails when lhs != t1 + t2.  That is
+    lhs xor t1 xor t2, since t1 and t2 both hold only when lhs is 1, and
+    then the xor is 1 too.  Contract: 0 failures.
     """
     grp = _group(group_id, "act")
 
@@ -599,22 +606,19 @@ def cotlar_pointwise_check(
         alpha = act0(g)
         beta = act0(h)
         gi = grp.inv(g)
-        gih = grp.op(gi, h)
-        hi = grp.inv(h)
-        vals = np.stack([act0(gi), act0(gih), beta, act0(hi)])
-        valid = (
-            np.isfinite(alpha)
-            & np.isfinite(beta)
-            & np.all(np.isfinite(vals), axis=0)
-            & (np.abs(alpha) > band)
-            & (np.abs(beta) > band)
-            & (np.abs(alpha - beta) > band)
-            & np.all(np.abs(vals) > band, axis=0)
-        )
-        m_gi, m_gih, m_h, m_hi = (vals[:, valid] > 0.0).astype(int)
-        take = min(int(valid.sum()), samples - done)
-        m_gi, m_gih, m_h, m_hi = (v[:take] for v in (m_gi, m_gih, m_h, m_hi))
-        failures += int(np.sum(m_gi * m_gih != m_h * m_gi + m_hi * m_gih))
+        v_gi = act0(gi)
+        v_gih = act0(grp.op(gi, h))
+        v_hi = act0(grp.inv(h))
+        valid = np.isfinite(alpha) & (np.abs(alpha) > band) & (np.abs(alpha - beta) > band)
+        for v in (v_gi, v_gih, beta, v_hi):
+            valid &= np.isfinite(v) & (np.abs(v) > band)
+        n_valid = int(np.count_nonzero(valid))
+        take = min(n_valid, samples - done)
+        if take < n_valid:  # the last chunk counts its first take valid pairs
+            valid[np.flatnonzero(valid)[take] :] = False
+        m_gi, m_gih, m_h, m_hi = v_gi > 0.0, v_gih > 0.0, beta > 0.0, v_hi > 0.0
+        fails = (m_gi & m_gih) ^ (m_h & m_gi) ^ (m_hi & m_gih)
+        failures += int(np.count_nonzero(fails & valid))
         done += take
     return failures
 

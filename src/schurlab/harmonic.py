@@ -146,6 +146,9 @@ def square_function_test(fs, us, p, c, tie_shape=None) -> SquareFunctionResult:
 
 def random_trig_polynomial(shape, degree: int, seed: int = 0, real: bool = False) -> np.ndarray:
     """Random trigonometric polynomial with frequencies |xi_i| <= degree."""
+    # every lattice frequency has |xi_i| <= n // 2, so a larger degree keeps
+    # the same mask, and one beyond the float range cannot be compared
+    degree = min(degree, max(shape) // 2)
     rng = np.random.default_rng(seed)
     spec = np.zeros(shape, dtype=complex)
     freqs = frequency_lattice(shape)

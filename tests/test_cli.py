@@ -242,6 +242,15 @@ class TestSquarefnGrid:
         assert rep["rhs"] == pytest.approx(full.rhs, rel=1e-12, abs=0.0)
         assert rep["pass"] is full.passed
 
+    @pytest.mark.parametrize("p", [4, 3])
+    def test_degree_beyond_float_range_is_clamped(self, tmp_path, p):
+        # every frequency of an 8-point axis has |xi| <= 4
+        params = {"shape": [8], "C": 1, "p": p}
+        huge = _squarefn_report(tmp_path, {**params, "degree": 10**400})
+        four = _squarefn_report(tmp_path, {**params, "degree": 4})
+        assert (huge["lhs"], huge["rhs"]) == (four["lhs"], four["rhs"])
+        assert huge["degree"] == 10**400
+
     @pytest.mark.parametrize("p", [3, 1.5, "inf"])
     def test_grid_is_the_shape_at_other_exponents(self, tmp_path, p):
         params = {"shape": [40, 24], "terms": 2, "degree": 2, "p": p, "C": 1.0, "seed": 3}
@@ -447,6 +456,8 @@ class TestErrorPaths:
             {"command": "squarefn", "degree": 0, "C": 10},
             {"command": "squarefn", "shape": [100000, 100000], "C": 1},
             {"command": "squarefn", "shape": [64, 64, 64], "terms": 17, "C": 1},
+            {"command": "cotlar", "group": "real", "samples": 10**8 + 1},
+            {"command": "cotlar", "group": "real", "samples": 10**400},
             {**SPHERE_CLASSIFY, "boundary_samples": 0},
             {**SPHERE_CLASSIFY, "sections": -1},
             {**SPHERE_CLASSIFY, "points_per_section": 0},
@@ -467,6 +478,8 @@ class TestErrorPaths:
             "squarefn-zero-degree",
             "squarefn-grid-ten-billion",
             "squarefn-terms-times-grid-above-max",
+            "cotlar-samples-above-max",
+            "cotlar-samples-beyond-float-range",
             "classify-zero-boundary-samples",
             "classify-negative-sections",
             "classify-zero-points-per-section",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,6 +267,44 @@ class TestHerzSchur:
         np.testing.assert_allclose(m3, m1[np.ix_(perm, perm)], atol=1e-12)
 
 
+def _cotlar_reference(group_id, samples, seed, band=1e-9):
+    """The integer Cotlar loop: compacts the valid pairs of each chunk and
+    compares lhs with t1 + t2 as integers."""
+    grp = GROUPS[group_id]
+
+    def act0(g):
+        return grp.act(g, 0.0, 1e-9)
+
+    rng = np.random.default_rng(seed)
+    failures = 0
+    done = 0
+    while done < samples:
+        k = min(65536, int(1.4 * (samples - done)) + 64)
+        g = grp.sample(k, rng, groups._CHART_RADIUS, None)
+        h = grp.sample(k, rng, groups._CHART_RADIUS, None)
+        alpha = act0(g)
+        beta = act0(h)
+        gi = grp.inv(g)
+        gih = grp.op(gi, h)
+        hi = grp.inv(h)
+        vals = np.stack([act0(gi), act0(gih), beta, act0(hi)])
+        valid = (
+            np.isfinite(alpha)
+            & np.isfinite(beta)
+            & np.all(np.isfinite(vals), axis=0)
+            & (np.abs(alpha) > band)
+            & (np.abs(beta) > band)
+            & (np.abs(alpha - beta) > band)
+            & np.all(np.abs(vals) > band, axis=0)
+        )
+        m_gi, m_gih, m_h, m_hi = (vals[:, valid] > 0.0).astype(int)
+        take = min(int(valid.sum()), samples - done)
+        m_gi, m_gih, m_h, m_hi = (v[:take] for v in (m_gi, m_gih, m_h, m_hi))
+        failures += int(np.sum(m_gi * m_gih != m_h * m_gi + m_hi * m_gih))
+        done += take
+    return failures
+
+
 class TestCotlar:
     def test_scalar_cases_by_hand(self):
         # (alpha, beta) = (-1, 2): 1 = 1 + 0; (1, 2): 0 = 0 + 0
@@ -281,6 +320,30 @@ class TestCotlar:
     @pytest.mark.parametrize("group_id", [REAL, AFFINE, SL2R])
     def test_no_failures_at_scale(self, group_id):
         assert cotlar_pointwise_check(group_id, samples=100_000, seed=0) == 0
+
+    @pytest.mark.parametrize("group_id", [REAL, AFFINE, SL2R])
+    def test_perturbed_action_fails_as_the_reference_counts(self, group_id, monkeypatch):
+        # shifting the line action by 0.3 breaks the identity on a share of
+        # the pairs: the mask count must equal the integer loop's count,
+        # also across the chunk boundary (65_537) and in a cut last chunk
+        row = GROUPS[group_id]
+        for seed in range(3):
+            for samples in (1, 64, 65_537, 200_003):
+                assert cotlar_pointwise_check(group_id, samples=samples, seed=seed) == 0
+        monkeypatch.setitem(
+            GROUPS, group_id,
+            dataclasses.replace(row, act=lambda g, t, tol: row.act(g, t, tol) + 0.3),
+        )
+        counts = {}
+        for seed in range(3):
+            for samples in (1, 64, 65_537, 200_003):
+                got = cotlar_pointwise_check(group_id, samples=samples, seed=seed)
+                assert got == _cotlar_reference(group_id, samples, seed)
+                counts[seed, samples] = got
+        # one pair need not fail; 64 or more always do here
+        assert all(n > 0 for (seed, samples), n in counts.items() if samples > 1)
+        expected = {REAL: 17_745, AFFINE: 33_816, SL2R: 140_660}[group_id]
+        assert counts[0, 200_003] == expected
 
     def test_affine_against_sign_case_oracle(self):
         # oracle: the six orderings of 0, alpha, beta decide every term
