@@ -266,10 +266,15 @@ def affine_algebra(candidate=None) -> LieAlgebraBasis:
 
 def _matrix(rows) -> np.ndarray:
     """Square matrices (..., n, n) from n rows of n entries, each an array
-    of the batch shape or a scalar."""
-    entries = np.broadcast_arrays(*(np.asarray(e, dtype=float) for row in rows for e in row))
+    of the batch shape or a scalar.  Each entry is contiguous: the batch
+    axes vary fastest, so entrywise code reads unit-stride arrays."""
     n = len(rows)
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n))
+    batch = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
+    out = np.empty((n, n) + batch).transpose(tuple(range(2, len(batch) + 2)) + (0, 1))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[..., i, j] = e
+    return out
 
 
 def _nilpotent_exp(basis):
@@ -318,6 +323,12 @@ def _sl2_inv(g):
     return _matrix([[g[..., 1, 1], -g[..., 0, 1]], [-g[..., 1, 0], g[..., 0, 0]]])
 
 
+def _sl2_op(g, h):
+    # g[i, 0] h[0, j] + g[i, 1] h[1, j] as two broadcast outer products, which
+    # keep the inputs' layout; a stacked g @ h makes one BLAS call per pair
+    return g[..., :, :1] * h[..., :1, :] + g[..., :, 1:] * h[..., 1:, :]
+
+
 def _cyclic_op(g, h):
     if np.any(g[..., 1] != h[..., 1]):
         raise GroupMismatch("cyclic elements from different orders")
@@ -364,6 +375,12 @@ class Group:
     matrices), ``basis`` (d, n, n), ``entries`` (where the coordinates
     sit in the group matrix), chart variables, named boundary fields
     (functions of coordinates) and a default base point ``g0``.
+
+    Matrix batches built from their entries (the sl2r and affine
+    exponentials, sl2r's ``inv``) have the usual shape (k, n, n) with
+    each entry contiguous, batch axes fastest, so that entrywise code
+    reads unit-stride arrays; sl2r's ``op`` keeps that layout.  Every
+    function accepts any memory order.
     """
 
     shape: tuple
@@ -430,7 +447,7 @@ GROUPS = {
         sample=lambda k, rng, radius, n: expm(
             SL2R, rng.uniform(-radius, radius, size=(3, k)).T
         ),
-        op=lambda g, h: g @ h,
+        op=_sl2_op,
         inv=_sl2_inv,
         act=_projective_act,
         exp=_sl2_exp,
@@ -690,6 +707,8 @@ def boundary_subalgebra_verdict(
         e = np.zeros(d)
         e[i] = h_fd
         w[i] = (f_alg(e) - f_alg(-e)) / (2.0 * h_fd)
+    if not np.isfinite(w).all():
+        raise DegenerateGradient("omega field is not finite near g0")
     wn = float(np.linalg.norm(w))
     if wn < 1e-10:
         raise DegenerateGradient("omega field has vanishing chart gradient at g0")

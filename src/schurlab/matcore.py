@@ -167,6 +167,16 @@ class Estimate:
     stop: Optional[str] = None
 
 
+def _divided(x, t):
+    """x / t for a real t > 0.  numpy divides a complex array by multiplying
+    with 1 / t, which overflows for a subnormal t and gives inf + nan j; only
+    there does the division go through the real view, so that every other t
+    keeps numpy's bits."""
+    if np.isinf(1.0 / t):
+        return (np.ascontiguousarray(x).view(float) / t).view(x.dtype)
+    return x / t
+
+
 def _gram_power(x, g, k):
     """(X G^(k-1), tr G^k) for G = X^H X given as ``g``; tr G^k = ||X||_2k^2k."""
     y = x
@@ -194,7 +204,7 @@ def _norming(x, r, rd):
         t = float(np.abs(x).max())  # scale out the largest entry, as _schatten_from_sv does
         if t == 0.0:
             return None, 0.0
-        xs = x / t
+        xs = _divided(x, t)
         if rd in GRAM_DUALS:  # X G^(k-1) = U s^(rd-1) V^H for rd = 2k
             y, trace = _gram_power(xs, np.conj(xs.T) @ xs, int(rd) // 2)
             return y / trace ** (1.0 - 1.0 / rd), t * trace ** (1.0 / rd)
@@ -252,7 +262,7 @@ def _scaling_bracket(m, p):
         witness[0, 0] = 1.0  # the matrix unit, a witness of the norm 0
         return Estimate(0.0, witness, 0.0, 0, "gap")
     keep = np.ix_(m.any(axis=1), m.any(axis=0))
-    ms = m[keep] / t
+    ms = _divided(m[keep], t)
     d, e = (np.full(k, k**-0.5) for k in ms.shape)
     best_low, best_up, stall, stop = (0.0,), (np.inf,), 0, "cap"
     for steps in range(1, SCALING_CAP + 1):

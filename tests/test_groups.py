@@ -93,6 +93,41 @@ class TestGroupArithmetic:
         assert group_op(g, h).coords[0] == 3
         assert group_op(g, group_inv(g)).coords[0] == 0
 
+    def test_sl2_batch_arithmetic_matches_numpy(self):
+        grp = GROUPS[SL2R]
+        rng = np.random.default_rng(16)
+        g, h = (grp.sample(10**4, rng, 0.4, None) for _ in range(2))
+        prod, inv = grp.op(g, h), grp.inv(g)
+        for got, ref in ((prod, np.matmul(g, h)), (inv, np.linalg.inv(g))):
+            # relative to each matrix's largest entry: entries that cancel to
+            # about 1e-17 carry no relative digits
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref).max(axis=(1, 2), keepdims=True))
+        # each entry is one unit-stride array: the entrywise code reads them so
+        for mats in (g, prod, inv, expm(SL2R, rng.uniform(-1.0, 1.0, size=(10**4, 3)))):
+            for i, j in np.ndindex(2, 2):
+                assert mats[:, i, j].strides == (mats.itemsize,)
+
+    @pytest.mark.parametrize("group_id", sorted(GROUPS))
+    def test_results_do_not_depend_on_the_input_layout(self, group_id):
+        grp = GROUPS[group_id]
+        rng = np.random.default_rng(17)
+        g, h = (grp.sample(257, rng, 0.4, 7) for _ in range(2))
+
+        def layouts(x):  # as given, row-major, and batch axis fastest
+            fastest = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+            return [x, np.ascontiguousarray(x), fastest]
+
+        def same(results):
+            assert len({(r.shape, r.dtype, r.tobytes()) for r in results}) == 1
+
+        same([grp.op(a, b) for a, b in zip(layouts(g), layouts(h))])
+        same([grp.inv(a) for a in layouts(g)])
+        if grp.act is not None:
+            same([grp.act(a, 0.7, 1e-9) for a in layouts(g)])
+        if grp.exp is not None:
+            mats = expm(group_id, rng.uniform(-1.0, 1.0, size=(257, len(grp.basis))))
+            same([grp.coords(a) for a in layouts(mats)])
+
 
 def _expm_series(z):
     """exp(z) by a truncated Taylor series with scaling and squaring."""

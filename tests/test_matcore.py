@@ -365,6 +365,19 @@ def test_bound_scales_with_the_symbol(c, p):
     assert abs(multiplier_norm_lower_bound(c * m, p, budget=2, seed=0) - c * v) <= 1e-12 * c * v
 
 
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, 4.0, math.inf])
+def test_complex_symbol_with_a_subnormal_largest_entry(p):
+    """numpy divides a complex array by multiplying with 1 / t, which
+    overflows for a subnormal t; scaling out such a largest entry still
+    gives a finite bound, within the 11 bits that 1e-320 carries of the
+    bound of the normal-range symbol."""
+    m = np.array([[1j, 1.0], [0.0, 1.0]])
+    with np.errstate(under="ignore"):
+        tiny = multiplier_norm_lower_bound(1e-320 * m, p, budget=2, seed=0)
+    assert math.isfinite(tiny) and tiny > 0.0
+    assert abs(tiny / 1e-320 - multiplier_norm_lower_bound(m, p, budget=2, seed=0)) <= 1e-3
+
+
 NORMING_EXPONENTS = [  # (r, dual exponent rd), rd as the estimator passes it
     (1.0, math.inf),
     (4.0 / 3.0, 4.0),
