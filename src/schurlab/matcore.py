@@ -137,13 +137,20 @@ def schur_product(m, a) -> np.ndarray:
 #   and |y_j|^2 = |A|_jj / e_j^2;
 # - ||A||_1 / (|d||e|) is the ratio at d e^T on S_1, and at most the ratio
 #   at conj(U V^H) on S_inf, since d^T (M o conj(U V^H)) e = ||A||_1.
-# Each step takes one eigh of A^H A and moves d *= X / mean X, e *= Y / mean Y
-# for the diagonals X_ii = |x_i|^2, Y_jj = |y_j|^2, which all equal the
-# lower bound at a stationary point.  SCALE_FLOOR keeps every row and column
-# of A above the rank tolerance of _gram_eig.  The reported lower bound is
-# the ratio, by SVD, at the witness of the best lower iterate; the upper
-# bound of the best upper iterate adds the largest row norm of the residual
-# R = M - X Y^H, which bounds ||S_R|| (factor R = R I).
+# Each step takes one eigh of A^H A; its plain update moves d *= X / mean X,
+# e *= Y / mean Y for the diagonals X_ii = |x_i|^2, Y_jj = |y_j|^2, which all
+# equal the lower bound at a stationary point.  SCALE_FLOOR keeps every row
+# and column of A above the rank tolerance of _gram_eig.  The loop steps to
+# the Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49 (2011)) of the
+# plain updates of the last ANDERSON_DEPTH + 1 iterates, taken in
+# (log d, log e).  A mixed iterate that does not lower the best upper bound
+# ends the mixing: the loop steps instead to the plain update of the
+# iterate before it, and takes plain updates only from there (unguarded
+# mixing stalls on curved symbols); the discarded iterate still counts as a
+# step.  The reported lower bound is the ratio, by SVD, at the witness of
+# the best lower iterate; the upper bound of the best upper iterate adds the
+# largest row norm of the residual R = M - X Y^H, which bounds ||S_R||
+# (factor R = R I).
 # ---------------------------------------------------------------------------
 
 WARMUP_STEPS = 4  # ascent steps every start gets before it is judged
@@ -151,6 +158,7 @@ SURVIVORS = 2  # starts that ascend past the warm-up rank in the top SURVIVORS
 GRAM_DUALS = (2.0, 4.0, 6.0, 8.0)  # dual exponents normed by Gram products
 GAP_TOL = 1e-6  # relative gap between the bounds that stops the scaling loop
 SCALING_STALL = 15  # scaling steps with neither bound improving before it stops
+ANDERSON_DEPTH = 5  # earlier scaling iterates mixed into each step
 SCALING_CAP = 300  # most scaling steps
 SCALE_FLOOR = 1e-5  # smallest entry of d and e, relative to their largest
 
@@ -253,33 +261,69 @@ def _ratio(m, a, p):
     return _schatten_from_sv(np.linalg.svd(m * a, compute_uv=False), p) / na if na else 0.0
 
 
+def _ldexp(x, k):
+    """x * 2^k, exact unless it underflows; a complex x goes through its
+    real view (and 2.0**k itself would overflow for k > 1023)."""
+    return np.ldexp(np.ascontiguousarray(x).view(float), k).view(x.dtype)
+
+
+def _scaled(d, e):
+    """d and e floored at SCALE_FLOOR times their largest entry and
+    normalized to unit length."""
+    d, e = (np.maximum(f, SCALE_FLOOR * f.max()) for f in (d, e))
+    return d / np.linalg.norm(d), e / np.linalg.norm(e)
+
+
+def _anderson(history, n):
+    """The Anderson-mixed (d, e) of the pairs (u, g) = (log (d, e), log of its
+    plain update) in ``history``: exp(g_k - dG gamma) for the least-squares
+    gamma of dF gamma = f_k, f = g - u, with the first ``n`` coordinates d."""
+    u, g = (np.array(h).T for h in zip(*history))
+    f = g - u
+    w = g[:, -1] - np.diff(g) @ np.linalg.lstsq(np.diff(f), f[:, -1], rcond=None)[0]
+    # each half shifted to a largest entry of 0: _scaled normalizes anyway, and exp cannot overflow
+    return _scaled(*(np.exp(h - h.max()) for h in (w[:n], w[n:])))
+
+
 def _scaling_bracket(m, p):
     """The p in {1, inf} bracket of the scaling loop (see the comment above)
-    as an Estimate; its witness is conj(U V^H) at p = inf and d e^T at p = 1."""
-    t = float(np.abs(m).max())
+    as an Estimate; its witness is conj(U V^H) at p = inf and d e^T at p = 1.
+    It runs on M / 2^k, exact for the power of two 2^k just above max |M|,
+    and scales both bounds back, which keeps them in order for a subnormal M."""
     witness = np.zeros_like(m)
-    if t == 0.0:
+    if not m.any():
         witness[0, 0] = 1.0  # the matrix unit, a witness of the norm 0
         return Estimate(0.0, witness, 0.0, 0, "gap")
+    k = int(np.frexp(np.abs(m).max())[1])  # M = 2^k M2 with max |M2| in [1/2, 1), exactly
     keep = np.ix_(m.any(axis=1), m.any(axis=0))
-    ms = _divided(m[keep], t)
-    d, e = (np.full(k, k**-0.5) for k in ms.shape)
+    ms = _ldexp(m[keep], -k)
+    d, e = (np.full(n, n**-0.5) for n in ms.shape)
     best_low, best_up, stall, stop = (0.0,), (np.inf,), 0, "cap"
+    history, mixed = [], False  # Anderson pairs, None once mixing is off; (d, e) mixed
     for steps in range(1, SCALING_CAP + 1):
         b, nb, v = _gram_eig(d[:, None] * ms * e)
         x, y = (np.abs(b) ** 2 @ (1.0 / nb)) / d**2, (np.abs(v) ** 2 @ nb) / e**2
         low, up = nb.sum(), np.sqrt(x.max() * y.max())  # |d| = |e| = 1
-        stall = stall + 1 if low <= best_low[0] and up >= best_up[0] else 0
+        lowered = up < best_up[0]
+        stall = stall + 1 if low <= best_low[0] and not lowered else 0
         if low > best_low[0]:
             best_low = (low, d, e)
-        if up < best_up[0]:
+        if lowered:
             best_up = (up, d, e, b, nb, v)
         gap = best_up[0] <= best_low[0] * (1.0 + GAP_TOL)
         if gap or stall >= SCALING_STALL:
             stop = "gap" if gap else "stall"
             break
-        d, e = (np.maximum(f, SCALE_FLOOR * f.max()) for f in (d * x / x.mean(), e * y / y.mean()))
-        d, e = d / np.linalg.norm(d), e / np.linalg.norm(e)
+        if mixed and not lowered:  # safeguard: plain updates from the iterate before, for good
+            history, mixed, stall = None, False, 0
+            d, e = plain
+            continue
+        plain = _scaled(d * x / x.mean(), e * y / y.mean())
+        if history is not None:
+            pair = tuple(np.log(np.concatenate(f)) for f in ((d, e), plain))
+            history = history[-ANDERSON_DEPTH:] + [pair]
+            mixed = len(history) > 1
+        d, e = _anderson(history, len(d)) if mixed else plain
     _, d, e, b, nb, v = best_up
     fx, fy = b / np.sqrt(nb) / d[:, None], v * np.sqrt(nb) / e[:, None]  # M = X Y^H + R
     row = [np.linalg.norm(f, axis=1).max() for f in (fx, fy, ms - fx @ np.conj(fy.T))]
@@ -288,8 +332,8 @@ def _scaling_bracket(m, p):
         witness[keep] = np.conj(_norming(d[:, None] * ms * e, np.inf, 1.0)[0])
     else:
         witness[keep] = np.outer(d, e)
-    certified = t * float(row[0] * row[1] + row[2])
-    return Estimate(_ratio(m, witness, p), witness, certified, steps, stop)
+    low, up = _ratio(_ldexp(m, -k), witness, p), float(row[0] * row[1] + row[2])
+    return Estimate(float(np.ldexp(low, k)), witness, float(np.ldexp(up, k)), steps, stop)
 
 
 def _advance(run, steps, state):

@@ -153,10 +153,19 @@ class TestSchurProduct:
         )
 
 
+def _top_singular_2x2(a):
+    """Largest singular value of each matrix in a batch of 2x2 matrices, in
+    closed form: s1^2 = (|A|_F^2 + sqrt(|A|_F^4 - 4 |det A|^2)) / 2."""
+    fro = np.sum(a.real**2 + a.imag**2, axis=(1, 2))
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    return np.sqrt((fro + np.sqrt(np.maximum(fro**2 - 4.0 * np.abs(det) ** 2, 0.0))) / 2.0)
+
+
 def _brute_force_2x2_oracle():
     """Net of random 2x2 contractions plus alternating polish of the best.
 
     Independent reference for the p=inf multiplier norm of [[1,0],[1,1]].
+    The net takes its top singular values in closed form, the polish by SVD.
     """
     m = np.array([[1.0, 0.0], [1.0, 1.0]])
     rng = np.random.default_rng(20240601)
@@ -164,9 +173,7 @@ def _brute_force_2x2_oracle():
     chunk = 100_000
     for _ in range(10):  # 1e6-point net, vectorized
         a = rng.standard_normal((chunk, 2, 2)) + 1j * rng.standard_normal((chunk, 2, 2))
-        top_num = np.linalg.svd(m[None, :, :] * a, compute_uv=False)[:, 0]
-        top_den = np.linalg.svd(a, compute_uv=False)[:, 0]
-        ratios = top_num / top_den
+        ratios = _top_singular_2x2(m[None, :, :] * a) / _top_singular_2x2(a)
         k = int(np.argmax(ratios))
         if ratios[k] > best:
             best, best_a = float(ratios[k]), a[k]
@@ -577,7 +584,8 @@ def test_floor_keeps_an_isolated_block():
     block to zero.  The floor keeps its row and column above the rank
     tolerance of the Gram eigh: no division by zero, and no entry of M left
     whole in the certificate's residual (which would add 1 to the upper
-    bound).  The norm of a direct sum is the larger of the two norms."""
+    bound).  The norm of a direct sum is the larger of the two norms, so the
+    upper bound lies in the certified bracket of T_32 alone."""
     tri = np.tril(np.ones((32, 32)))
     m = np.zeros((33, 33))
     m[0, 0], m[1:, 1:] = 1.0, tri
@@ -585,8 +593,52 @@ def test_floor_keeps_an_isolated_block():
         warnings.simplefilter("error")
         est = _bracket(m)
     ref = _bracket(tri)
-    assert est.stop == "gap" and est.upper_bound <= ref.upper_bound * (1.0 + 1e-9), (est, ref)
+    assert est.stop == "gap", (est, ref)
+    bracket = (ref.lower_bound * (1.0 - 1e-9), ref.lower_bound * (1.0 + matcore.GAP_TOL) * (1.0 + 1e-9))
+    assert bracket[0] <= est.upper_bound <= bracket[1], (est, ref)
     assert est.lower_bound >= ref.lower_bound * (1.0 - 1e-9), (est, ref)
+
+
+# the p = inf triangular bound at N = 128 (TRIANGULAR_PINF_REFERENCE of
+# test_acceptance.py)
+TRIANGULAR_N128_BOUND = 2.3207942077
+
+
+@pytest.mark.parametrize("p", [math.inf, 1.0])
+@pytest.mark.parametrize(
+    "spec, bound", [(triangular(), TRIANGULAR_N128_BOUND), (ball(2, 1.0), 0.0)],
+    ids=["triangular", "ball"],
+)
+def test_mixing_closes_the_bracket_in_fewer_steps(spec, bound, p):
+    """At N = 128 the mixed loop closes the bracket to the gap in at most
+    25 steps; the plain update alone took 55 (triangular) and 44 (ball)."""
+    est = _bracket(_symbol_matrix(spec, 128), p)
+    assert est.stop == "gap" and est.iterations <= 25, est
+    assert est.lower_bound >= bound * (1.0 - 1e-6), est
+
+
+@pytest.mark.parametrize("p", [math.inf, 1.0])
+def test_safeguard_keeps_the_bracket_closing(p):
+    """sphere_delta(2, 0) at N = 64: mixing without the safeguard stops on
+    stall with a relative bracket of 2.9e-3; with it the loop closes to the
+    gap."""
+    est = _bracket(_symbol_matrix(sphere_delta(2, 0.0), 64), p)
+    assert est.stop == "gap" and est.upper_bound <= est.lower_bound * (1.0 + matcore.GAP_TOL), est
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_subnormal_bracket_keeps_its_order(p):
+    """The loop runs on the symbol scaled by a power of two, which is exact,
+    and scales both bounds back, so the bracket of a subnormal symbol keeps
+    lower <= upper; each end is within the 11 bits that 1e-320 carries of
+    the bracket of the normal-range symbol."""
+    m = np.array([[1j, 1.0], [0.0, 1.0]])
+    ref = multiplier_norm_lower_bound(m, p, report=True)
+    with np.errstate(under="ignore"):
+        tiny = multiplier_norm_lower_bound(1e-320 * m, p, report=True)
+    assert tiny.lower_bound <= tiny.upper_bound, tiny
+    assert abs(tiny.lower_bound / 1e-320 - ref.lower_bound) <= 1e-3, (tiny, ref)
+    assert abs(tiny.upper_bound / 1e-320 - ref.upper_bound) <= 1e-3, (tiny, ref)
 
 
 @pytest.mark.parametrize(
