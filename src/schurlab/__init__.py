@@ -12,13 +12,11 @@ from .matcore import (
     multiplier_norm_lower_bound,
     schatten_norm,
     schur_product,
-    singular_spectrum,
 )
 from .symbols import (
     SymbolSpec,
     BoundaryPoint,
     ball,
-    evaluate_symbol,
     gradient,
     halfspace,
     mixed_hessian,
@@ -56,7 +54,6 @@ from .harmonic import (
 from .groups import (
     GroupElement,
     LieAlgebraBasis,
-    act_on_line,
     boundary_subalgebra_verdict,
     cotlar_pointwise_check,
     fourier_multiplier_norm_finite_cyclic,

@@ -62,10 +62,6 @@ class GroupMismatch(SchurLabError):
     undefined for this group."""
 
 
-class ChartOverflow(SchurLabError):
-    """Fractional-linear action evaluated at (or too close to) a pole."""
-
-
 class DegenerateBasis(SchurLabError):
     """Candidate subspace vectors are linearly dependent."""
 

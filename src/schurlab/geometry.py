@@ -27,6 +27,7 @@ from .symbols import (
     gradient,
     gradient_rows,
     mixed_hessian,
+    transpose_spec,
 )
 
 __all__ = [
@@ -572,14 +573,15 @@ def classify(
 ) -> ClassificationReport:
     """Classify the domain at (a neighborhood of) a boundary point.
 
-    Pipeline: sample boundary points by random rays; detect the degenerate
-    one-sided cases (a normal component vanishing identically), which admit
-    the triangular model for trivial reasons; report NON_TRANSVERSE when the
+    Pipeline: sample boundary points by random rays (along y, or along x
+    when no y ray meets the boundary); detect the degenerate one-sided
+    cases (a normal component vanishing identically), which admit the
+    triangular model for trivial reasons; report NON_TRANSVERSE when the
     base point is not transverse; otherwise run the tangent-comparison check
     across sections through common y values (those of the first ``sections``
     transverse pool points, or of further ones until one section has two
-    points) and, when exact second
-    derivatives exist, the mixed-Hessian check at the same points.  Agreeing
+    points) and, when exact second derivatives exist, the mixed-Hessian
+    check at the same points.  Agreeing
     checks produce TRIANGULAR_MODEL / CURVATURE_FAIL; disagreement yields
     INCONCLUSIVE with diagnostics.
     """
@@ -602,6 +604,13 @@ def classify(
     )
 
     pool = sample_boundary_points(spec, boundary_samples, seed=seed)
+    if not pool:
+        # rays move y only, so an F without y-dependence has no pool; the
+        # transposed symbol's rays move x
+        pool = [
+            BoundaryPoint(x=p.y, y=p.x, n1=p.n2, n2=p.n1, residual=p.residual)
+            for p in sample_boundary_points(transpose_spec(spec), boundary_samples, seed=seed)
+        ]
     if not pool:
         report.notes.append("no boundary points found in the domain box")
         return report

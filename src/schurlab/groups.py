@@ -6,9 +6,9 @@ Lie-subalgebra boundary criterion, and Fourier <-> Schur transference on
 finite cyclic groups.
 
 Every group is one row of ``GROUPS``: batched sampling, product and
-inverse on coordinate arrays, plus the line action and the closed-form
-exponential where the group has them.  A single ``GroupElement`` is a
-batch of one.
+inverse on coordinate arrays, plus the line action, the closed-form
+exponential and the Lie algebra basis where the group has them.  A single
+``GroupElement`` is a batch of one.
 
 The projective group is represented only through its fractional-linear
 chart near the identity: poles are rejected, and samples stay inside the
@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    ChartOverflow,
     DegenerateBasis,
     DegenerateGradient,
     ExpressionError,
@@ -48,7 +47,6 @@ __all__ = [
     "identity",
     "group_op",
     "group_inv",
-    "act_on_line",
     "random_element",
     "expm",
     "herz_schur_matrix",
@@ -56,11 +54,8 @@ __all__ = [
     "LieAlgebraBasis",
     "bracket_coords",
     "subalgebra_check",
-    "sl2_algebra",
-    "so3_algebra",
-    "heisenberg_algebra",
+    "lie_algebra",
     "abelian_algebra",
-    "affine_algebra",
     "SubalgebraVerdict",
     "boundary_subalgebra_verdict",
     "named_boundary_field",
@@ -207,56 +202,21 @@ def subalgebra_check(basis: LieAlgebraBasis, tol: float = 1e-9) -> bool:
     return True
 
 
-def _structure_from_table(dim, entries):
-    c = np.zeros((dim, dim, dim))
-    for (i, j), vec in entries.items():
-        c[i, j, :] = vec
-        c[j, i, :] = [-v for v in vec]
-    return c
-
-
-def sl2_algebra(candidate=None) -> LieAlgebraBasis:
-    """Basis (H, E, F): [H,E] = 2E, [H,F] = -2F, [E,F] = H."""
-    c = _structure_from_table(
-        3,
-        {
-            (0, 1): (0.0, 2.0, 0.0),
-            (0, 2): (0.0, 0.0, -2.0),
-            (1, 2): (1.0, 0.0, 0.0),
-        },
-    )
-    return LieAlgebraBasis(3, c, candidate if candidate is not None else np.zeros((0, 3)))
-
-
-def so3_algebra(candidate=None) -> LieAlgebraBasis:
-    """Basis (L1, L2, L3): [L_i, L_j] = eps_ijk L_k."""
-    c = _structure_from_table(
-        3,
-        {
-            (0, 1): (0.0, 0.0, 1.0),
-            (1, 2): (1.0, 0.0, 0.0),
-            (2, 0): (0.0, 1.0, 0.0),
-        },
-    )
-    return LieAlgebraBasis(3, c, candidate if candidate is not None else np.zeros((0, 3)))
-
-
-def heisenberg_algebra(candidate=None) -> LieAlgebraBasis:
-    """Basis (X, Y, Z): [X, Y] = Z central."""
-    c = _structure_from_table(3, {(0, 1): (0.0, 0.0, 1.0)})
-    return LieAlgebraBasis(3, c, candidate if candidate is not None else np.zeros((0, 3)))
-
-
 def abelian_algebra(n: int, candidate=None) -> LieAlgebraBasis:
     return LieAlgebraBasis(
         n, np.zeros((n, n, n)), candidate if candidate is not None else np.zeros((0, n))
     )
 
 
-def affine_algebra(candidate=None) -> LieAlgebraBasis:
-    """Basis (A, B): [A, B] = B (the ax+b algebra)."""
-    c = _structure_from_table(2, {(0, 1): (0.0, 1.0)})
-    return LieAlgebraBasis(2, c, candidate if candidate is not None else np.zeros((0, 2)))
+def lie_algebra(group_id: str, candidate=None) -> LieAlgebraBasis:
+    """The Lie algebra of a matrix group, read off the row's basis
+    matrices: c_ijk = <[B_i, B_j], B_k> / <B_k, B_k> in the Frobenius
+    inner product, exact because every table basis is orthogonal in it."""
+    b = _group(group_id, "exp").basis
+    d = len(b)
+    brackets = b[:, None] @ b[None, :] - b[None, :] @ b[:, None]
+    c = np.einsum("ijab,kab->ijk", brackets, b) / np.einsum("kab,kab->k", b, b)
+    return LieAlgebraBasis(d, c, candidate if candidate is not None else np.zeros((0, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +332,8 @@ class Group:
     exponential coordinates, ``n`` is the cyclic order); ``act(g, t,
     pole_tol)`` is the line action, NaN at chart poles.  Only the matrix
     Lie groups have ``exp`` (algebra coordinates (..., d) to group
-    matrices), ``basis`` (d, n, n), ``entries`` (where the coordinates
+    matrices), ``basis`` (d, n, n), Frobenius-orthogonal, from which
+    ``lie_algebra`` reads the bracket, ``entries`` (where the coordinates
     sit in the group matrix), chart variables, named boundary fields
     (functions of coordinates) and a default base point ``g0``.
 
@@ -393,7 +354,6 @@ class Group:
     exp: Optional[Callable] = None
     basis: Optional[np.ndarray] = None
     entries: tuple = ()
-    algebra: Optional[Callable] = None
     chart_vars: Optional[tuple] = None
     fields: dict = field(default_factory=dict)
     g0: Optional[tuple] = None
@@ -415,7 +375,6 @@ GROUPS = {
         exp=_nilpotent_exp(_REAL_BASIS),
         basis=_REAL_BASIS,
         entries=([0], [1]),
-        algebra=lambda: abelian_algebra(1),
         chart_vars=("t",),
         fields={"t": lambda c: c[0]},
         g0=(0.0,),
@@ -435,7 +394,6 @@ GROUPS = {
         exp=_affine_exp,
         basis=_AFFINE_BASIS,
         entries=([0, 0], [0, 1]),
-        algebra=affine_algebra,
         chart_vars=("a", "b"),
         fields={"b": lambda c: c[1]},
         g0=(1.0, 0.0),
@@ -453,7 +411,6 @@ GROUPS = {
         exp=_sl2_exp,
         basis=_SL2_BASIS,
         entries=_WHOLE_MATRIX,
-        algebra=sl2_algebra,
         chart_vars=("a", "b", "c", "d"),
         fields={
             "sgn_c": lambda c: c[1, 0],
@@ -473,7 +430,6 @@ GROUPS = {
         exp=_so3_exp,
         basis=_SO3_BASIS,
         entries=_WHOLE_MATRIX,
-        algebra=so3_algebra,
         chart_vars=tuple(f"g{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
         fields={"g11": lambda c: c[0, 0]},
         g0=((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
@@ -497,7 +453,6 @@ GROUPS = {
         exp=_nilpotent_exp(_HEISENBERG_BASIS),
         basis=_HEISENBERG_BASIS,
         entries=([0, 1, 0], [1, 2, 2]),
-        algebra=heisenberg_algebra,
         chart_vars=("x", "y", "z"),
         fields={"x": lambda c: c[0]},
         g0=(0.0, 0.0, 0.0),
@@ -548,18 +503,6 @@ def group_op(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def group_inv(g: GroupElement) -> GroupElement:
     return GroupElement(g.group_id, _group(g.group_id).inv(g.coords[None])[0])
-
-
-def act_on_line(g: GroupElement, t: float, pole_tol: float = 1e-9) -> float:
-    """The group's action on the real line.
-
-    Translation for the real line, t -> a t + b for the affine group, and
-    the fractional-linear chart for sl2r (ChartOverflow at poles).
-    """
-    val = float(_group(g.group_id, "act").act(g.coords[None], float(t), pole_tol)[0])
-    if math.isnan(val):
-        raise ChartOverflow(f"fractional-linear pole at t = {t}")
-    return val
 
 
 def random_element(
@@ -716,10 +659,7 @@ def boundary_subalgebra_verdict(
 
     hyper = _kernel_basis(w_hat)
 
-    alg = grp.algebra()
-    sub_ok = subalgebra_check(
-        LieAlgebraBasis(d, alg.structure_constants, hyper), tol
-    )
+    sub_ok = subalgebra_check(lie_algebra(group_id, hyper), tol)
 
     ad_defect = 0.0
     ad_ok = True

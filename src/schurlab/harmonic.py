@@ -24,7 +24,6 @@ from .symbols import BoundaryPoint, SymbolSpec, indicator_values
 __all__ = [
     "frequency_lattice",
     "directional_hilbert",
-    "zero_mode_projection",
     "grid_lp_norm",
     "vector_lp_norm",
     "SquareFunctionResult",
@@ -33,8 +32,6 @@ __all__ = [
     "solve_T",
     "ScalingLimitResult",
     "scaling_limit_check",
-    "grid_to_json",
-    "grid_from_json",
 ]
 
 _TIE_TOL = 1e-9
@@ -84,13 +81,6 @@ def directional_hilbert(f: np.ndarray, u, tie_shape=None) -> np.ndarray:
     pos, _ = _direction_masks(f.shape, u, tie_shape)
     spec = np.fft.fftn(f)
     return np.fft.ifftn(spec * pos)
-
-
-def zero_mode_projection(f: np.ndarray, u) -> np.ndarray:
-    """Projection onto the modes with <xi, u> = 0."""
-    f = np.asarray(f, dtype=complex)
-    _, zero = _direction_masks(f.shape, u)
-    return np.fft.ifftn(np.fft.fftn(f) * zero)
 
 
 def grid_lp_norm(f: np.ndarray, p: float) -> float:
@@ -247,19 +237,3 @@ def scaling_limit_check(
         excluded=excluded,
     )
 
-
-def grid_to_json(f: np.ndarray) -> dict:
-    """Flat JSON serialization with shape metadata."""
-    f = np.asarray(f, dtype=complex)
-    return {
-        "shape": list(f.shape),
-        "re": [float(v) for v in f.real.ravel()],
-        "im": [float(v) for v in f.imag.ravel()],
-    }
-
-
-def grid_from_json(obj: dict) -> np.ndarray:
-    shape = tuple(int(s) for s in obj["shape"])
-    re = np.array(obj["re"], dtype=float).reshape(shape)
-    im = np.array(obj["im"], dtype=float).reshape(shape)
-    return re + 1j * im

@@ -1,9 +1,9 @@
 """Dense linear algebra core.
 
-Singular spectra, Schatten p-norms, entrywise (Schur) products, and a
-randomized lower-bound estimator for the norm of a Schur multiplier acting
-on Schatten classes.  Everything operates on plain 2-D numpy arrays, real or
-complex; real input stays real, so its SVDs run in real arithmetic.
+Schatten p-norms, entrywise (Schur) products, and a lower-bound
+estimator for the norm of a Schur multiplier acting on Schatten classes.
+Everything operates on plain 2-D numpy arrays, real or complex; real
+input stays real, so its SVDs run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import InvalidExponent, NonFinite, ShapeInvalid, ShapeMismatch
 
 __all__ = [
     "as_dense",
-    "singular_spectrum",
-    "svd_factors",
     "schatten_norm",
     "schur_product",
     "multiplier_norm_lower_bound",
@@ -36,25 +34,6 @@ def as_dense(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix contains NaN or Inf entries")
     return m
-
-
-def singular_spectrum(a) -> np.ndarray:
-    """Singular values of ``a``, sorted nonincreasing.
-
-    Length is min(rows, cols) and every value is >= 0.
-    """
-    m = as_dense(a)
-    return np.linalg.svd(m, compute_uv=False)
-
-
-def svd_factors(a):
-    """Full thin SVD ``(u, s, vh)`` with ``a ~ (u * s) @ vh``.
-
-    The reconstruction residual is within 1e-10 * ||a||_F (LAPACK dense
-    SVD meets this on the matrix sizes this package targets).
-    """
-    m = as_dense(a)
-    return np.linalg.svd(m, full_matrices=False)
 
 
 def _check_exponent(p) -> float:

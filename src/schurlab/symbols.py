@@ -36,12 +36,10 @@ __all__ = [
     "user_symbol",
     "from_json",
     "to_json",
-    "evaluate_symbol",
     "indicator_values",
     "gradient",
     "gradient_rows",
     "mixed_hessian",
-    "unit_normal_split",
     "transpose_spec",
     "parse_expression",
 ]
@@ -515,21 +513,11 @@ def check_in_domain(spec: SymbolSpec, x, y, slack=0.0):
         )
 
 
-def evaluate_symbol(spec: SymbolSpec, x, y) -> int:
-    """chi_Sigma(x, y): 1 iff F(x, y) > 0, else 0."""
-    check_in_domain(spec, x, y)
-    val = float(spec.f(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-    if math.isnan(val):
-        raise OutOfDomain("symbol undefined at this point")
-    return int(val > 0.0)
-
-
 def indicator_values(spec: SymbolSpec, xs, ys) -> np.ndarray:
     """Vectorized chi_Sigma over paired batches xs (..., m), ys (..., n).
 
     Points where F is undefined (NaN) evaluate to NaN so callers can
-    exclude them.  No domain-box enforcement here; that is the scalar
-    entry point's job.
+    exclude them.  The domain box is not enforced.
     """
     vals = spec.f(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
     vals = np.asarray(vals, dtype=float)
@@ -592,8 +580,8 @@ def gradient(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
 def mixed_hessian(spec: SymbolSpec, x, y, fd_step: float = 1e-4) -> np.ndarray:
     """Matrix of mixed second derivatives (d^2 F / dx_j dy_k), shape (m, n).
 
-    Analytic when available; else differentiates the analytic gradient, or
-    falls back to a 4-point cross stencil on F.
+    Analytic when the spec has ``hess_xy``, else a 4-point cross stencil
+    on F.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -604,21 +592,7 @@ def mixed_hessian(spec: SymbolSpec, x, y, fd_step: float = 1e-4) -> np.ndarray:
         if h.shape != (m, n):
             raise ValueError(f"analytic hessian has shape {h.shape}, expected {(m, n)}")
         return h
-    scale = 1.0 + math.sqrt(float(np.sum(x**2) + np.sum(y**2)))
-    if spec.grad is not None:
-        # d/dx_j of (d_y F): first-order FD of the exact gradient
-        h = fd_step * scale
-        out = np.zeros((m, n))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            _, gp = spec.grad(x + e, y)
-            _, gm = spec.grad(x - e, y)
-            out[j, :] = (np.asarray(gp, dtype=float) - np.asarray(gm, dtype=float)) / (2.0 * h)
-        if not np.all(np.isfinite(out)):
-            raise RequiresC2("second derivatives not evaluable around this point")
-        return out
-    h = fd_step * scale
+    h = fd_step * (1.0 + math.sqrt(float(np.sum(x**2) + np.sum(y**2))))
     out = np.zeros((m, n))
     for j in range(m):
         ex = np.zeros(m)
@@ -635,13 +609,6 @@ def mixed_hessian(spec: SymbolSpec, x, y, fd_step: float = 1e-4) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise RequiresC2("second derivatives not evaluable around this point")
     return out
-
-
-def unit_normal_split(spec: SymbolSpec, x, y):
-    """Jointly normalized gradient (n1, n2); points towards Sigma."""
-    gx, gy = gradient(spec, x, y)
-    nrm = math.sqrt(float(np.sum(gx**2) + np.sum(gy**2)))
-    return gx / nrm, gy / nrm
 
 
 def transpose_spec(spec: SymbolSpec) -> SymbolSpec:

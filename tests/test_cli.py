@@ -82,6 +82,15 @@ class TestClassifyCommand:
         assert main(["--config", _write_config(tmp_path, cfg), "--out", str(out), "--expect", "pass"]) == 0
         assert json.loads(out.read_text())["verdict"] == "TRIANGULAR_MODEL"
 
+    def test_inconclusive_fails_expect_pass(self, tmp_path):
+        # one point per section assembles no section pair
+        cfg = _write_config(tmp_path, {**SPHERE_CLASSIFY, "points_per_section": 1})
+        out = tmp_path / "r.json"
+        assert main(["--config", cfg, "--out", str(out), "--expect", "pass"]) == 2
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert report["samples"]["sections_used"] == 0
+
     def test_explicit_base_point(self, tmp_path):
         cfg = dict(SPHERE_CLASSIFY)
         cfg["symbol"] = {
@@ -171,6 +180,18 @@ class TestOtherCommands:
         assert main(["--config", cfg, "--out", str(out), "--expect", "pass"]) == 0
         rep = json.loads(out.read_text())
         assert rep["fourier_lb"] <= rep["schur_lb"] * (1 + 1e-9)
+
+    @pytest.mark.parametrize("p", [1, 4, "inf"])
+    def test_transfer_identity_multiplier_has_norm_one(self, tmp_path, capsys, p):
+        cfg = {"schema": "schur-lab/1", "command": "transfer", "N": 16, "p": p, "m": "delta", "seed": 0}
+        if p == 4:  # the report goes to stdout without --out
+            assert main(["--config", _write_config(tmp_path, cfg)]) == 0
+            rep = json.loads(capsys.readouterr().out)
+        else:
+            out = tmp_path / "r.json"
+            assert main(["--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+            rep = json.loads(out.read_text())
+        assert rep["fourier_lb"] == rep["schur_lb"] == 1.0
 
     def test_transfer_with_a_subnormal_symbol(self, tmp_path):
         cfg = _write_config(

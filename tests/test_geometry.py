@@ -62,6 +62,11 @@ class TestBoundaryProject:
         probe = np.concatenate([pt.x, pt.y]) + 1e-4 * np.concatenate([pt.n1, pt.n2])
         assert float(spec.f(probe[:2], probe[2:])) > 0.0
 
+    def test_step_cap_raises_with_the_residual(self):
+        # one Newton step from |y| = 7 is still far from the circle
+        with pytest.raises(NoConvergence, match=r"^boundary projection stalled at \|F\| = 1\.203e\+01$"):
+            boundary_project(ball(2, 1.0), [0.1, 0.2], [5.0, 5.0], max_iter=1)
+
 
 @pytest.mark.parametrize(
     "f,grad,z0,expect",
@@ -541,14 +546,34 @@ class TestClassify:
         assert rep.verdict == INCONCLUSIVE
         assert any("no boundary" in n for n in rep.notes)
 
+    def test_one_point_per_section_is_inconclusive(self):
+        rep = classify(ball(2, 1.0), points_per_section=1, seed=1)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.samples["sections_used"] == 0
+        assert rep.notes == ["could not assemble section pairs for the curvature check"]
+
+    def test_failed_base_point_projection_is_inconclusive(self):
+        # at x = (2, 0) the section F = 1 - 4 - |y|^2 has no root, and the
+        # Newton step from y = 0 meets a vanishing gradient
+        rep = classify(ball(2, 1.0), z0=([2.0, 0.0], [0.0, 0.0]))
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.notes == ["base point projection failed: gradient vanishes during boundary projection"]
+
     def test_verdict_invariant_under_factor_swap(self):
         for spec in (
             ball(2, 1.0),
             sphere_delta(2, 0.3),
             halfspace("x1", "y1**3 + y1"),
             toeplitz_ball(2, 1.0),
+            # no y-dependence: no ray along y meets the boundary
+            halfspace("x1", "0"),
+            halfspace("x1**3+x1", "0"),
         ):
             assert (
                 classify(transpose_spec(spec), seed=5).verdict
                 == classify(spec, seed=5).verdict
             )
+        for f1 in ("x1", "x1**3+x1"):
+            rep = classify(halfspace(f1, "0"), seed=5)
+            assert rep.verdict == TRIANGULAR_MODEL
+            assert rep.notes == ["degenerate case: n2 vanishes at all samples"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from schurlab import groups
-from schurlab.errors import ChartOverflow, DegenerateBasis, GroupMismatch
+from schurlab.errors import DegenerateBasis, GroupMismatch
 from schurlab.groups import (
     AFFINE,
     CYCLIC,
@@ -16,8 +16,6 @@ from schurlab.groups import (
     SO3,
     LieAlgebraBasis,
     abelian_algebra,
-    act_on_line,
-    affine_algebra,
     affine_element,
     boundary_subalgebra_verdict,
     bracket_coords,
@@ -27,25 +25,28 @@ from schurlab.groups import (
     fourier_multiplier_norm_finite_cyclic,
     group_inv,
     group_op,
-    heisenberg_algebra,
     herz_schur_matrix,
     identity,
+    lie_algebra,
     named_boundary_field,
     random_element,
     real_element,
-    sl2_algebra,
     sl2_element,
-    so3_algebra,
     so3_element,
     subalgebra_check,
 )
+
+
+def _act0(g) -> float:
+    """g . 0 through the group table's line action (NaN at a chart pole)."""
+    return float(GROUPS[g.group_id].act(g.coords[None], 0.0, 1e-9)[0])
 
 
 class TestGroupArithmetic:
     def test_affine_composition(self):
         g = group_op(affine_element(2.0, 3.0), affine_element(0.5, -1.0))
         np.testing.assert_allclose(g.coords, [1.0, 1.0])
-        assert act_on_line(affine_element(2.0, 3.0), 0.0) == 3.0
+        assert _act0(affine_element(2.0, 3.0)) == 3.0
 
     def test_affine_inverse(self):
         g = affine_element(2.0, 3.0)
@@ -60,12 +61,11 @@ class TestGroupArithmetic:
             assert np.max(np.abs(e.coords - np.eye(2))) <= 1e-12
 
     def test_real_acts_by_translation(self):
-        assert act_on_line(real_element(1.7), 0.0) == 1.7
+        assert _act0(real_element(1.7)) == 1.7
 
     def test_sl2_chart_pole(self):
         g = sl2_element([[0.0, -1.0], [1.0, 0.0]])
-        with pytest.raises(ChartOverflow):
-            act_on_line(g, 0.0)
+        assert math.isnan(_act0(g))
 
     def test_heisenberg_group_axioms(self):
         rng = np.random.default_rng(1)
@@ -346,7 +346,7 @@ class TestCotlar:
         for alpha, beta, expected in [(-1.0, 2.0, (1, 1, 0)), (1.0, 2.0, (0, 0, 0))]:
             g, h = real_element(alpha), real_element(beta)
             gi = group_inv(g)
-            m = lambda e: int(act_on_line(e, 0.0) > 0)
+            m = lambda e: int(_act0(e) > 0)
             lhs = m(gi) * m(group_op(gi, h))
             rhs = m(h) * m(gi) + m(group_inv(h)) * m(group_op(gi, h))
             assert (lhs, m(h) * m(gi), m(group_inv(h)) * m(group_op(gi, h)))[0] == expected[0]
@@ -386,12 +386,12 @@ class TestCotlar:
         for _ in range(500):
             g = random_element(AFFINE, rng)
             h = random_element(AFFINE, rng)
-            alpha = act_on_line(g, 0.0)
-            beta = act_on_line(h, 0.0)
+            alpha = _act0(g)
+            beta = _act0(h)
             if min(abs(alpha), abs(beta), abs(alpha - beta)) < 1e-9:
                 continue
             gi = group_inv(g)
-            m = lambda e: int(act_on_line(e, 0.0) > 0)
+            m = lambda e: int(_act0(e) > 0)
             assert m(gi) == int(alpha < 0)
             assert m(group_op(gi, h)) == int(beta > alpha)
             assert m(h) == int(beta > 0)
@@ -405,17 +405,43 @@ class TestCotlar:
             cotlar_pointwise_check(SO3, samples=10)
 
 
+LIE_GROUPS = sorted(g for g, row in GROUPS.items() if row.basis is not None)
+
+
 class TestLieAlgebras:
     def test_builtin_tables_satisfy_jacobi(self):
-        for alg in (
-            sl2_algebra(),
-            so3_algebra(),
-            heisenberg_algebra(),
-            abelian_algebra(4),
-            affine_algebra(),
-        ):
+        for alg in [lie_algebra(g) for g in LIE_GROUPS] + [abelian_algebra(4)]:
             c = alg.structure_constants
             assert np.max(np.abs(c + np.swapaxes(c, 0, 1))) <= 1e-10
+
+    @pytest.mark.parametrize("group_id", LIE_GROUPS)
+    def test_constants_reproduce_the_basis_brackets(self, group_id):
+        b = GROUPS[group_id].basis
+        c = lie_algebra(group_id).structure_constants
+        for i, j in np.ndindex(len(b), len(b)):
+            bracket = b[i] @ b[j] - b[j] @ b[i]
+            np.testing.assert_array_equal(bracket, np.tensordot(c[i, j], b, axes=1))
+
+    @pytest.mark.parametrize(
+        "group_id,pairs",
+        [
+            (REAL, {}),
+            (AFFINE, {(0, 1): [0, 1]}),  # [A, B] = B
+            (SL2R, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}),
+            (SO3, {(0, 1): [0, 0, 1], (1, 2): [1, 0, 0], (2, 0): [0, 1, 0]}),
+            (HEISENBERG, {(0, 1): [0, 0, 1]}),  # [X, Y] = Z central
+        ],
+    )
+    def test_structure_constants_match_the_named_brackets(self, group_id, pairs):
+        c = lie_algebra(group_id).structure_constants
+        expected = np.zeros_like(c)
+        for (i, j), vec in pairs.items():
+            expected[i, j], expected[j, i] = vec, np.negative(vec)
+        np.testing.assert_array_equal(c, expected)
+
+    def test_groups_without_a_basis_have_no_algebra(self):
+        with pytest.raises(GroupMismatch):
+            lie_algebra(CYCLIC)
 
     def test_invalid_structure_constants_rejected(self):
         c = np.zeros((2, 2, 2))
@@ -424,20 +450,20 @@ class TestLieAlgebras:
             LieAlgebraBasis(2, c)
 
     def test_sl2_brackets(self):
-        c = sl2_algebra().structure_constants
+        c = lie_algebra(SL2R).structure_constants
         np.testing.assert_allclose(bracket_coords(c, [1, 0, 0], [0, 1, 0]), [0, 2, 0])
         np.testing.assert_allclose(bracket_coords(c, [0, 1, 0], [0, 0, 1]), [1, 0, 0])
 
     def test_upper_triangular_sl2_subalgebra(self):
-        assert subalgebra_check(sl2_algebra([[1, 0, 0], [0, 1, 0]]))
+        assert subalgebra_check(lie_algebra(SL2R, [[1, 0, 0], [0, 1, 0]]))
 
     def test_so3_plane_is_not_subalgebra(self):
-        assert not subalgebra_check(so3_algebra([[1, 0, 0], [0, 1, 0]]))
+        assert not subalgebra_check(lie_algebra(SO3, [[1, 0, 0], [0, 1, 0]]))
 
     def test_heisenberg_center_containing_plane(self):
-        assert subalgebra_check(heisenberg_algebra([[1, 0, 0], [0, 0, 1]]))
-        assert subalgebra_check(heisenberg_algebra([[0, 1, 0], [0, 0, 1]]))
-        assert subalgebra_check(heisenberg_algebra([[1, 2, 0], [0, 0, 1]]))
+        assert subalgebra_check(lie_algebra(HEISENBERG, [[1, 0, 0], [0, 0, 1]]))
+        assert subalgebra_check(lie_algebra(HEISENBERG, [[0, 1, 0], [0, 0, 1]]))
+        assert subalgebra_check(lie_algebra(HEISENBERG, [[1, 2, 0], [0, 0, 1]]))
 
     def test_abelian_any_subspace(self):
         rng = np.random.default_rng(6)
@@ -447,7 +473,7 @@ class TestLieAlgebras:
 
     def test_degenerate_candidate_rejected(self):
         with pytest.raises(DegenerateBasis):
-            subalgebra_check(sl2_algebra([[1, 0, 0], [2, 0, 0]]))
+            subalgebra_check(lie_algebra(SL2R, [[1, 0, 0], [2, 0, 0]]))
 
 
 class TestBoundaryVerdict:

@@ -6,16 +6,14 @@ from hypothesis import strategies as st
 from schurlab.errors import ShapeMismatch, ZeroDirection, ZeroVector
 from schurlab.geometry import boundary_project, sample_boundary_points, transversality_check
 from schurlab.harmonic import (
+    _direction_masks,
     directional_hilbert,
     frequency_lattice,
-    grid_from_json,
     grid_lp_norm,
-    grid_to_json,
     random_trig_polynomial,
     scaling_limit_check,
     solve_T,
     square_function_test,
-    zero_mode_projection,
 )
 from schurlab.symbols import ball, halfspace, sphere_delta
 
@@ -50,10 +48,11 @@ class TestDirectionalHilbert:
         rng = np.random.default_rng(1)
         f = rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))
         for u in ([1.0, 0.0], [0.4, -0.9], [1.0, 1.0]):
+            _, zero = _direction_masks(f.shape, u)
             total = (
                 directional_hilbert(f, u)
                 + directional_hilbert(f, [-c for c in u])
-                + zero_mode_projection(f, u)
+                + np.fft.ifftn(np.fft.fftn(f) * zero)
             )
             assert np.max(np.abs(total - f)) <= 1e-12
 
@@ -229,10 +228,3 @@ class TestScalingLimit:
         with pytest.raises(ValueError):
             scaling_limit_check(spec, z, np.eye(2), [1e-3], samples=10, seed=0)
 
-
-class TestGridSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(17)
-        f = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        back = grid_from_json(grid_to_json(f))
-        np.testing.assert_array_equal(back, f)

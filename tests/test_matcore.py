@@ -13,55 +13,27 @@ from schurlab.matcore import (
     multiplier_norm_lower_bound,
     schatten_norm,
     schur_product,
-    singular_spectrum,
-    svd_factors,
 )
 from schurlab.multiplier import circulant, discretize_symbol, nested_grids
 from schurlab.symbols import ball, sphere_delta, triangular
 
 
-class TestSingularSpectrum:
-    def test_identity(self):
-        np.testing.assert_allclose(singular_spectrum(np.eye(3)), [1.0, 1.0, 1.0])
-
-    def test_rank_one_all_ones(self):
-        s = singular_spectrum(np.ones((2, 2)))
-        np.testing.assert_allclose(s, [2.0, 0.0], atol=1e-12)
-
+class TestSchattenNorm:
     def test_jordan_block_against_characteristic_polynomial(self):
-        # oracle: eigenvalues of A^T A = [[1,1],[1,2]] solve l^2 - 3l + 1 = 0
+        # oracle: eigenvalues of A^T A = [[1,1],[1,2]] solve l^2 - 3l + 1 = 0,
+        # so s0 s1 = 1 and s0^2 + s1^2 = 3, hence (s0 + s1)^2 = 5
+        a = [[1.0, 1.0], [0.0, 1.0]]
         lam_plus = (3.0 + math.sqrt(5.0)) / 2.0
-        lam_minus = (3.0 - math.sqrt(5.0)) / 2.0
-        s = singular_spectrum([[1.0, 1.0], [0.0, 1.0]])
-        np.testing.assert_allclose(s, [math.sqrt(lam_plus), math.sqrt(lam_minus)], rtol=1e-12)
-        assert abs(s[0] ** 2 + s[1] ** 2 - 3.0) < 1e-12
-        assert abs(s[0] * s[1] - 1.0) < 1e-12
-
-    def test_sorted_nonincreasing_and_nonnegative(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-            s = singular_spectrum(a)
-            assert s.shape == (3,)
-            assert np.all(s[:-1] >= s[1:])
-            assert np.all(s >= 0)
+        assert abs(schatten_norm(a, math.inf) - math.sqrt(lam_plus)) < 1e-12
+        assert abs(schatten_norm(a, 1) - math.sqrt(5.0)) < 1e-12
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(NonFinite):
-            singular_spectrum([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(NonFinite):
-            singular_spectrum([[np.inf, 0.0], [0.0, 1.0]])
+        for p in (1, 2, 4, math.inf):
+            with pytest.raises(NonFinite):
+                schatten_norm([[1.0, np.nan], [0.0, 1.0]], p)
+            with pytest.raises(NonFinite):
+                schatten_norm([[np.inf, 0.0], [0.0, 1.0]], p)
 
-    def test_reconstruction_contract(self):
-        rng = np.random.default_rng(1)
-        for shape in [(4, 4), (6, 3), (3, 7)]:
-            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            u, s, vh = svd_factors(a)
-            resid = np.linalg.norm(a - (u * s) @ vh)
-            assert resid <= 1e-10 * np.linalg.norm(a)
-
-
-class TestSchattenNorm:
     def test_identity_all_p(self):
         for n in (2, 5, 8):
             for p in (1.0, 2.0, 4.0, math.inf):

@@ -275,6 +275,23 @@ class TestCompression:
             rhs = schur_symbol * compression_jp(x, phi, psi, 4.0)
             assert np.linalg.norm(lhs - rhs) <= 1e-12
 
+    def test_weights_at_p_inf_are_the_supports(self):
+        rng = np.random.default_rng(5)
+        n = 8
+        idx = np.arange(n)
+        for _ in range(20):
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            m = rng.standard_normal(n)
+            phi, psi = rng.random(n), rng.random(n)
+            phi[rng.random(n) < 0.4] = 0.0
+            psi[rng.random(n) < 0.4] = 0.0
+            x = circulant(c)
+            out = compression_jp(x, phi, psi, np.inf)
+            np.testing.assert_array_equal(out, (phi > 0)[:, None] * x * (psi > 0)[None, :])
+            lhs = compression_jp(fourier_multiplier_circulant(x, m), phi, psi, np.inf)
+            rhs = m[(idx[:, None] - idx[None, :]) % n] * out
+            assert np.linalg.norm(lhs - rhs) <= 1e-12
+
     def test_negative_weight_rejected(self):
         x = circulant(np.ones(4))
         with pytest.raises(NegativeWeight):
