@@ -279,6 +279,11 @@ def _groupcheck(seed, group, field, g0):
     except SchurLabError as exc:
         raise ConfigInvalid(f"bad g0 for group {group!r}: {exc}") from exc
     verdict = groups.boundary_subalgebra_verdict(group, omega, g0, seed=seed)
+    # off the boundary the verdict judges another level set of the field
+    if verdict.boundary_residual > 1e-9:
+        raise ConfigInvalid(
+            f"g0 is off the boundary of field {field!r}: |phi(g0)| = {verdict.boundary_residual:.3e} > 1e-09"
+        )
     return {"group": group, "field": field, **verdict.to_json()}, verdict.passed, None
 
 

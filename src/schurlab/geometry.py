@@ -63,13 +63,19 @@ DEGENERATE_TOL = 1e-9
 MAX_RAY_ENTRIES = 1 << 22
 
 
+def _unit_normals(gx, gy):
+    """The normal split (n1, n2) at each row: the gradient split (gx, gy)
+    of the row divided by its joint length."""
+    nrm = np.sqrt(np.sum(gx**2, axis=-1) + np.sum(gy**2, axis=-1))[:, None]
+    return gx / nrm, gy / nrm
+
+
 def _boundary_points(spec, x, y, gx, gy) -> list:
     """BoundaryPoints at the rows of x (k, m), y (k, n) with the gradient
     split (gx, gy) there."""
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
-    nrm = np.sqrt(np.sum(gx**2, axis=-1) + np.sum(gy**2, axis=-1))[:, None]
-    n1, n2 = gx / nrm, gy / nrm
+    n1, n2 = _unit_normals(gx, gy)
     residual = np.abs(spec.f(x, y))
     return [
         BoundaryPoint(x=x[i], y=y[i], n1=n1[i], n2=n2[i], residual=float(residual[i]))
@@ -244,14 +250,18 @@ def _project_rays(spec: SymbolSpec, x, y, move_x: bool):
     return rows[keep], xs[keep], ys[keep], gx[keep], gy[keep]
 
 
+def _transverse(n1, n2, tol):
+    """Mask of the rows of the normal split n1 (k, m), n2 (k, n) whose
+    components both carry at least ``tol`` of the joint normal's length."""
+    s1, s2 = np.sum(n1**2, axis=-1), np.sum(n2**2, axis=-1)
+    floor = tol * np.sqrt(s1 + s2)
+    return (np.sqrt(s1) >= floor) & (np.sqrt(s2) >= floor)
+
+
 def transversality_check(pt: BoundaryPoint, tol: float = TRANSVERSE_TOL) -> bool:
     """True iff both normal components carry at least ``tol`` of the
-    joint normal's length."""
-    joint = math.sqrt(float(np.sum(pt.n1**2) + np.sum(pt.n2**2)))
-    return (
-        float(np.linalg.norm(pt.n1)) >= tol * joint
-        and float(np.linalg.norm(pt.n2)) >= tol * joint
-    )
+    joint normal's length (``_transverse`` at the one point)."""
+    return bool(_transverse(np.atleast_2d(pt.n1), np.atleast_2d(pt.n2), tol)[0])
 
 
 def _uniform_in_box(rng, box, size):
@@ -259,6 +269,27 @@ def _uniform_in_box(rng, box, size):
     point and axis by axis."""
     box = np.asarray(box, dtype=float)
     return rng.uniform(box[:, 0], box[:, 1], size=tuple(size) + (box.shape[0],))
+
+
+def _boundary_rows(spec: SymbolSpec, count: int, seed: int, max_attempts: Optional[int] = None):
+    """The points of ``sample_boundary_points`` as rows (x, y, gx, gy):
+    the points and their gradient splits."""
+    rng = np.random.default_rng(seed)
+    cap = max_attempts if max_attempts is not None else 40 * count
+    rays = _uniform_in_box(rng, spec.domain_box, (cap,))
+    m, n = spec.m_dim, spec.n_dim
+    parts = [(np.empty((0, m)), np.empty((0, n)), np.empty((0, m)), np.empty((0, n)))]
+    found = solved = 0
+    size = 2 * count
+    while found < count and solved < cap:
+        chunk = rays[solved : solved + size]
+        _, *rows = _project_rays(spec, chunk[:, :m], chunk[:, m:], move_x=False)
+        parts.append([r[: count - found] for r in rows])
+        found += len(parts[-1][0])
+        solved += len(chunk)
+        # as many rays as the yield so far says the missing points take
+        size = 2 * size if not found else -(-(count - found) * solved // found)
+    return [np.concatenate(c) for c in zip(*parts)]
 
 
 def sample_boundary_points(
@@ -271,28 +302,31 @@ def sample_boundary_points(
     domain box and project y.  Non-converging draws are skipped.
 
     All ``max_attempts`` (default ``40 * count``) rays are drawn at once and
-    solved in draw order, in ``_newton`` batches of ``2 * count`` rays and
-    then twice as many as the batch before, until ``count`` in-box points
-    are found; the first ``count``, in draw order, are kept.
+    solved in draw order, in ``_newton`` batches, until ``count`` in-box
+    points are found; the first ``count``, in draw order, are kept.  The
+    first batch has ``2 * count`` rays.  Each later batch has as many as
+    the yield so far says the missing points take,
+    ceil((count - found) * solved / found), or twice the batch before
+    while no point is found.  The batch sizes do not change which points
+    are kept.
     """
-    rng = np.random.default_rng(seed)
-    cap = max_attempts if max_attempts is not None else 40 * count
-    rays = _uniform_in_box(rng, spec.domain_box, (cap,))
-    pts = []
-    start, size = 0, 2 * count
-    while len(pts) < count and start < cap:
-        chunk = rays[start : start + size]
-        _, x, y, gx, gy = _project_rays(spec, chunk[:, : spec.m_dim], chunk[:, spec.m_dim :], move_x=False)
-        k = count - len(pts)
-        pts.extend(_boundary_points(spec, x[:k], y[:k], gx[:k], gy[:k]))
-        start, size = start + size, 2 * size
-    return pts
+    return _boundary_points(spec, *_boundary_rows(spec, count, seed, max_attempts))
 
 
-def _angle_between_lines(u, v) -> float:
-    """Angle between the lines spanned by unit vectors u, v (sign ignored)."""
-    c = abs(float(np.dot(u, v)))
-    return math.acos(min(1.0, c))
+def _wide_pairs(n2, tol_angle) -> list:
+    """The pairs (i, j), i < j in row-major order, of rows of n2 (k, n)
+    whose lines are more than ``tol_angle`` apart, from one |U U^t| of the
+    unit rows U."""
+    u = n2 / np.linalg.norm(n2, axis=1, keepdims=True)
+    wide = np.arccos(np.minimum(1.0, np.abs(u @ u.T))) > tol_angle
+    return list(zip(*np.nonzero(np.triu(wide, 1))))
+
+
+def _line_angle(u, v) -> float:
+    """Angle between the lines spanned by u and v (sign ignored), as
+    reported for a pair of ``_wide_pairs``."""
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    return math.acos(min(1.0, abs(float(np.dot(u, v)))))
 
 
 def zero_curvature_check_c1(
@@ -317,21 +351,9 @@ def zero_curvature_check_c1(
         if not transversality_check(pt, transverse_tol):
             raise NonTransverseSample(f"sample at x = {pt.x} is not transverse")
         pts.append(pt)
-    witnesses = _section_witnesses(pts, tol_angle)
+    n2 = np.reshape([pt.n2 for pt in pts], (len(pts), spec.n_dim))
+    witnesses = [(pts[i], pts[j], _line_angle(n2[i], n2[j])) for i, j in _wide_pairs(n2, tol_angle)]
     return not witnesses, witnesses
-
-
-def _section_witnesses(pts, tol_angle):
-    """The pairs (point_i, point_j, angle), i < j, whose unit normals n2
-    span lines more than ``tol_angle`` apart."""
-    units = [pt.n2 / np.linalg.norm(pt.n2) for pt in pts]
-    witnesses = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            ang = _angle_between_lines(units[i], units[j])
-            if ang > tol_angle:
-                witnesses.append((pts[i], pts[j], ang))
-    return witnesses
 
 
 def _kernel_basis(v: np.ndarray) -> np.ndarray:
@@ -352,21 +374,21 @@ def mixed_hessian_check(
     points is <= tol * max ||H_xy||.  Returns (ok, max_violation) with the
     violation already normalized by the Hessian scale.
     """
-    hs = []
-    for pt in pts:
-        if not transversality_check(pt):
-            raise NonTransverseSample(f"point at x = {pt.x} is not transverse")
-        hs.append(mixed_hessian(spec, pt.x, pt.y))
-    if not hs:
+    if not pts:
         return True, 0.0
-    h = np.array(hs)
+    n1 = np.array([pt.n1 for pt in pts])
+    n2 = np.array([pt.n2 for pt in pts])
+    tangent = ~_transverse(n1, n2, TRANSVERSE_TOL)
+    if tangent.any():
+        raise NonTransverseSample(f"point at x = {pts[int(tangent.argmax())].x} is not transverse")
+    h = np.array([mixed_hessian(spec, pt.x, pt.y) for pt in pts])
     scale = float(np.linalg.norm(h, 2, axis=(1, 2)).max())
     if scale == 0.0:
         return True, 0.0
     worst = 0.0
     if min(h.shape[1:]) > 1:  # else one factor is 1-dimensional: nothing to test
-        bu = _kernel_basis(np.array([pt.n1 for pt in pts]))
-        bv = _kernel_basis(np.array([pt.n2 for pt in pts]))
+        bu = _kernel_basis(n1)
+        bv = _kernel_basis(n2)
         worst = float(np.abs(bu @ h @ np.swapaxes(bv, 1, 2)).max())
     rel = worst / scale
     return rel <= tol, rel
@@ -603,30 +625,29 @@ def classify(
         seed=seed,
     )
 
-    pool = sample_boundary_points(spec, boundary_samples, seed=seed)
-    if not pool:
+    # the pool, its sections and their checks work on rows (x, y, gx, gy);
+    # BoundaryPoints are made only for the Hessian check and the witnesses
+    x, y, gx, gy = _boundary_rows(spec, boundary_samples, seed)
+    if not len(x):
         # rays move y only, so an F without y-dependence has no pool; the
         # transposed symbol's rays move x
-        pool = [
-            BoundaryPoint(x=p.y, y=p.x, n1=p.n2, n2=p.n1, residual=p.residual)
-            for p in sample_boundary_points(transpose_spec(spec), boundary_samples, seed=seed)
-        ]
-    if not pool:
+        y, x, gy, gx = _boundary_rows(transpose_spec(spec), boundary_samples, seed)
+    if not len(x):
         report.notes.append("no boundary points found in the domain box")
         return report
 
-    max_n1 = max(float(np.linalg.norm(p.n1)) for p in pool)
-    max_n2 = max(float(np.linalg.norm(p.n2)) for p in pool)
-    if max_n1 < DEGENERATE_TOL:
+    n1, n2 = _unit_normals(gx, gy)
+    if np.linalg.norm(n1, axis=1).max() < DEGENERATE_TOL:
         report.verdict = TRIANGULAR_MODEL
         report.notes.append("degenerate case: n1 vanishes at all samples")
         return report
-    if max_n2 < DEGENERATE_TOL:
+    if np.linalg.norm(n2, axis=1).max() < DEGENERATE_TOL:
         report.verdict = TRIANGULAR_MODEL
         report.notes.append("degenerate case: n2 vanishes at all samples")
         return report
 
-    sample_pool = [p for p in pool if transversality_check(p, transverse_tol)]
+    transverse = _transverse(n1, n2, transverse_tol)
+    pool_x, pool_y = x[transverse], y[transverse]
     if z0 is not None:
         x0, y0 = z0
         try:
@@ -638,59 +659,50 @@ def classify(
             report.verdict = NON_TRANSVERSE
             report.notes.append("base point is not transverse")
             return report
-    elif not sample_pool:
+    elif not transverse.any():
         report.verdict = NON_TRANSVERSE
         report.notes.append("no transverse boundary point among samples")
         return report
 
     rng = np.random.default_rng([seed, 1])
     c1_ok = True
-    used_sections = 0
-    transverse_pts = []
+    used = []  # the rows (x, y, gx, gy) of each used section
     per = points_per_section
     # the sections of up to ``sections`` pool points are solved as one batch;
     # past the first ``sections`` points only until one section assembles
-    for start in range(0, len(sample_pool), max(sections, 1)):
-        if used_sections:
+    for start in range(0, len(pool_x), max(sections, 1)):
+        if used:
             break
-        chunk = sample_pool[start : start + sections]
+        cx, cy = pool_x[start : start + sections], pool_y[start : start + sections]
         x_inits = np.concatenate(
-            (
-                _uniform_in_box(rng, spec.x_box, (len(chunk), per - 1)),
-                np.array([pt.x for pt in chunk])[:, None],
-            ),
-            axis=1,
+            (_uniform_in_box(rng, spec.x_box, (len(cx), per - 1)), cx[:, None]), axis=1
         ).reshape(-1, spec.m_dim)
-        ys = np.repeat(np.array([pt.y for pt in chunk]), per, axis=0)
-        rows, x, y, gx, gy = _project_rays(spec, x_inits, ys, move_x=True)
-        section = rows // per
-        solved = _boundary_points(spec, x, y, gx, gy)
-        for j in range(len(chunk)):
-            if start + j >= sections and used_sections:
+        rows, x, y, gx, gy = _project_rays(spec, x_inits, np.repeat(cy, per, axis=0), move_x=True)
+        n1, n2 = _unit_normals(gx, gy)
+        section = np.where(_transverse(n1, n2, transverse_tol), rows // per, -1)
+        for j in range(len(cx)):
+            if start + j >= sections and used:
                 break
-            kept = [
-                q
-                for q, k in zip(solved, section)
-                if k == j and transversality_check(q, transverse_tol)
-            ]
+            kept = np.flatnonzero(section == j)
             if len(kept) < 2:
                 continue
-            used_sections += 1
-            transverse_pts.extend(kept)
-            witnesses = _section_witnesses(kept, tol_angle)
-            if witnesses:
-                c1_ok = False
-                report.witnesses.extend(witnesses[: 8 - len(report.witnesses)])
-    report.samples["sections_used"] = used_sections
-    if used_sections == 0:
+            used.append((x[kept], y[kept], gx[kept], gy[kept]))
+            pairs = _wide_pairs(n2[kept], tol_angle)
+            c1_ok = c1_ok and not pairs
+            for a, b in pairs[: 8 - len(report.witnesses)]:
+                ab = kept[[a, b]]
+                p, q = _boundary_points(spec, x[ab], y[ab], gx[ab], gy[ab])
+                report.witnesses.append((p, q, _line_angle(n2[ab[0]], n2[ab[1]])))
+    report.samples["sections_used"] = len(used)
+    if not used:
         report.notes.append("could not assemble section pairs for the curvature check")
         return report
 
-    c2_available = spec.hess_xy is not None
     c2_ok = None
-    if c2_available and transverse_pts:
-        c2_ok, violation = mixed_hessian_check(spec, transverse_pts, hessian_tol)
-        report.samples["hessian_points"] = len(transverse_pts)
+    if spec.hess_xy is not None:
+        pts = _boundary_points(spec, *(np.concatenate(c) for c in zip(*used)))
+        c2_ok, violation = mixed_hessian_check(spec, pts, hessian_tol)
+        report.samples["hessian_points"] = len(pts)
         report.samples["hessian_violation"] = violation
 
     if c2_ok is None or c2_ok == c1_ok:

@@ -628,6 +628,10 @@ def boundary_subalgebra_verdict(
     """Test whether the boundary {omega_f = 0} is locally g0 exp(h) for a
     codimension-1 Lie subalgebra h.
 
+    ``g0`` must lie on the boundary {omega_f = 0}: off it, the verdict
+    judges the level set through g0, not the boundary
+    (``boundary_residual`` reports |omega_f(g0)|).
+
     The tangent hyperplane at g0, pulled to the identity by left
     translation (exponential coordinates), is the only candidate; the
     verdict runs the bracket-closure check on it and verifies

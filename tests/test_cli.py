@@ -404,10 +404,14 @@ class TestErrorPaths:
             ({"command": "cotlar", "group": "so3", "samples": 10}, 64),
             ({"command": "cotlar", "samples": 10}, 64),
             ({"command": "groupcheck", "group": "heisenberg", "field": "x", "g0": [1]}, 64),
-            ({"command": "groupcheck", "group": "real", "field": "t", "g0": [0.5]}, 0),
+            # g0 must lie on the boundary {phi = 0}
+            ({"command": "groupcheck", "group": "real", "field": "t-0.5", "g0": [0.5]}, 0),
             ({"command": "groupcheck", "group": "real", "field": "t", "g0": [math.nan]}, 64),
             ({"command": "groupcheck", "group": "affine", "field": "b", "g0": [1, math.inf]}, 64),
             ({"command": "groupcheck", "group": "real", "field": "log(t)"}, 1),
+            # |phi| = 0.5 at the default g0 = (1, 0)
+            ({"command": "groupcheck", "group": "affine", "field": "b-0.5"}, 64),
+            ({"command": "groupcheck", "group": "affine", "field": "b-0.5", "g0": [1.0, 0.5]}, 0),
             ({"command": "transfer", "N": 1000}, 64),
             ({"command": "transfer", "N": 8, "m": [1, 0, 1]}, 64),
         ],
@@ -420,6 +424,8 @@ class TestErrorPaths:
             "groupcheck-real-g0-nan",
             "groupcheck-affine-g0-inf",
             "groupcheck-field-not-finite",
+            "groupcheck-g0-off-boundary",
+            "groupcheck-g0-on-shifted-boundary",
             "transfer-N-too-large",
             "transfer-m-wrong-length",
         ],

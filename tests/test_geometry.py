@@ -1,14 +1,21 @@
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schurlab import geometry
 from schurlab.errors import DegenerateGradient, NoConvergence, NonTransverse, NonTransverseSample
 from schurlab.geometry import (
+    ANGLE_TOL,
     CURVATURE_FAIL,
+    DEGENERATE_TOL,
+    HESSIAN_TOL,
     INCONCLUSIVE,
     NON_TRANSVERSE,
+    TRANSVERSE_TOL,
     TRIANGULAR_MODEL,
     _NEWTON_FAILURES,
     _boundary_points,
@@ -16,6 +23,7 @@ from schurlab.geometry import (
     _newton,
     _newton_one,
     _project_rays,
+    _transverse,
     _uniform_in_box,
     boundary_project,
     classify,
@@ -28,6 +36,7 @@ from schurlab.geometry import (
 )
 from schurlab.multiplier import componentwise_reparam, pullback_symbol
 from schurlab.symbols import (
+    BoundaryPoint,
     ball,
     mixed_hessian,
     halfspace,
@@ -35,8 +44,12 @@ from schurlab.symbols import (
     toeplitz_ball,
     transpose_spec,
     triangular,
+    from_json,
     user_symbol,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 class TestBoundaryProject:
@@ -326,6 +339,45 @@ def test_pool_solves_only_the_rays_it_needs():
     assert sum(rows) <= 8000
 
 
+def _newton_batches(monkeypatch):
+    """The row counts of the ``_newton`` batches run from now on."""
+    batches = []
+    newton = geometry._newton
+
+    def counted(f, grad, z, *args):
+        batches.append(len(z))
+        return newton(f, grad, z, *args)
+
+    monkeypatch.setattr(geometry, "_newton", counted)
+    return batches
+
+
+def test_pool_batch_follows_the_yield(monkeypatch):
+    # 4 in-box points in the first 128 rays size the second batch at
+    # ceil(60 * 128 / 4) = 1,920 rays; doubling batches took 5 solves
+    batches = _newton_batches(monkeypatch)
+    spec = sphere_delta(3, 0.0)
+    pts = sample_boundary_points(spec, 64, seed=7)
+    assert len(batches) <= 2
+    _assert_same_points(pts, _reference_pool(spec, 64, 7))
+
+
+def test_pool_batches_double_until_a_point_is_found(monkeypatch):
+    # the first 12 rays find nothing (4, then 8); one point in 12 rays
+    # sizes the third batch at 12, and still one in 24 the fourth at 24
+    batches = _newton_batches(monkeypatch)
+    spec = sphere_delta(3, 0.0)
+    pts = sample_boundary_points(spec, 2, seed=5)
+    assert batches == [4, 8, 12, 24]
+    _assert_same_points(pts, _one_batch_pool(spec, 5, 48)[1][:2])
+
+
+def test_pool_batches_stop_at_max_attempts(monkeypatch):
+    batches = _newton_batches(monkeypatch)
+    assert sample_boundary_points(sphere_delta(3, 0.0), 1, seed=1, max_attempts=25) == []
+    assert batches == [2, 4, 8, 11]
+
+
 class TestTransversality:
     def test_toeplitz_always_transverse(self):
         pts = sample_boundary_points(toeplitz_ball(2, 1.0), 20, seed=0)
@@ -577,3 +629,120 @@ class TestClassify:
             rep = classify(halfspace(f1, "0"), seed=5)
             assert rep.verdict == TRIANGULAR_MODEL
             assert rep.notes == ["degenerate case: n2 vanishes at all samples"]
+
+
+def _transverse_point(pt, tol=TRANSVERSE_TOL):
+    """The transversality rule at one point: each normal component has at
+    least ``tol`` of the joint normal's length."""
+    joint = math.sqrt(float(np.sum(pt.n1**2) + np.sum(pt.n2**2)))
+    return bool(np.linalg.norm(pt.n1) >= tol * joint and np.linalg.norm(pt.n2) >= tol * joint)
+
+
+def _reference_classify(spec, seed, z0=None, sections=8, per=8):
+    """``classify`` with its default counts and tolerances, point by point:
+    one BoundaryPoint per pool point and per section solve (one
+    ``boundary_project_x`` each), the transversality rule and the kernel
+    bases of the Hessian check at one point at a time, and each section
+    pair's angle by its own scalar acos.  Returns (verdict,
+    sections_used, hessian_points, hessian_violation, witnesses)."""
+    pool = sample_boundary_points(spec, 64, seed=seed)
+    if not pool:
+        pool = [
+            BoundaryPoint(x=p.y, y=p.x, n1=p.n2, n2=p.n1, residual=p.residual)
+            for p in sample_boundary_points(transpose_spec(spec), 64, seed=seed)
+        ]
+    for name in ("n1", "n2"):
+        if max(np.linalg.norm(getattr(p, name)) for p in pool) < DEGENERATE_TOL:
+            return TRIANGULAR_MODEL, None, None, None, []
+    sample_pool = [p for p in pool if _transverse_point(p)]
+    if z0 is not None and not _transverse_point(boundary_project(spec, *map(np.asarray, z0))):
+        return NON_TRANSVERSE, None, None, None, []
+    rng = np.random.default_rng([seed, 1])
+    used, witnesses = [], []
+    for start in range(0, len(sample_pool), sections):
+        if used:
+            break
+        chunk = sample_pool[start : start + sections]
+        x_inits = _uniform_in_box(rng, spec.x_box, (len(chunk), per - 1))
+        for j, base in enumerate(chunk):
+            if start + j >= sections and used:
+                break
+            kept = []
+            for x0 in [*x_inits[j], base.x]:
+                try:
+                    q = geometry.boundary_project_x(spec, x0, base.y)
+                except (NoConvergence, DegenerateGradient):
+                    continue
+                if all(lo <= t <= hi for t, (lo, hi) in zip(q.x, spec.x_box)) and _transverse_point(q):
+                    kept.append(q)
+            if len(kept) < 2:
+                continue
+            used.append(kept)
+            for a in range(len(kept)):
+                for b in range(a + 1, len(kept)):
+                    u, v = (p.n2 / np.linalg.norm(p.n2) for p in (kept[a], kept[b]))
+                    ang = math.acos(min(1.0, abs(float(np.dot(u, v)))))
+                    if ang > ANGLE_TOL:
+                        witnesses.append((kept[a], kept[b], ang))
+    if not used:
+        return INCONCLUSIVE, 0, None, None, []
+    c1_ok = not witnesses
+    points = [p for kept in used for p in kept]
+    if spec.hess_xy is None:
+        hessian = (None, None)
+        verdict = TRIANGULAR_MODEL if c1_ok else CURVATURE_FAIL
+    else:
+        worst = scale = 0.0
+        for pt in points:
+            h = mixed_hessian(spec, pt.x, pt.y)
+            scale = max(scale, float(np.linalg.norm(h, 2)))
+            if min(h.shape) > 1:
+                worst = max(worst, float(np.abs(_kernel_basis(pt.n1) @ h @ _kernel_basis(pt.n2).T).max()))
+        violation = worst / scale if scale else 0.0
+        hessian = (len(points), violation)
+        c2_ok = violation <= HESSIAN_TOL
+        verdict = (TRIANGULAR_MODEL if c1_ok else CURVATURE_FAIL) if c2_ok == c1_ok else INCONCLUSIVE
+    return verdict, len(used), *hessian, witnesses[:8]
+
+
+# the classify benchmark's configs at benchmark seed 7: the criterion-1
+# builtins, the two expression symbols and the base-point config, each at
+# two config seeds
+_CLASSIFY_JOBS = workloads.classify(7)
+
+
+@pytest.mark.parametrize("config", [job.config for job in _CLASSIFY_JOBS], ids=[job.name for job in _CLASSIFY_JOBS])
+def test_classify_matches_the_point_by_point_reference(config):
+    spec = from_json(config["symbol"])
+    with np.errstate(all="ignore"):
+        rep = classify(spec, z0=config.get("z0"), seed=config["seed"])
+        verdict, used, points, violation, witnesses = _reference_classify(spec, config["seed"], config.get("z0"))
+    assert rep.verdict == verdict
+    assert rep.samples.get("sections_used") == used
+    assert rep.samples.get("hessian_points") == points
+    assert rep.samples.get("hessian_violation") == violation
+    assert len(rep.witnesses) == len(witnesses)
+    for (p, q, ang), (p_ref, q_ref, ang_ref) in zip(rep.witnesses, witnesses):
+        _assert_same_points([p, q], [p_ref, q_ref])
+        assert ang == ang_ref
+
+
+def test_transversality_check_is_the_row_rule_at_its_threshold():
+    # n1 = t e1 is transverse exactly when t >= tol * sqrt(t^2 + |n2|^2);
+    # the points step across that threshold one float at a time
+    tol = TRANSVERSE_TOL
+    for n2 in ([1.0], [0.6, 0.8], [0.3, -0.4, 0.5]):
+        n2 = np.array(n2)
+        joint2 = float(np.sum(n2**2))
+        t_star = tol * math.sqrt(joint2 / (1.0 - tol * tol))
+        ts = [t_star]
+        for _ in range(4):
+            ts = [np.nextafter(ts[0], 0.0), *ts, np.nextafter(ts[-1], 1.0)]
+        n1 = np.array([[t, 0.0] for t in ts])
+        rows = _transverse(n1, np.tile(n2, (len(ts), 1)), tol)
+        assert not rows[0] and rows[-1]
+        for t, row in zip(ts, rows):
+            pt = BoundaryPoint(x=np.zeros(2), y=np.zeros(len(n2)), n1=np.array([t, 0.0]), n2=n2, residual=0.0)
+            assert transversality_check(pt, tol) == row == _transverse_point(pt, tol)
+            swapped = dataclasses.replace(pt, n1=pt.n2, n2=pt.n1)
+            assert transversality_check(swapped, tol) == row

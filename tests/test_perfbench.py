@@ -1,0 +1,38 @@
+"""The benchmark's span tracer against the library.
+
+``perfbench/spans.py`` patches library functions by name for its traced
+run; a refactor that drops or renames one of them fails here.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from schurlab import geometry
+from schurlab.symbols import sphere_delta
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+GEOMETRY_NAMES = ("classify", "boundary_project", "mixed_hessian_check", "gradient", "mixed_hessian")
+
+
+def test_tracer_installs_and_restores_every_patched_name():
+    originals = {name: getattr(geometry, name) for name in GEOMETRY_NAMES}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        patched = {(obj, attr): original for obj, attr, original in tracer._patched}
+        for name in GEOMETRY_NAMES:
+            assert patched[(geometry, name)] is originals[name]
+            assert getattr(geometry, name).__wrapped__ is originals[name]
+        with np.errstate(all="ignore"):
+            rep = geometry.classify(sphere_delta(2, 0.3), seed=2)
+    finally:
+        tracer.uninstall()
+    assert rep.verdict == geometry.CURVATURE_FAIL
+    for obj, attr in patched:
+        assert getattr(obj, attr) is patched[(obj, attr)]
+    names = {span[spans.NAME] for span in tracer.spans}
+    assert {"geometry.classify", "geometry.hessian_check", "symbols.hess"} <= names
