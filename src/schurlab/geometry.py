@@ -271,25 +271,49 @@ def _uniform_in_box(rng, box, size):
     return rng.uniform(box[:, 0], box[:, 1], size=tuple(size) + (box.shape[0],))
 
 
-def _boundary_rows(spec: SymbolSpec, count: int, seed: int, max_attempts: Optional[int] = None):
-    """The points of ``sample_boundary_points`` as rows (x, y, gx, gy):
-    the points and their gradient splits."""
-    rng = np.random.default_rng(seed)
-    cap = max_attempts if max_attempts is not None else 40 * count
-    rays = _uniform_in_box(rng, spec.domain_box, (cap,))
-    m, n = spec.m_dim, spec.n_dim
-    parts = [(np.empty((0, m)), np.empty((0, n)), np.empty((0, m)), np.empty((0, n)))]
-    found = solved = 0
-    size = 2 * count
-    while found < count and solved < cap:
-        chunk = rays[solved : solved + size]
-        _, *rows = _project_rays(spec, chunk[:, :m], chunk[:, m:], move_x=False)
-        parts.append([r[: count - found] for r in rows])
-        found += len(parts[-1][0])
-        solved += len(chunk)
-        # as many rays as the yield so far says the missing points take
-        size = 2 * size if not found else -(-(count - found) * solved // found)
-    return [np.concatenate(c) for c in zip(*parts)]
+class _BoundaryPool:
+    """The boundary rows (x, y, gx, gy) of ``sample_boundary_points``,
+    solved only as far as they are read.
+
+    All ``max_attempts`` (default ``40 * count``) rays are drawn at once;
+    ``grow`` solves them in draw order.  With ``transposed`` the rays are
+    those of the transposed symbol, which move x, and the rows are given
+    in the symbol's own order."""
+
+    def __init__(self, spec, count, seed, max_attempts=None, transposed=False):
+        self.spec = transpose_spec(spec) if transposed else spec
+        self.count = count
+        self.transposed = transposed
+        cap = max_attempts if max_attempts is not None else 40 * count
+        self.rays = _uniform_in_box(np.random.default_rng(seed), self.spec.domain_box, (cap,))
+        m, n = self.spec.m_dim, self.spec.n_dim
+        self.rows = [np.empty((0, m)), np.empty((0, n)), np.empty((0, m)), np.empty((0, n))]
+        self.solved = 0
+        self.size = 0  # the points read so far
+
+    def grow(self, target):
+        """The first ``target`` points (at most ``count``, and never fewer
+        than read before), solving rays until they are found or the rays
+        run out.  Each batch holds as many rays as the yield so far says
+        the missing points take, ceil(missing * solved / found); while no
+        point is found, twice the missing points, then twice the batch
+        before."""
+        target = min(max(target, self.size), self.count)
+        found = len(self.rows[0])
+        batch = 2 * (target - found)
+        m = self.spec.m_dim
+        while found < target and self.solved < len(self.rays):
+            if found:
+                batch = -(-(target - found) * self.solved // found)
+            chunk = self.rays[self.solved : self.solved + batch]
+            _, *rows = _project_rays(self.spec, chunk[:, :m], chunk[:, m:], move_x=False)
+            self.rows = [np.concatenate(pair) for pair in zip(self.rows, rows)]
+            found = len(self.rows[0])
+            self.solved += len(chunk)
+            batch *= 2
+        x, y, gx, gy = (r[:target] for r in self.rows)
+        self.size = len(x)
+        return (y, x, gy, gx) if self.transposed else (x, y, gx, gy)
 
 
 def sample_boundary_points(
@@ -308,9 +332,10 @@ def sample_boundary_points(
     the yield so far says the missing points take,
     ceil((count - found) * solved / found), or twice the batch before
     while no point is found.  The batch sizes do not change which points
-    are kept.
+    are kept.  ``classify`` reads a prefix of the same points, grown in
+    steps (``_BoundaryPool``).
     """
-    return _boundary_points(spec, *_boundary_rows(spec, count, seed, max_attempts))
+    return _boundary_points(spec, *_BoundaryPool(spec, count, seed, max_attempts).grow(count))
 
 
 def _wide_pairs(n2, tol_angle) -> list:
@@ -606,6 +631,14 @@ def classify(
     check at the same points.  Agreeing
     checks produce TRIANGULAR_MODEL / CURVATURE_FAIL; disagreement yields
     INCONCLUSIVE with diagnostics.
+
+    ``boundary_samples`` caps the pool; its rays are solved only as far as
+    these steps read it: to ``min(sections, boundary_samples)`` points,
+    and further only while a normal component vanishes at every point
+    read, or a section group (with no ``z0``, a first transverse point)
+    lies past the transverse points read.  What is read is always the
+    start of the whole pool, so the report is the whole pool's;
+    ``samples["pool_points"]`` counts the points read.
     """
     report = ClassificationReport(
         verdict=INCONCLUSIVE,
@@ -626,17 +659,43 @@ def classify(
     )
 
     # the pool, its sections and their checks work on rows (x, y, gx, gy);
-    # BoundaryPoints are made only for the Hessian check and the witnesses
-    x, y, gx, gy = _boundary_rows(spec, boundary_samples, seed)
-    if not len(x):
+    # BoundaryPoints are made only for the Hessian check and the witnesses.
+    # The pool is read as a prefix, grown only where the prefix could
+    # decide differently from the whole pool; rows of ``_newton`` are
+    # solved independently, so every prefix is one of the whole pool's.
+    group = max(sections, 1)
+
+    def grow(target):
+        rows = pool.grow(target)
+        report.samples["pool_points"] = len(rows[0])
+        return rows
+
+    def transverse_points(need):
+        """x and y of the transverse points of the pool, grown until
+        ``need`` of them are transverse or it holds no more points."""
+        target = 0
+        while True:
+            x, y, gx, gy = grow(target)
+            transverse = _transverse(*_unit_normals(gx, gy), transverse_tol)
+            missing = need - int(transverse.sum())
+            if missing <= 0 or len(x) < target:  # enough, or no more points
+                return x[transverse], y[transverse]
+            target = len(x) + missing
+
+    pool = _BoundaryPool(spec, boundary_samples, seed)
+    if not len(grow(group)[0]):
         # rays move y only, so an F without y-dependence has no pool; the
         # transposed symbol's rays move x
-        y, x, gy, gx = _boundary_rows(transpose_spec(spec), boundary_samples, seed)
+        pool = _BoundaryPool(spec, boundary_samples, seed, transposed=True)
+    x, y, gx, gy = grow(group)
     if not len(x):
         report.notes.append("no boundary points found in the domain box")
         return report
 
     n1, n2 = _unit_normals(gx, gy)
+    if min(np.linalg.norm(n1, axis=1).max(), np.linalg.norm(n2, axis=1).max()) < DEGENERATE_TOL:
+        # a component vanishing on the prefix may not vanish on the pool
+        n1, n2 = _unit_normals(*grow(boundary_samples)[2:])
     if np.linalg.norm(n1, axis=1).max() < DEGENERATE_TOL:
         report.verdict = TRIANGULAR_MODEL
         report.notes.append("degenerate case: n1 vanishes at all samples")
@@ -646,8 +705,6 @@ def classify(
         report.notes.append("degenerate case: n2 vanishes at all samples")
         return report
 
-    transverse = _transverse(n1, n2, transverse_tol)
-    pool_x, pool_y = x[transverse], y[transverse]
     if z0 is not None:
         x0, y0 = z0
         try:
@@ -659,7 +716,7 @@ def classify(
             report.verdict = NON_TRANSVERSE
             report.notes.append("base point is not transverse")
             return report
-    elif not transverse.any():
+    elif not len(transverse_points(group)[0]):
         report.verdict = NON_TRANSVERSE
         report.notes.append("no transverse boundary point among samples")
         return report
@@ -668,10 +725,16 @@ def classify(
     c1_ok = True
     used = []  # the rows (x, y, gx, gy) of each used section
     per = points_per_section
-    # the sections of up to ``sections`` pool points are solved as one batch;
-    # past the first ``sections`` points only until one section assembles
-    for start in range(0, len(pool_x), max(sections, 1)):
-        if used:
+    # the sections of a group of up to ``sections`` transverse pool points
+    # are solved as one batch; past the first group only until one section
+    # assembles.  A group is read once the pool holds all of it, so its
+    # size, and the x starts drawn for it, are those of the whole pool.
+    start = 0
+    while not used:
+        # a walk past the first group doubles the pool it reads, so it
+        # grows the pool a few times and not once per group
+        pool_x, pool_y = transverse_points(max(start + group, 2 * start))
+        if start >= len(pool_x):
             break
         cx, cy = pool_x[start : start + sections], pool_y[start : start + sections]
         x_inits = np.concatenate(
@@ -693,6 +756,7 @@ def classify(
                 ab = kept[[a, b]]
                 p, q = _boundary_points(spec, x[ab], y[ab], gx[ab], gy[ab])
                 report.witnesses.append((p, q, _line_angle(n2[ab[0]], n2[ab[1]])))
+        start += group
     report.samples["sections_used"] = len(used)
     if not used:
         report.notes.append("could not assemble section pairs for the curvature check")

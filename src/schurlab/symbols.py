@@ -75,8 +75,8 @@ class SymbolSpec:
         if len(self.domain_box) != self.m_dim + self.n_dim:
             raise ValueError("domain_box must list one (lo, hi) pair per axis")
         for lo, hi in self.domain_box:
-            if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("domain_box intervals must be nonempty and finite")
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError("domain_box intervals must be nonempty with a finite width")
 
     @property
     def x_box(self):

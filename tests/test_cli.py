@@ -547,6 +547,9 @@ class TestErrorPaths:
             {"command": "cotlar", "group": "affine", "samples": 10, "seed": -1},
             {**SPHERE_CLASSIFY, "symbol": {**SPHERE_CLASSIFY["symbol"], "builtin": None,
                                            "expr": "x1 - y1", "box": [[-1, math.inf]] + [[-1, 1]] * 3}},
+            # finite bounds whose width hi - lo overflows to inf
+            {**SPHERE_CLASSIFY, "symbol": {**SPHERE_CLASSIFY["symbol"], "box": [[-1e308, 1e308]] + [[-1, 1]] * 3}},
+            {**TRIANGULAR_NORMS, "symbol": {**TRIANGULAR_NORMS["symbol"], "box": [[-1e308, 1e308], [0, 1024]]}},
         ],
         ids=[
             "classify-z0-string",
@@ -555,6 +558,8 @@ class TestErrorPaths:
             "squarefn-C-string",
             "cotlar-negative-seed",
             "classify-infinite-box",
+            "classify-box-width-overflows",
+            "norms-box-width-overflows",
         ],
     )
     def test_malformed_values_exit_64(self, tmp_path, capsys, cfg):

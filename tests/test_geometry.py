@@ -18,6 +18,7 @@ from schurlab.geometry import (
     TRANSVERSE_TOL,
     TRIANGULAR_MODEL,
     _NEWTON_FAILURES,
+    _BoundaryPool,
     _boundary_points,
     _kernel_basis,
     _newton,
@@ -200,10 +201,11 @@ def test_single_point_solve_halves_one_length_per_call():
     x = np.array([0.8, 0.7])
     batched, sequential = [], []
     with pytest.raises(NoConvergence):
-        _newton_one(lambda y: batched.append(y) or spec.f(x, y), lambda y: spec.grad(x, y)[1], [0.3, 0.1], 1e-9, 100)
+        # copies: both solvers later write their accepted points in place
+        _newton_one(lambda y: batched.append(y.copy()) or spec.f(x, y), lambda y: spec.grad(x, y)[1], [0.3, 0.1], 1e-9, 100)
 
     def f(z, rows):
-        sequential.extend(z)
+        sequential.extend(z.copy())
         return spec.f(x, z)
 
     halvings = []
@@ -337,6 +339,46 @@ def test_pool_solves_only_the_rays_it_needs():
     pts = sample_boundary_points(dataclasses.replace(spec, f=f), 64, seed=0)
     assert len(pts) == 64
     assert sum(rows) <= 8000
+
+
+def test_classify_solves_only_the_pool_prefix_it_reads():
+    # with the whole 64-point pool solved first this took 4,068 rows of F;
+    # the checks read the first 8 points (912 rows)
+    spec = ball(2, 1.0)
+    rows = []
+
+    def f(x, y):
+        rows.append(np.shape(x)[0] if np.ndim(x) > 1 else 1)
+        return spec.f(x, y)
+
+    rep = classify(dataclasses.replace(spec, f=f), seed=0)
+    assert rep.verdict == TRIANGULAR_MODEL
+    assert sum(rows) <= 1500
+
+
+@pytest.mark.parametrize("spec,seed", [(ball(2, 1.0), 0), (sphere_delta(3, 0.0), 7)], ids=["ball", "sphere3"])
+def test_pool_grown_in_steps_is_a_prefix_of_the_whole_pool(spec, seed):
+    # a smaller target than before reads the points already read
+    pool = _BoundaryPool(spec, 64, seed)
+    whole = sample_boundary_points(spec, 64, seed=seed)
+    for target, size in ((3, 3), (8, 8), (5, 8), (20, 20), (100, 64)):
+        rows = pool.grow(target)
+        _assert_same_points(_boundary_points(spec, *rows), whole[:size])
+
+
+@pytest.mark.parametrize(
+    "spec,kwargs,points",
+    [
+        (ball(2, 1.0), dict(seed=0), 8),
+        # degenerate: n1 vanishes at every point of the prefix
+        (halfspace(f1="0"), dict(seed=2), 64),
+        # no section assembles, so every section group is read
+        (ball(2, 1.0), dict(seed=1, points_per_section=1), 64),
+    ],
+    ids=["ball", "degenerate", "every-group"],
+)
+def test_pool_points_counts_the_points_read(spec, kwargs, points):
+    assert classify(spec, **kwargs).samples["pool_points"] == points
 
 
 def _newton_batches(monkeypatch):
@@ -657,6 +699,8 @@ def _reference_classify(spec, seed, z0=None, sections=8, per=8):
     sample_pool = [p for p in pool if _transverse_point(p)]
     if z0 is not None and not _transverse_point(boundary_project(spec, *map(np.asarray, z0))):
         return NON_TRANSVERSE, None, None, None, []
+    if z0 is None and not sample_pool:
+        return NON_TRANSVERSE, None, None, None, []
     rng = np.random.default_rng([seed, 1])
     used, witnesses = [], []
     for start in range(0, len(sample_pool), sections):
@@ -705,18 +749,31 @@ def _reference_classify(spec, seed, z0=None, sections=8, per=8):
     return verdict, len(used), *hessian, witnesses[:8]
 
 
+def _halfspace_config(f1, f2, seed):
+    return {"symbol": {"builtin": "halfspace", "params": {"f1": f1, "f2": f2}}, "seed": seed}
+
+
 # the classify benchmark's configs at benchmark seed 7: the criterion-1
 # builtins, the two expression symbols and the base-point config, each at
-# two config seeds
-_CLASSIFY_JOBS = workloads.classify(7)
+# two config seeds; then configs that classify cannot decide from its
+# first pool points, which the reference reads from the whole pool
+_CLASSIFY_JOBS = [(job.name, job.config) for job in workloads.classify(7)] + [
+    ("degenerate", _halfspace_config("0", "y1", 2)),
+    ("transposed-pool", _halfspace_config("x1", "0", 5)),
+    ("no-transverse-point", _halfspace_config("x1", "1e-8*y1", 0)),
+    ("no-section-assembles", {"symbol": {"builtin": "ball", "params": {"n": 2}}, "seed": 1, "points_per_section": 1}),
+    ("walks-past-first-sections", {"symbol": {"builtin": "sphere_delta", "params": {"n": 3, "delta": 0.0}}, "seed": 532220982}),
+    ("non-transverse-base-point", {"symbol": {"builtin": "ball", "params": {"n": 2}}, "seed": 2, "z0": ([1.0, 0.0], [0.0, 0.0])}),
+]
 
 
-@pytest.mark.parametrize("config", [job.config for job in _CLASSIFY_JOBS], ids=[job.name for job in _CLASSIFY_JOBS])
+@pytest.mark.parametrize("config", [config for _, config in _CLASSIFY_JOBS], ids=[name for name, _ in _CLASSIFY_JOBS])
 def test_classify_matches_the_point_by_point_reference(config):
     spec = from_json(config["symbol"])
+    per = config.get("points_per_section", 8)
     with np.errstate(all="ignore"):
-        rep = classify(spec, z0=config.get("z0"), seed=config["seed"])
-        verdict, used, points, violation, witnesses = _reference_classify(spec, config["seed"], config.get("z0"))
+        rep = classify(spec, z0=config.get("z0"), points_per_section=per, seed=config["seed"])
+        verdict, used, points, violation, witnesses = _reference_classify(spec, config["seed"], config.get("z0"), per=per)
     assert rep.verdict == verdict
     assert rep.samples.get("sections_used") == used
     assert rep.samples.get("hessian_points") == points
