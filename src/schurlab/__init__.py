@@ -52,13 +52,10 @@ from .harmonic import (
     square_function_test,
 )
 from .groups import (
-    GroupElement,
     LieAlgebraBasis,
     boundary_subalgebra_verdict,
     cotlar_pointwise_check,
     fourier_multiplier_norm_finite_cyclic,
-    group_inv,
-    group_op,
     herz_schur_matrix,
     subalgebra_check,
 )

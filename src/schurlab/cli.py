@@ -278,12 +278,12 @@ def _groupcheck(seed, group, field, g0):
         g0 = row.make(coords.reshape(row.shape))
     except SchurLabError as exc:
         raise ConfigInvalid(f"bad g0 for group {group!r}: {exc}") from exc
+    # off the boundary the verdict would judge another level set of the
+    # field; a field not finite at g0 is the verdict's runtime error
+    residual = abs(float(omega(g0[None])[0]))
+    if math.isfinite(residual) and residual > 1e-9:
+        raise ConfigInvalid(f"g0 is off the boundary of field {field!r}: |phi(g0)| = {residual:.3e} > 1e-09")
     verdict = groups.boundary_subalgebra_verdict(group, omega, g0, seed=seed)
-    # off the boundary the verdict judges another level set of the field
-    if verdict.boundary_residual > 1e-9:
-        raise ConfigInvalid(
-            f"g0 is off the boundary of field {field!r}: |phi(g0)| = {verdict.boundary_residual:.3e} > 1e-09"
-        )
     return {"group": group, "field": field, **verdict.to_json()}, verdict.passed, None
 
 

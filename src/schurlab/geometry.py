@@ -25,7 +25,6 @@ from .symbols import (
     BoundaryPoint,
     SymbolSpec,
     gradient,
-    gradient_rows,
     mixed_hessian,
     transpose_spec,
 )
@@ -81,11 +80,6 @@ def _boundary_points(spec, x, y, gx, gy) -> list:
         BoundaryPoint(x=x[i], y=y[i], n1=n1[i], n2=n2[i], residual=float(residual[i]))
         for i in range(x.shape[0])
     ]
-
-
-def _make_boundary_point(spec, x, y) -> BoundaryPoint:
-    gx, gy = gradient(spec, x, y)
-    return _boundary_points(spec, x[None], y[None], gx[None], gy[None])[0]
 
 
 # why a row of ``_newton`` stopped, by its status code; 0 is converged
@@ -201,9 +195,7 @@ def boundary_project(
     NoConvergence after ``max_iter`` iterations and DegenerateGradient at
     gradient-free points.
     """
-    x = np.asarray(x, dtype=float)
-    y = _newton_one(lambda y: spec.f(x, y), lambda y: gradient(spec, x, y)[1], y_init, tol, max_iter)
-    return _make_boundary_point(spec, x, y)
+    return _project_all(spec, np.asarray(x)[None], np.asarray(y_init)[None], False, tol, max_iter)[0]
 
 
 def boundary_project_x(
@@ -214,19 +206,15 @@ def boundary_project_x(
     max_iter: int = 100,
 ) -> BoundaryPoint:
     """Project x_init onto {x : F(x, y) = 0} (the other factor fixed)."""
+    return _project_all(spec, np.asarray(x_init)[None], np.asarray(y)[None], True, tol, max_iter)[0]
+
+
+def _solve_rays(spec: SymbolSpec, x, y, move_x: bool, tol=BOUNDARY_TOL, max_iter=100):
+    """Damped Newton (``_newton``) on F along y, or along x with
+    ``move_x``, from every row of x (k, m), y (k, n) in one batch.
+    Returns (x, y, status) with the solved rows in place."""
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x = _newton_one(lambda x: spec.f(x, y), lambda x: gradient(spec, x, y)[0], x_init, tol, max_iter)
-    return _make_boundary_point(spec, x, y)
-
-
-def _project_rays(spec: SymbolSpec, x, y, move_x: bool):
-    """``boundary_project`` (or, with ``move_x``, ``boundary_project_x``)
-    from every row of x (k, m), y (k, n) in one ``_newton`` batch.
-
-    Returns (rows, x, y, gx, gy): the rows, in order, whose solve converged
-    inside the domain box with a nonvanishing gradient there, and their
-    solutions and gradient splits.
-    """
 
     def split(z, rows):
         """(x, y) at the batch rows ``rows`` with the moving factor z."""
@@ -237,15 +225,44 @@ def _project_rays(spec: SymbolSpec, x, y, move_x: bool):
         return np.broadcast_to(spec.f(*split(z, rows)), rows.shape)
 
     def grad(z, rows):
-        gx, gy, degenerate = gradient_rows(spec, *split(z, rows))
+        gx, gy, degenerate = gradient(spec, *split(z, rows))
         return np.where(degenerate[:, None], 0.0, gx if move_x else gy)
 
-    z, status = _newton(f, grad, x if move_x else y, BOUNDARY_TOL, 100)
-    rows = np.flatnonzero(status == 0)
+    z, status = _newton(f, grad, x if move_x else y, tol, max_iter)
+    return (z, y, status) if move_x else (x, z, status)
+
+
+def _project_all(spec, x, y, move_x, tol=BOUNDARY_TOL, max_iter=100) -> list:
+    """BoundaryPoints solved from every row of x (k, m), y (k, n)
+    (``_solve_rays``); raises the NoConvergence or DegenerateGradient of
+    the first row whose solve fails or whose gradient vanishes at its
+    solution."""
+    x, y, status = _solve_rays(spec, x, y, move_x, tol, max_iter)
+    if status.any():
+        i = int(np.flatnonzero(status)[0])
+        error, message = _NEWTON_FAILURES[status[i]]
+        raise error(message.format(abs(float(spec.f(x[i], y[i])))))
+    gx, gy, degenerate = gradient(spec, x, y)
+    if degenerate.any():
+        i = int(degenerate.argmax())
+        raise DegenerateGradient(f"gradient vanishes at the boundary point ({x[i]}, {y[i]})")
+    return _boundary_points(spec, x, y, gx, gy)
+
+
+def _project_rays(spec: SymbolSpec, x, y, move_x: bool):
+    """``_solve_rays`` from every row of x (k, m), y (k, n).
+
+    Returns (rows, x, y, gx, gy): the rows, in order, whose solve converged
+    inside the domain box with a nonvanishing gradient there, and their
+    solutions and gradient splits.
+    """
+    x, y, status = _solve_rays(spec, x, y, move_x)
+    z = x if move_x else y
     box = np.asarray(spec.x_box if move_x else spec.y_box, dtype=float)
+    rows = np.flatnonzero(status == 0)
     rows = rows[np.all((box[:, 0] <= z[rows]) & (z[rows] <= box[:, 1]), axis=1)]
-    xs, ys = split(z[rows], rows)
-    gx, gy, degenerate = gradient_rows(spec, xs, ys)
+    xs, ys = x[rows], y[rows]
+    gx, gy, degenerate = gradient(spec, xs, ys)
     keep = ~degenerate
     return rows[keep], xs[keep], ys[keep], gx[keep], gy[keep]
 
@@ -369,14 +386,14 @@ def zero_curvature_check_c1(
     parallel up to sign.  Returns (ok, witnesses) where witnesses list the
     offending pairs as (point_i, point_j, angle).
     """
-    y = np.asarray(y, dtype=float)
-    pts = []
-    for x0 in x_samples:
-        pt = boundary_project_x(spec, x0, y)
-        if not transversality_check(pt, transverse_tol):
-            raise NonTransverseSample(f"sample at x = {pt.x} is not transverse")
-        pts.append(pt)
+    x0 = np.asarray(x_samples, dtype=float).reshape(-1, spec.m_dim)
+    y = np.broadcast_to(np.asarray(y, dtype=float), (len(x0), spec.n_dim))
+    pts = _project_all(spec, x0, y, move_x=True)
+    n1 = np.reshape([pt.n1 for pt in pts], (len(pts), spec.m_dim))
     n2 = np.reshape([pt.n2 for pt in pts], (len(pts), spec.n_dim))
+    tangent = ~_transverse(n1, n2, transverse_tol)
+    if tangent.any():
+        raise NonTransverseSample(f"sample at x = {pts[int(tangent.argmax())].x} is not transverse")
     witnesses = [(pts[i], pts[j], _line_angle(n2[i], n2[j])) for i, j in _wide_pairs(n2, tol_angle)]
     return not witnesses, witnesses
 
@@ -406,7 +423,7 @@ def mixed_hessian_check(
     tangent = ~_transverse(n1, n2, TRANSVERSE_TOL)
     if tangent.any():
         raise NonTransverseSample(f"point at x = {pts[int(tangent.argmax())].x} is not transverse")
-    h = np.array([mixed_hessian(spec, pt.x, pt.y) for pt in pts])
+    h = mixed_hessian(spec, np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts]))
     scale = float(np.linalg.norm(h, 2, axis=(1, 2)).max())
     if scale == 0.0:
         return True, 0.0
@@ -463,6 +480,10 @@ def normal_form_chart(
     n1u = z0.n1 / np.linalg.norm(z0.n1)
     q = _householder(n1u, np.eye(n1u.shape[0])[0])
 
+    def grad_at(x, y):
+        gx, gy, _ = gradient(spec, x[None], y[None])
+        return gx[0], gy[0]
+
     def phi(x):
         return q @ (np.asarray(x, dtype=float) - x0)
 
@@ -478,13 +499,13 @@ def normal_form_chart(
             return spec.f(phi_inv(np.concatenate((t, x_tail))), y)
 
         def fder(t):
-            gx, _ = gradient(spec, phi_inv(np.concatenate((t, x_tail))), y)
+            gx, _ = grad_at(phi_inv(np.concatenate((t, x_tail))), y)
             return (q @ gx)[:1]
 
         return float(_newton_one(fval, fder, np.zeros(1), tol, 100)[0])
 
     # direction of d_y h(0, .) at y0, from the implicit relation
-    gx0, gy0 = gradient(spec, x0, y0)
+    gx0, gy0 = grad_at(x0, y0)
     ft = float((q @ gx0)[0])
     w = -gy0 / ft
     wn = float(np.linalg.norm(w))
@@ -507,7 +528,7 @@ def normal_form_chart(
 
         def fder(t):
             yy = base + t[0] * w_hat
-            gx, gy = gradient(spec, phi_inv(np.concatenate(([h(np.zeros(m - 1), yy)], np.zeros(m - 1)))), yy)
+            gx, gy = grad_at(phi_inv(np.concatenate(([h(np.zeros(m - 1), yy)], np.zeros(m - 1)))), yy)
             return np.array([np.dot(-gy / float((q @ gx)[0]), w_hat)])
 
         t_star = _newton_one(fval, fder, np.zeros(1), tol, 100)[0]
@@ -555,24 +576,16 @@ def triangular_factorization_check(
 ) -> bool:
     """Verify chi_Sigma(x, y) == [f1(x) > f2(y)] on random samples.
 
-    Points within ``band`` of either zero set ({F = 0} or {f1 = f2}) are
+    ``f1`` and ``f2`` map rows x (k, m) and y (k, n) to (k,).  Points
+    within ``band`` of either zero set ({F = 0} or {f1 = f2}) are
     excluded, as are points where F is undefined.
     """
-    rng = np.random.default_rng(seed)
-    agree = True
-    for _ in range(samples):
-        x = _uniform_in_box(rng, spec.x_box, ())
-        y = _uniform_in_box(rng, spec.y_box, ())
-        fval = float(spec.f(x, y))
-        if not np.isfinite(fval) or abs(fval) <= band:
-            continue
-        split = float(f1(x)) - float(f2(y))
-        if abs(split) <= band:
-            continue
-        if (fval > 0.0) != (split > 0.0):
-            agree = False
-            break
-    return agree
+    pts = _uniform_in_box(np.random.default_rng(seed), spec.domain_box, (samples,))
+    x, y = pts[:, : spec.m_dim], pts[:, spec.m_dim :]
+    fval = np.broadcast_to(spec.f(x, y), (samples,))
+    split = np.asarray(f1(x), dtype=float) - np.asarray(f2(y), dtype=float)
+    judged = np.isfinite(fval) & (np.abs(fval) > band) & ~(np.abs(split) <= band)
+    return not np.any(judged & ((fval > 0.0) != (split > 0.0)))
 
 
 @dataclass

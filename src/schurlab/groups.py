@@ -7,8 +7,9 @@ finite cyclic groups.
 
 Every group is one row of ``GROUPS``: batched sampling, product and
 inverse on coordinate arrays, plus the line action, the closed-form
-exponential and the Lie algebra basis where the group has them.  A single
-``GroupElement`` is a batch of one.
+exponential and the Lie algebra basis where the group has them.  Elements
+are coordinate arrays: one element has the row's ``shape``, and a batch
+of elements has leading batch axes.
 
 The projective group is represented only through its fractional-linear
 chart near the identity: poles are rejected, and samples stay inside the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,26 +29,14 @@ from .errors import (
     DegenerateGradient,
     ExpressionError,
     GroupMismatch,
-    NoConvergence,
 )
-from .geometry import _kernel_basis, _newton_one
+from .geometry import _kernel_basis, _newton
 from .matcore import _schatten_from_sv, multiplier_norm_lower_bound
 from .multiplier import circulant
 from .symbols import parse_expression
 
 __all__ = [
     "GROUPS",
-    "GroupElement",
-    "real_element",
-    "affine_element",
-    "sl2_element",
-    "so3_element",
-    "heisenberg_element",
-    "cyclic_element",
-    "identity",
-    "group_op",
-    "group_inv",
-    "random_element",
     "expm",
     "herz_schur_matrix",
     "cotlar_pointwise_check",
@@ -81,56 +70,19 @@ _CONSTRAINT_TOL = 1e-10
 _CHART_RADIUS = 0.4
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group_id: str
-    coords: np.ndarray
-
-    def __repr__(self):
-        return f"GroupElement({self.group_id}, {np.array2string(self.coords, precision=6)})"
-
-
-def real_element(t: float) -> GroupElement:
-    return GroupElement(REAL, np.array([float(t)]))
-
-
-def affine_element(a: float, b: float) -> GroupElement:
-    if not a > 0:
-        raise GroupMismatch("affine elements need a > 0")
-    return GroupElement(AFFINE, np.array([float(a), float(b)]))
-
-
-def sl2_element(mat) -> GroupElement:
-    m = np.asarray(mat, dtype=float)
-    if m.shape != (2, 2) or abs(np.linalg.det(m) - 1.0) > _CONSTRAINT_TOL:
-        raise GroupMismatch("sl2r elements are 2x2 with det 1")
-    return GroupElement(SL2R, m)
-
-
-def so3_element(mat) -> GroupElement:
-    m = np.asarray(mat, dtype=float)
-    if (
-        m.shape != (3, 3)
-        or np.max(np.abs(m.T @ m - np.eye(3))) > _CONSTRAINT_TOL
-        or abs(np.linalg.det(m) - 1.0) > _CONSTRAINT_TOL
-    ):
-        raise GroupMismatch("so3 elements are 3x3 rotations")
-    return GroupElement(SO3, m)
-
-
-def heisenberg_element(x: float, y: float, z: float) -> GroupElement:
-    return GroupElement(HEISENBERG, np.array([float(x), float(y), float(z)]))
-
-
 def _order(n) -> int:
     if n is None or n < 1:
         raise GroupMismatch("the cyclic group needs an order n >= 1")
     return int(n)
 
 
-def cyclic_element(k: int, n: int) -> GroupElement:
-    n = _order(n)
-    return GroupElement(CYCLIC, np.array([int(k) % n, n]))
+def _checked(c, ok, message):
+    """The coordinates c, or GroupMismatch(message) unless ``ok``."""
+    if not ok:
+        raise GroupMismatch(message)
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Lie algebra machinery
 # ---------------------------------------------------------------------------
@@ -326,8 +278,10 @@ _WHOLE_MATRIX = (slice(None), slice(None))
 class Group:
     """One row of the group table.
 
-    Batched functions take and return arrays with a leading batch axis;
-    one element's coordinates have shape ``shape``.  ``sample(k, rng,
+    Batched functions take and return arrays with leading batch axes;
+    one element's coordinates have shape ``shape``.  ``make`` checks one
+    element's coordinates (GroupMismatch off the group) and returns
+    them.  ``sample(k, rng,
     radius, n)`` draws k seeded elements (``radius`` bounds the sl2r
     exponential coordinates, ``n`` is the cyclic order); ``act(g, t,
     pole_tol)`` is the line action, NaN at chart poles.  Only the matrix
@@ -335,7 +289,8 @@ class Group:
     matrices), ``basis`` (d, n, n), Frobenius-orthogonal, from which
     ``lie_algebra`` reads the bracket, ``entries`` (where the coordinates
     sit in the group matrix), chart variables, named boundary fields
-    (functions of coordinates) and a default base point ``g0``.
+    (coordinate batches (k, *shape) to values (k,)) and a default base
+    point ``g0``.
 
     Matrix batches built from their entries (the sl2r and affine
     exponentials, sl2r's ``inv``) have the usual shape (k, n, n) with
@@ -345,8 +300,7 @@ class Group:
     """
 
     shape: tuple
-    make: Callable  # one element's coordinates -> validated GroupElement
-    unit: Callable  # cyclic order (ignored elsewhere) -> identity coordinates
+    make: Callable
     sample: Callable
     op: Callable
     inv: Callable
@@ -366,8 +320,7 @@ class Group:
 GROUPS = {
     REAL: Group(
         shape=(1,),
-        make=lambda c: real_element(c[0]),
-        unit=lambda n: np.zeros(1),
+        make=lambda c: c,
         sample=lambda k, rng, radius, n: rng.uniform(-2.0, 2.0, size=(k, 1)),
         op=lambda g, h: g + h,
         inv=lambda g: -g,
@@ -376,13 +329,12 @@ GROUPS = {
         basis=_REAL_BASIS,
         entries=([0], [1]),
         chart_vars=("t",),
-        fields={"t": lambda c: c[0]},
+        fields={"t": lambda c: c[..., 0]},
         g0=(0.0,),
     ),
     AFFINE: Group(
         shape=(2,),
-        make=lambda c: affine_element(c[0], c[1]),
-        unit=lambda n: np.array([1.0, 0.0]),
+        make=lambda c: _checked(c, c[0] > 0, "affine elements need a > 0"),
         sample=lambda k, rng, radius, n: np.stack(
             [rng.uniform(0.25, 4.0, size=k), rng.uniform(-2.0, 2.0, size=k)], axis=-1
         ),
@@ -395,13 +347,14 @@ GROUPS = {
         basis=_AFFINE_BASIS,
         entries=([0, 0], [0, 1]),
         chart_vars=("a", "b"),
-        fields={"b": lambda c: c[1]},
+        fields={"b": lambda c: c[..., 1]},
         g0=(1.0, 0.0),
     ),
     SL2R: Group(
         shape=(2, 2),
-        make=sl2_element,
-        unit=lambda n: np.eye(2),
+        make=lambda m: _checked(
+            m, abs(np.linalg.det(m) - 1.0) <= _CONSTRAINT_TOL, "sl2r elements are 2x2 with det 1"
+        ),
         sample=lambda k, rng, radius, n: expm(
             SL2R, rng.uniform(-radius, radius, size=(3, k)).T
         ),
@@ -413,15 +366,19 @@ GROUPS = {
         entries=_WHOLE_MATRIX,
         chart_vars=("a", "b", "c", "d"),
         fields={
-            "sgn_c": lambda c: c[1, 0],
-            "m0": lambda c: c[0, 0] * c[1, 0] + c[0, 1] * c[1, 1],
+            "sgn_c": lambda c: c[..., 1, 0],
+            "m0": lambda c: c[..., 0, 0] * c[..., 1, 0] + c[..., 0, 1] * c[..., 1, 1],
         },
         g0=((1.0, 0.0), (0.0, 1.0)),
     ),
     SO3: Group(
         shape=(3, 3),
-        make=so3_element,
-        unit=lambda n: np.eye(3),
+        make=lambda m: _checked(
+            m,
+            np.max(np.abs(m.T @ m - np.eye(3))) <= _CONSTRAINT_TOL
+            and abs(np.linalg.det(m) - 1.0) <= _CONSTRAINT_TOL,
+            "so3 elements are 3x3 rotations",
+        ),
         sample=lambda k, rng, radius, n: expm(
             SO3, rng.uniform(-math.pi / 2, math.pi / 2, size=(k, 3))
         ),
@@ -431,13 +388,12 @@ GROUPS = {
         basis=_SO3_BASIS,
         entries=_WHOLE_MATRIX,
         chart_vars=tuple(f"g{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
-        fields={"g11": lambda c: c[0, 0]},
+        fields={"g11": lambda c: c[..., 0, 0]},
         g0=((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
     ),
     HEISENBERG: Group(
         shape=(3,),
-        make=lambda c: heisenberg_element(c[0], c[1], c[2]),
-        unit=lambda n: np.zeros(3),
+        make=lambda c: c,
         sample=lambda k, rng, radius, n: rng.uniform(-2.0, 2.0, size=(k, 3)),
         op=lambda g, h: np.stack(
             [
@@ -454,13 +410,12 @@ GROUPS = {
         basis=_HEISENBERG_BASIS,
         entries=([0, 1, 0], [1, 2, 2]),
         chart_vars=("x", "y", "z"),
-        fields={"x": lambda c: c[0]},
+        fields={"x": lambda c: c[..., 0]},
         g0=(0.0, 0.0, 0.0),
     ),
     CYCLIC: Group(
         shape=(2,),
-        make=lambda c: cyclic_element(c[0], c[1]),
-        unit=lambda n: np.array([0, _order(n)]),
+        make=lambda c: np.array([int(c[0]) % _order(c[1]), _order(c[1])]),
         sample=_cyclic_sample,
         op=_cyclic_op,
         inv=lambda g: np.stack([-g[..., 0] % g[..., 1], g[..., 1]], axis=-1),
@@ -491,39 +446,15 @@ def expm(group_id: str, x) -> np.ndarray:
     return _group(group_id, "exp").exp(np.asarray(x, dtype=float))
 
 
-def identity(group_id: str, n: Optional[int] = None) -> GroupElement:
-    return GroupElement(group_id, _group(group_id).unit(n))
-
-
-def group_op(g: GroupElement, h: GroupElement) -> GroupElement:
-    if g.group_id != h.group_id:
-        raise GroupMismatch(f"{g.group_id} vs {h.group_id}")
-    return GroupElement(g.group_id, _group(g.group_id).op(g.coords[None], h.coords[None])[0])
-
-
-def group_inv(g: GroupElement) -> GroupElement:
-    return GroupElement(g.group_id, _group(g.group_id).inv(g.coords[None])[0])
-
-
-def random_element(
-    group_id: str, rng, radius: float = _CHART_RADIUS, n: Optional[int] = None
-) -> GroupElement:
-    """Coordinate-box uniform sample (for sl2r: exponential coordinates in
-    a branch-safe box)."""
-    return GroupElement(group_id, _group(group_id).sample(1, rng, radius, n)[0])
-
-
-def herz_schur_matrix(group_id: str, m: Callable, grid: Sequence[GroupElement]) -> np.ndarray:
-    """Matrix M[i, j] = m(g_i g_j^{-1}) over a finite grid of elements."""
-    grid = list(grid)
-    k = len(grid)
-    out = np.zeros((k, k), dtype=complex)
-    invs = [group_inv(g) for g in grid]
-    for j in range(k):
-        for i in range(k):
-            if grid[i].group_id != group_id:
-                raise GroupMismatch(f"grid element from {grid[i].group_id!r}")
-            out[i, j] = m(group_op(grid[i], invs[j]))
+def herz_schur_matrix(group_id: str, m: Callable, grid) -> np.ndarray:
+    """Matrix M[i, j] = m(g_i g_j^{-1}) over the coordinate batch ``grid``
+    (k, *shape), from one call of ``m`` on the (k, k) batch of products."""
+    grp = _group(group_id)
+    grid = np.asarray(grid)
+    if grid.shape[1:] != grp.shape:
+        raise GroupMismatch(f"grid of shape {grid.shape} is not a batch of {group_id!r} elements")
+    out = np.empty((len(grid), len(grid)), dtype=complex)
+    out[...] = m(grp.op(grid[:, None], grp.inv(grid)[None]))
     return out
 
 
@@ -588,10 +519,12 @@ def cotlar_pointwise_check(
 # ---------------------------------------------------------------------------
 
 
-def _alg_coords(mat, basis) -> np.ndarray:
+def _alg_coords(mats, basis) -> np.ndarray:
+    """Basis coordinates (..., d) of the algebra matrices ``mats``
+    (..., n, n), by least squares."""
     a = basis.reshape(len(basis), -1).T
-    sol, *_ = np.linalg.lstsq(a, np.asarray(mat, dtype=float).ravel(), rcond=None)
-    return sol
+    b = mats.reshape(-1, a.shape[0]).T
+    return np.linalg.lstsq(a, b, rcond=None)[0].T.reshape(mats.shape[:-2] + (len(basis),))
 
 
 @dataclass
@@ -618,8 +551,8 @@ class SubalgebraVerdict:
 
 def boundary_subalgebra_verdict(
     group_id: str,
-    omega_f: Callable[[GroupElement], float],
-    g0: GroupElement,
+    omega_f: Callable[[np.ndarray], np.ndarray],
+    g0,
     tol: float = 1e-9,
     ad_samples: int = 32,
     radius: float = 0.1,
@@ -628,33 +561,36 @@ def boundary_subalgebra_verdict(
     """Test whether the boundary {omega_f = 0} is locally g0 exp(h) for a
     codimension-1 Lie subalgebra h.
 
-    ``g0`` must lie on the boundary {omega_f = 0}: off it, the verdict
-    judges the level set through g0, not the boundary
-    (``boundary_residual`` reports |omega_f(g0)|).
+    ``omega_f`` maps coordinate batches (k, *shape) to values (k,), and
+    ``g0`` is one element's coordinates.  ``g0`` must lie on the boundary
+    {omega_f = 0}: off it, the verdict judges the level set through g0,
+    not the boundary (``boundary_residual`` reports |omega_f(g0)|).
 
     The tangent hyperplane at g0, pulled to the identity by left
     translation (exponential coordinates), is the only candidate; the
     verdict runs the bracket-closure check on it and verifies
     Ad-invariance at boundary points sampled near the identity of the
-    translated domain.
+    translated domain.  Those points solve F(v + t w) = 0 along the
+    normal w from starts v drawn on the hyperplane; up to
+    ``20 * ad_samples`` starts are drawn, solved in ``_newton`` batches
+    in draw order, and the first ``ad_samples`` that converge are used.
     """
     grp = _group(group_id, "exp")
-    if g0.group_id != group_id:
-        raise GroupMismatch(f"base point from {g0.group_id!r}, not {group_id!r}")
+    g0 = np.asarray(g0, dtype=float)
+    if g0.shape != grp.shape:
+        raise GroupMismatch(f"base point of shape {g0.shape} is not a {group_id!r} element")
     d = len(grp.basis)
-    base_res = abs(float(omega_f(g0)))
+    base_res = abs(float(omega_f(g0[None])[0]))
 
-    def f_alg(zvec) -> float:
-        x = grp.coords(expm(group_id, zvec))
-        return float(omega_f(GroupElement(group_id, grp.op(g0.coords[None], x[None])[0])))
+    def f_alg(z):
+        """omega_f at g0 exp(z) for each row z (j, d) of algebra coordinates."""
+        return omega_f(grp.op(g0[None], grp.coords(expm(group_id, z))))
 
     h_fd = 1e-6
-    w = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h_fd
-        w[i] = (f_alg(e) - f_alg(-e)) / (2.0 * h_fd)
-    if not np.isfinite(w).all():
+    e = h_fd * np.eye(d)
+    vals = f_alg(np.concatenate((e, -e)))
+    w = (vals[:d] - vals[d:]) / (2.0 * h_fd)
+    if not (np.isfinite(w).all() and math.isfinite(base_res)):
         raise DegenerateGradient("omega field is not finite near g0")
     wn = float(np.linalg.norm(w))
     if wn < 1e-10:
@@ -669,43 +605,38 @@ def boundary_subalgebra_verdict(
     ad_ok = True
     notes = []
     if hyper.shape[0] > 0:
-        rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(hyper.T)
         proj = q @ q.T
+        v = np.random.default_rng(seed).uniform(-radius, radius, size=(20 * ad_samples, d))
+        v = v - np.sum(v * w_hat, axis=-1)[:, None] * w_hat  # starts on the tangent hyperplane
         h_line = 1e-7  # central-difference step of the line derivative
-        found = 0
-        attempts = 0
-        while found < ad_samples and attempts < 20 * ad_samples:
-            attempts += 1
-            v = rng.uniform(-radius, radius, size=d)
-            v = v - np.dot(v, w_hat) * w_hat  # start on the tangent hyperplane
 
-            def fline(t):
-                return f_alg(v + t[0] * w_hat)
+        def fline(t, rows):
+            return f_alg(v[rows] + t * w_hat)
 
-            def dline(t):
-                return np.array([(fline(t + h_line) - fline(t - h_line)) / (2.0 * h_line)])
+        def dline(t, rows):
+            ends = f_alg(np.concatenate((v[rows] + (t + h_line) * w_hat, v[rows] + (t - h_line) * w_hat)))
+            return ((ends[: len(t)] - ends[len(t) :]) / (2.0 * h_line))[:, None]
 
-            try:
-                t_star = _newton_one(fline, dline, np.zeros(1), 1e-12, 60)[0]
-            except (NoConvergence, DegenerateGradient):
-                continue
-            x = expm(group_id, v + t_star * w_hat)
-            x_inv = np.linalg.inv(x)
-            for row in hyper:
-                ad = x @ np.tensordot(row, grp.basis, axes=1) @ x_inv
-                coords = _alg_coords(ad, grp.basis)
-                nrm = float(np.linalg.norm(coords))
-                if nrm < 1e-14:
-                    continue
-                resid = coords - proj @ coords
-                ad_defect = max(ad_defect, float(np.linalg.norm(resid)) / nrm)
-            found += 1
-        if found == 0:
+        points = np.empty((0, d))
+        solved = 0
+        while len(points) < ad_samples and solved < len(v):
+            batch = v[solved : solved + ad_samples - len(points)]
+            t, status = _newton(fline, dline, np.zeros((len(batch), 1)), 1e-12, 60)
+            rows = np.flatnonzero(status == 0)
+            points = np.concatenate((points, v[solved + rows] + t[rows] * w_hat))
+            solved += len(batch)
+        if len(points):
+            x = expm(group_id, points)
+            ad = x[:, None] @ np.tensordot(hyper, grp.basis, axes=1)[None] @ np.linalg.inv(x)[:, None]
+            coords = _alg_coords(ad, grp.basis)  # (samples, rows of hyper, d)
+            nrm = np.linalg.norm(coords, axis=-1)
+            resid = np.linalg.norm(coords - coords @ proj.T, axis=-1)
+            ad_defect = float(np.max(resid / nrm, where=nrm >= 1e-14, initial=0.0))
+            ad_ok = ad_defect <= max(tol, 1e-9) * 100.0
+        else:
             notes.append("no boundary points found near the identity")
             ad_ok = False
-        else:
-            ad_ok = ad_defect <= max(tol, 1e-9) * 100.0
     passed = bool(sub_ok and ad_ok)
     return SubalgebraVerdict(
         passed=passed,
@@ -718,23 +649,29 @@ def boundary_subalgebra_verdict(
     )
 
 
-def expression_boundary_field(group_id: str, expr: str) -> Callable[[GroupElement], float]:
+def expression_boundary_field(group_id: str, expr: str) -> Callable[[np.ndarray], np.ndarray]:
     """Boundary-defining field from an expression in the group's chart
-    variables, ``GROUPS[group_id].chart_vars``."""
-    fn = parse_expression(expr, _group(group_id, "chart_vars").chart_vars)
+    variables, ``GROUPS[group_id].chart_vars``: coordinate batches
+    (..., *shape) to values (...), a constant expression broadcast."""
+    grp = _group(group_id, "chart_vars")
+    fn = parse_expression(expr, grp.chart_vars)
 
-    def field(g: GroupElement) -> float:
-        return float(fn(list(np.asarray(g.coords, dtype=float).ravel())))
+    def field(c):
+        c = np.asarray(c, dtype=float)
+        batch = c.shape[: c.ndim - len(grp.shape)]
+        flat = c.reshape(batch + (-1,))
+        return np.broadcast_to(fn([flat[..., i] for i in range(flat.shape[-1])]), batch)
 
     return field
 
 
-def named_boundary_field(group_id: str, name: str) -> Callable[[GroupElement], float]:
+def named_boundary_field(group_id: str, name: str) -> Callable[[np.ndarray], np.ndarray]:
     """Predefined boundary-defining fields selectable from configs;
-    anything not in the table is parsed as a chart-coordinate expression."""
+    anything not in the table is parsed as a chart-coordinate expression.
+    Both map coordinate batches (k, *shape) to values (k,)."""
     named = _group(group_id).fields.get(name)
     if named is not None:
-        return lambda g: float(named(g.coords))
+        return named
     try:
         return expression_boundary_field(group_id, name)
     except ExpressionError as exc:

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    DegenerateGradient,
     ExpressionError,
     OutOfDomain,
     RequiresC2,
@@ -38,7 +37,6 @@ __all__ = [
     "to_json",
     "indicator_values",
     "gradient",
-    "gradient_rows",
     "mixed_hessian",
     "transpose_spec",
     "parse_expression",
@@ -54,8 +52,9 @@ class SymbolSpec:
     ``f`` maps batched coordinate arrays (..., m_dim), (..., n_dim) to (...),
     and ``grad``, when present, maps them to the exact pair
     ((..., m_dim), (..., n_dim)); the boundary solvers call both on
-    batches.  ``hess_xy``, when present, is exact at a single point.
-    Without them central differences are used.  ``domain_box`` lists
+    batches.  ``hess_xy``, when present, maps rows (k, m_dim), (k, n_dim)
+    to the exact mixed Hessians (k, m_dim, n_dim).  Without them central
+    differences are used.  ``domain_box`` lists
     (lo, hi) per axis, the m_dim x-axes first.
     """
 
@@ -224,7 +223,7 @@ def ball(n: int, r: float = 1.0, box=None) -> SymbolSpec:
         return -2.0 * np.asarray(x, dtype=float), -2.0 * np.asarray(y, dtype=float)
 
     def hess(x, y):
-        return np.zeros((n, n))
+        return np.zeros((len(x), n, n))
 
     if box is None:
         box = tuple((-1.1 * r, 1.1 * r) for _ in range(2 * n))
@@ -283,9 +282,9 @@ def sphere_delta(n: int, delta: float, box=None) -> SymbolSpec:
         v = np.asarray(v, dtype=float)
         su, squ = _chart_lift(u)
         sv, sqv = _chart_lift(v)
-        if squ <= 0.0 or sqv <= 0.0:
+        if np.any((squ <= 0.0) | (sqv <= 0.0)):
             raise OutOfDomain("point outside the hemisphere chart")
-        return np.eye(n) + np.outer(u, v) / (su * sv)
+        return np.eye(n) + u[:, :, None] * v[:, None, :] / (su * sv)[:, None, None]
 
     if box is None:
         w = 0.95 / math.sqrt(n)
@@ -344,7 +343,7 @@ def toeplitz_ball(n: int, r: float = 1.0, box=None) -> SymbolSpec:
         return -2.0 * d, 2.0 * d
 
     def hess(x, y):
-        return 2.0 * np.eye(n)
+        return np.broadcast_to(2.0 * np.eye(n), (len(x), n, n))
 
     if box is None:
         box = tuple((-1.5 * r, 1.5 * r) for _ in range(2 * n))
@@ -379,7 +378,7 @@ def triangular(box=None) -> SymbolSpec:
         )
 
     def hess(x, y):
-        return np.zeros((1, 1))
+        return np.zeros((len(x), 1, 1))
 
     if box is None:
         box = ((0.0, 1024.0), (0.0, 1024.0))
@@ -497,22 +496,6 @@ def to_json(spec: SymbolSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _in_box(point, box, slack=0.0) -> bool:
-    point = np.asarray(point, dtype=float)
-    for t, (lo, hi) in zip(point, box):
-        w = slack * (hi - lo)
-        if t < lo - w or t > hi + w:
-            return False
-    return True
-
-
-def check_in_domain(spec: SymbolSpec, x, y, slack=0.0):
-    if not _in_box(x, spec.x_box, slack) or not _in_box(y, spec.y_box, slack):
-        raise OutOfDomain(
-            f"point ({np.asarray(x)}, {np.asarray(y)}) outside domain box of {spec.symbol_id}"
-        )
-
-
 def indicator_values(spec: SymbolSpec, xs, ys) -> np.ndarray:
     """Vectorized chi_Sigma over paired batches xs (..., m), ys (..., n).
 
@@ -542,7 +525,7 @@ def _fd_gradient(spec, x, y, h):
     return gx, gy
 
 
-def gradient_rows(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
+def gradient(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
     """Gradient split (d_x F, d_y F) at each row of x (k, m), y (k, n).
 
     Returns (gx, gy, degenerate): analytic when the spec provides one,
@@ -563,44 +546,38 @@ def gradient_rows(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
     return gx, gy, ~np.isfinite(nrm) | (nrm < 1e-12)
 
 
-def gradient(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
-    """Gradient split (d_x F, d_y F) at one point (x, y), by
-    ``gradient_rows``.  Raises DegenerateGradient when the full gradient
-    has norm < 1e-12 (not a submersion point).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gx, gy, degenerate = gradient_rows(spec, x[None], y[None], fd_step)
-    if degenerate[0]:
-        nrm = math.sqrt(float(np.sum(gx**2) + np.sum(gy**2)))
-        raise DegenerateGradient(f"|grad F| = {nrm:g} at ({x}, {y})")
-    return gx[0], gy[0]
-
-
 def mixed_hessian(spec: SymbolSpec, x, y, fd_step: float = 1e-4) -> np.ndarray:
-    """Matrix of mixed second derivatives (d^2 F / dx_j dy_k), shape (m, n).
+    """Mixed second derivatives (d^2 F / dx_j dy_k) at each row of
+    x (k, m), y (k, n), shape (k, m, n).
 
     Analytic when the spec has ``hess_xy``, else a 4-point cross stencil
-    on F.
+    on F with step fd_step * (1 + |(x, y)|) per row.  Raises OutOfDomain
+    when a row lies outside the domain box widened by 1% of each width.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    check_in_domain(spec, x, y, slack=0.01)
-    m, n = spec.m_dim, spec.n_dim
+    box = np.asarray(spec.domain_box, dtype=float)
+    slack = 0.01 * (box[:, 1] - box[:, 0])
+    pts = np.concatenate((x, y), axis=1)
+    outside = np.any((pts < box[:, 0] - slack) | (pts > box[:, 1] + slack), axis=1)
+    if outside.any():
+        i = int(outside.argmax())
+        raise OutOfDomain(f"point ({x[i]}, {y[i]}) outside domain box of {spec.symbol_id}")
+    k, m, n = len(x), spec.m_dim, spec.n_dim
     if spec.hess_xy is not None:
         h = np.asarray(spec.hess_xy(x, y), dtype=float)
-        if h.shape != (m, n):
-            raise ValueError(f"analytic hessian has shape {h.shape}, expected {(m, n)}")
+        if h.shape != (k, m, n):
+            raise ValueError(f"analytic hessian has shape {h.shape}, expected {(k, m, n)}")
         return h
-    h = fd_step * (1.0 + math.sqrt(float(np.sum(x**2) + np.sum(y**2))))
-    out = np.zeros((m, n))
+    h = fd_step * (1.0 + np.sqrt(np.sum(x**2, axis=-1) + np.sum(y**2, axis=-1)))
+    out = np.zeros((k, m, n))
     for j in range(m):
-        ex = np.zeros(m)
-        ex[j] = h
-        for k in range(n):
-            ey = np.zeros(n)
-            ey[k] = h
-            out[j, k] = (
+        ex = np.zeros((k, m))
+        ex[:, j] = h
+        for i in range(n):
+            ey = np.zeros((k, n))
+            ey[:, i] = h
+            out[:, j, i] = (
                 spec.f(x + ex, y + ey)
                 - spec.f(x + ex, y - ey)
                 - spec.f(x - ex, y + ey)
@@ -631,7 +608,7 @@ def transpose_spec(spec: SymbolSpec) -> SymbolSpec:
     if base_hess is not None:
 
         def hess(x, y):
-            return np.asarray(base_hess(y, x)).T
+            return np.swapaxes(base_hess(y, x), -1, -2)
 
     return replace(
         spec,

@@ -412,6 +412,11 @@ class TestErrorPaths:
             # |phi| = 0.5 at the default g0 = (1, 0)
             ({"command": "groupcheck", "group": "affine", "field": "b-0.5"}, 64),
             ({"command": "groupcheck", "group": "affine", "field": "b-0.5", "g0": [1.0, 0.5]}, 0),
+            # a constant field has no boundary near g0: |phi(g0)| is judged
+            # before its vanishing chart gradient
+            ({"command": "groupcheck", "group": "affine", "field": "1"}, 64),
+            ({"command": "groupcheck", "group": "affine", "field": "2+0*a"}, 64),
+            ({"command": "groupcheck", "group": "affine", "field": "0"}, 1),
             ({"command": "transfer", "N": 1000}, 64),
             ({"command": "transfer", "N": 8, "m": [1, 0, 1]}, 64),
         ],
@@ -426,6 +431,9 @@ class TestErrorPaths:
             "groupcheck-field-not-finite",
             "groupcheck-g0-off-boundary",
             "groupcheck-g0-on-shifted-boundary",
+            "groupcheck-constant-field",
+            "groupcheck-constant-expression",
+            "groupcheck-zero-field",
             "transfer-N-too-large",
             "transfer-m-wrong-length",
         ],
@@ -436,6 +444,10 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         if code != 0:
             assert err.startswith("error: ") and err.count("\n") == 1
+        if cfg.get("field") in ("1", "2+0*a"):
+            assert "off the boundary" in err
+        if cfg.get("field") == "0":
+            assert "vanishing chart gradient" in err
 
 
     @pytest.mark.parametrize(

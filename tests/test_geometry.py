@@ -458,6 +458,23 @@ class TestZeroCurvatureC1:
             zero_curvature_check_c1(ball(2, 1.0), [0.0, 0.0], [[0.9, 0.1]])
 
 
+    def test_samples_match_the_point_by_point_projections(self):
+        spec = sphere_delta(2, 0.3)
+        y = np.array([0.1, 0.2])
+        xs = np.array([[0.5, 0.0], [0.0, 0.5], [-0.4, 0.2]])
+        _, wit = zero_curvature_check_c1(spec, y, xs)
+        pts = [geometry.boundary_project_x(spec, x0, y) for x0 in xs]
+        assert len(wit) == 3
+        for (p, q, _), (i, j) in zip(wit, [(0, 1), (0, 2), (1, 2)]):
+            _assert_same_points([p, q], [pts[i], pts[j]])
+
+    def test_failed_sample_raises_its_error(self):
+        # no x on the unit circle at y = (0.5, 0.5, ...) is reachable from
+        # x = 0: the gradient in x vanishes there
+        with pytest.raises(DegenerateGradient):
+            zero_curvature_check_c1(ball(2, 1.0), [0.0, 0.5], [[0.8, 0.1], [0.0, 0.0]])
+
+
 class TestMixedHessianCheck:
     def _pts(self, spec, seed=0, count=6):
         return [p for p in sample_boundary_points(spec, count, seed=seed) if transversality_check(p)]
@@ -475,7 +492,7 @@ class TestMixedHessianCheck:
         pts = self._pts(spec, seed=7, count=12)
         worst = scale = 0.0
         for pt in pts:
-            h = mixed_hessian(spec, pt.x, pt.y)
+            h = mixed_hessian(spec, pt.x[None], pt.y[None])[0]
             scale = max(scale, float(np.linalg.norm(h, 2)))
             vals = _kernel_basis(pt.n1) @ h @ _kernel_basis(pt.n2).T
             worst = max(worst, float(np.abs(vals).max()))
@@ -548,7 +565,7 @@ class TestNormalFormChart:
 class TestTriangularFactorization:
     def test_halfspace_exact_split(self):
         assert triangular_factorization_check(
-            halfspace(), lambda x: x[0], lambda y: y[0], samples=2000, seed=0
+            halfspace(), lambda x: x[:, 0], lambda y: y[:, 0], samples=2000, seed=0
         )
 
     def test_circle_polar_angles_on_hemisphere(self):
@@ -563,8 +580,8 @@ class TestTriangularFactorization:
         spec = sphere_delta(1, delta, box=box)
         assert triangular_factorization_check(
             spec,
-            lambda x: -math.asin(x[0]),
-            lambda y: -math.asin(y[0]) - c,
+            lambda x: -np.arcsin(x[:, 0]),
+            lambda y: -np.arcsin(y[:, 0]) - c,
             samples=4000,
             seed=1,
         )
@@ -578,12 +595,44 @@ class TestTriangularFactorization:
             c0 = rng.standard_normal()
             ok = triangular_factorization_check(
                 spec,
-                lambda x, a=a: float(np.dot(a, x)),
-                lambda y, b=b, c0=c0: float(np.dot(b, y)) + c0,
+                lambda x, a=a: x @ a,
+                lambda y, b=b, c0=c0: y @ b + c0,
                 samples=10_000,
                 seed=6,
             )
             assert not ok
+
+
+def _factorization_loop(spec, f1, f2, samples, seed, band=1e-9):
+    """``triangular_factorization_check`` one sample at a time: x then y
+    drawn per sample, stopping at the first disagreement."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x = np.array([rng.uniform(lo, hi) for lo, hi in spec.x_box])
+        y = np.array([rng.uniform(lo, hi) for lo, hi in spec.y_box])
+        fval = float(spec.f(x, y))
+        split = float(f1(x[None])[0]) - float(f2(y[None])[0])
+        if np.isfinite(fval) and abs(fval) > band and not abs(split) <= band and (fval > 0) != (split > 0):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "spec, f1, f2, agree",
+    [
+        (halfspace("x1**3", "y1"), lambda x: x[:, 0] ** 3, lambda y: y[:, 0], True),
+        (halfspace("x1**3", "y1"), lambda x: x[:, 0], lambda y: y[:, 0], False),
+        (triangular(box=((0.0, 8.0), (0.0, 8.0))), lambda x: x[:, 0], lambda y: y[:, 0] - 0.5, True),
+        (sphere_delta(2, 0.3), lambda x: x[:, 0], lambda y: 0.5 * y[:, 1], False),
+    ],
+    ids=["exact", "wrong-split", "triangular", "sphere"],
+)
+def test_triangular_factorization_matches_the_sample_loop(spec, f1, f2, agree):
+    for seed in range(3):
+        for samples in (1, 50, 2000):
+            got = triangular_factorization_check(spec, f1, f2, samples=samples, seed=seed)
+            assert got == _factorization_loop(spec, f1, f2, samples, seed)
+    assert triangular_factorization_check(spec, f1, f2, samples=2000, seed=0) is agree
 
 
 class TestClassify:
@@ -738,7 +787,7 @@ def _reference_classify(spec, seed, z0=None, sections=8, per=8):
     else:
         worst = scale = 0.0
         for pt in points:
-            h = mixed_hessian(spec, pt.x, pt.y)
+            h = mixed_hessian(spec, pt.x[None], pt.y[None])[0]
             scale = max(scale, float(np.linalg.norm(h, 2)))
             if min(h.shape) > 1:
                 worst = max(worst, float(np.abs(_kernel_basis(pt.n1) @ h @ _kernel_basis(pt.n2).T).max()))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from schurlab import geometry
+from schurlab import geometry, groups
 from schurlab.symbols import sphere_delta
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -34,5 +34,24 @@ def test_tracer_installs_and_restores_every_patched_name():
     assert rep.verdict == geometry.CURVATURE_FAIL
     for obj, attr in patched:
         assert getattr(obj, attr) is patched[(obj, attr)]
-    names = {span[spans.NAME] for span in tracer.spans}
-    assert {"geometry.classify", "geometry.hessian_check", "symbols.hess"} <= names
+    names = [span[spans.NAME] for span in tracer.spans]
+    assert {"geometry.classify", "geometry.hessian_check", "symbols.hess"} <= set(names)
+    # the Hessian check evaluates all its points in one call
+    assert names.count("symbols.hess") == 1
+
+
+def test_tracer_sees_the_batched_verdict():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        row = groups.GROUPS["sl2r"]
+        verdict = groups.boundary_subalgebra_verdict(
+            "sl2r", groups.named_boundary_field("sl2r", "m0"), row.make(np.array(row.g0)), seed=0
+        )
+    finally:
+        tracer.uninstall()
+    assert not verdict.passed
+    names = [span[spans.NAME] for span in tracer.spans]
+    assert names[0] == "groups.verdict"
+    assert "groups.expm" in names
+    assert all(span[spans.PARENT] >= 0 for span in tracer.spans[1:])

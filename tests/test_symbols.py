@@ -13,10 +13,8 @@ from schurlab.errors import (
 )
 from schurlab.symbols import (
     ball,
-    check_in_domain,
     from_json,
     gradient,
-    gradient_rows,
     halfspace,
     indicator_values,
     mixed_hessian,
@@ -44,6 +42,20 @@ def _chi(spec, x, y) -> float:
     return float(indicator_values(spec, x, y))
 
 
+def _grad_at(spec, x, y):
+    """The row gradient at one point: (gx, gy), DegenerateGradient where
+    the gradient vanishes."""
+    gx, gy, degenerate = gradient(spec, np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None])
+    if degenerate[0]:
+        raise DegenerateGradient("gradient vanishes")
+    return gx[0], gy[0]
+
+
+def _hess_at(spec, x, y):
+    """The row mixed Hessian at one point, (m, n)."""
+    return mixed_hessian(spec, np.asarray(x, dtype=float)[None], np.asarray(y, dtype=float)[None])[0]
+
+
 class TestEvaluate:
     def test_ball_center(self):
         assert _chi(ball(2, 1.0), [0.0, 0.0], [0.0, 0.0]) == 1
@@ -66,7 +78,7 @@ class TestEvaluate:
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            check_in_domain(ball(2, 1.0), [5.0, 0.0], [0.0, 0.0])
+            _hess_at(ball(2, 1.0), [5.0, 0.0], [0.0, 0.0])
 
     def test_indicator_is_binary_and_idempotent(self):
         rng = np.random.default_rng(0)
@@ -85,17 +97,17 @@ class TestEvaluate:
 
 class TestGradient:
     def test_ball_gradient(self):
-        gx, gy = gradient(ball(2, 1.0), [0.3, -0.1], [0.2, 0.4])
+        gx, gy = _grad_at(ball(2, 1.0), [0.3, -0.1], [0.2, 0.4])
         np.testing.assert_allclose(gx, [-0.6, 0.2])
         np.testing.assert_allclose(gy, [-0.4, -0.8])
 
     def test_halfspace_gradient_split(self):
         spec = halfspace("x1 + x2", "y1**2", m_dim=2, n_dim=1)
-        gx, gy = gradient(spec, [0.5, 0.2], [0.3])
+        gx, gy = _grad_at(spec, [0.5, 0.2], [0.3])
         np.testing.assert_allclose(gx, [1.0, 1.0], rtol=1e-6)
         np.testing.assert_allclose(gy, [-0.6], rtol=1e-5)
         # d_y F is independent of x
-        _, gy2 = gradient(spec, [-1.0, 0.9], [0.3])
+        _, gy2 = _grad_at(spec, [-1.0, 0.9], [0.3])
         np.testing.assert_allclose(gy, gy2, rtol=1e-9)
 
     def test_toeplitz_normals_opposite(self):
@@ -105,7 +117,7 @@ class TestGradient:
             x = rng.uniform(-0.5, 0.5, 2)
             d = rng.standard_normal(2)
             y = x + d / np.linalg.norm(d)  # |x - y| = 1: boundary
-            n1, n2 = gradient(spec, x, y)
+            n1, n2 = _grad_at(spec, x, y)
             np.testing.assert_allclose(n1, -n2, atol=1e-12)
             assert np.linalg.norm(n1) > 0.1 * np.linalg.norm(np.concatenate([n1, n2]))
 
@@ -114,26 +126,28 @@ class TestGradient:
             x = np.array([0.5 * (lo + hi) for lo, hi in spec.x_box])
             y = np.array([0.5 * (lo + hi) + 0.01 for lo, hi in spec.y_box])
             try:
-                gx, gy = gradient(spec, x, y)
+                gx, gy = _grad_at(spec, x, y)
             except DegenerateGradient:
                 continue
             assert gx.shape == (spec.m_dim,)
             assert gy.shape == (spec.n_dim,)
 
-    def test_degenerate_gradient_raises(self):
-        with pytest.raises(DegenerateGradient):
-            gradient(ball(2, 1.0), [0.0, 0.0], [0.0, 0.0])
+    def test_degenerate_rows_are_flagged(self):
+        x = np.array([[0.3, -0.1], [0.0, 0.0], [0.5, 0.2]])
+        y = np.array([[0.2, 0.4], [0.0, 0.0], [-0.1, 0.3]])
+        _, _, degenerate = gradient(ball(2, 1.0), x, y)
+        assert degenerate.tolist() == [False, True, False]
+        nan = gradient(ball(2, 1.0), np.array([[np.nan, 0.0]]), np.array([[0.1, 0.0]]))[2]
+        assert nan.tolist() == [True]
 
     def test_batched_rows_match_single_points(self):
         x = np.array([[0.3, -0.1], [0.0, 0.0], [0.5, 0.2]])
         y = np.array([[0.2, 0.4], [0.0, 0.0], [-0.1, 0.3]])
-        _, _, degenerate = gradient_rows(ball(2, 1.0), x, y)
-        assert degenerate.tolist() == [False, True, False]
         fd = user_symbol("x1*y1 + sin(x2)*y2 + 0.5*y1", 2, 2, [[-1.0, 1.0]] * 4)
-        gx, gy, degenerate = gradient_rows(fd, x, y)
+        gx, gy, degenerate = gradient(fd, x, y)
         assert not degenerate.any()
         for i in range(3):
-            sx, sy = gradient(fd, x[i], y[i])
+            sx, sy = _grad_at(fd, x[i], y[i])
             np.testing.assert_array_equal(gx[i], sx)
             np.testing.assert_array_equal(gy[i], sy)
 
@@ -146,11 +160,11 @@ class TestGradient:
             x = np.array([rng.uniform(lo * 0.8, hi * 0.8) for lo, hi in spec.x_box])
             y = np.array([rng.uniform(lo * 0.8, hi * 0.8) for lo, hi in spec.y_box])
             try:
-                gx, gy = gradient(spec, x, y)
+                gx, gy = _grad_at(spec, x, y)
             except DegenerateGradient:
                 continue
             stripped = dataclasses.replace(spec, grad=None)
-            fx, fy = gradient(stripped, x, y)
+            fx, fy = _grad_at(stripped, x, y)
             scale = max(1.0, float(np.linalg.norm(np.concatenate([gx, gy]))))
             assert np.linalg.norm(gx - fx) <= 1e-6 * scale
             assert np.linalg.norm(gy - fy) <= 1e-6 * scale
@@ -160,11 +174,11 @@ class TestGradient:
 class TestMixedHessian:
     def test_ball_zero(self):
         np.testing.assert_array_equal(
-            mixed_hessian(ball(2, 1.0), [0.3, 0.1], [0.2, 0.0]), np.zeros((2, 2))
+            _hess_at(ball(2, 1.0), [0.3, 0.1], [0.2, 0.0]), np.zeros((2, 2))
         )
 
     def test_halfspace_zero(self):
-        h = mixed_hessian(halfspace(), [0.4], [0.1])
+        h = _hess_at(halfspace(), [0.4], [0.1])
         assert np.max(np.abs(h)) < 1e-8
 
     def test_sphere_matches_independent_stencil(self):
@@ -174,7 +188,7 @@ class TestMixedHessian:
         for _ in range(5):
             u = rng.uniform(-0.4, 0.4, 2)
             v = rng.uniform(-0.4, 0.4, 2)
-            analytic = mixed_hessian(spec, u, v)
+            analytic = _hess_at(spec, u, v)
             h = 0.5e-4 * (1.0 + float(np.linalg.norm(np.concatenate([u, v]))))
             fd = np.zeros((2, 2))
             for j in range(2):
@@ -192,6 +206,96 @@ class TestMixedHessian:
             assert np.max(np.abs(analytic - fd)) <= 1e-6 * max(1.0, np.max(np.abs(analytic)))
 
 
+def _stencil_at(spec, x, y, fd_step=1e-4):
+    """The 4-point cross stencil at one point, entry by entry."""
+    h = fd_step * (1.0 + math.sqrt(float(np.sum(x**2) + np.sum(y**2))))
+    out = np.zeros((spec.m_dim, spec.n_dim))
+    for j in range(spec.m_dim):
+        for k in range(spec.n_dim):
+            ex, ey = np.zeros(spec.m_dim), np.zeros(spec.n_dim)
+            ex[j], ey[k] = h, h
+            out[j, k] = (
+                float(spec.f(x + ex, y + ey))
+                - float(spec.f(x + ex, y - ey))
+                - float(spec.f(x - ex, y + ey))
+                + float(spec.f(x - ex, y - ey))
+            ) / (4.0 * h * h)
+    return out
+
+
+def _exact_hessian_at(spec, x, y):
+    """The closed-form mixed Hessian of a builtin at one point."""
+    n = spec.n_dim
+    if spec.builtin == "sphere_delta":
+        su, sv = math.sqrt(1.0 - float(np.sum(x**2))), math.sqrt(1.0 - float(np.sum(y**2)))
+        return np.eye(n) + np.outer(x, y) / (su * sv)
+    if spec.builtin == "toeplitz_ball":
+        return 2.0 * np.eye(n)
+    return np.zeros((spec.m_dim, n))  # ball, triangular
+
+
+def _rows_in_box(spec, k, seed, shrink=0.8):
+    rng = np.random.default_rng(seed)
+    box = np.asarray(spec.domain_box) * shrink
+    pts = rng.uniform(box[:, 0], box[:, 1], size=(k, len(box)))
+    return pts[:, : spec.m_dim], pts[:, spec.m_dim :]
+
+
+class TestMixedHessianRows:
+    @pytest.mark.parametrize("spec", ANALYTIC_BUILTINS, ids=[s.symbol_id for s in ANALYTIC_BUILTINS])
+    def test_builtin_rows_match_the_closed_form_per_row(self, spec):
+        x, y = _rows_in_box(spec, 9, seed=1)
+        h = mixed_hessian(spec, x, y)
+        assert h.shape == (9, spec.m_dim, spec.n_dim)
+        for i in range(9):
+            np.testing.assert_allclose(h[i], _exact_hessian_at(spec, x[i], y[i]), rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(h[i], mixed_hessian(spec, x[i : i + 1], y[i : i + 1])[0])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            halfspace("x1**3 + x2", "y1**2", m_dim=2, n_dim=1),
+            user_symbol("x1*y1 + sin(x2)*y2**2 + 0.5*x1*x2", 2, 2, [[-1.0, 1.0]] * 4),
+            user_symbol("2", 1, 1, [[-1.0, 1.0]] * 2),
+        ],
+        ids=["halfspace", "expression", "constant"],
+    )
+    def test_stencil_rows_match_the_stencil_per_row(self, spec):
+        x, y = _rows_in_box(spec, 7, seed=2)
+        h = mixed_hessian(spec, x, y)
+        assert h.shape == (7, spec.m_dim, spec.n_dim)
+        for i in range(7):
+            np.testing.assert_array_equal(h[i], _stencil_at(spec, x[i], y[i]))
+
+    @pytest.mark.parametrize("spec", [sphere_delta(2, 0.1), toeplitz_ball(3, 1.0), triangular()])
+    def test_transposed_rows_are_the_transposed_hessians(self, spec):
+        tspec = transpose_spec(spec)
+        x, y = _rows_in_box(spec, 5, seed=3)
+        h = mixed_hessian(tspec, y, x)
+        assert h.shape == (5, spec.n_dim, spec.m_dim)
+        for i in range(5):
+            np.testing.assert_array_equal(h[i], _exact_hessian_at(spec, x[i], y[i]).T)
+
+    def test_one_row_outside_the_box_fails_the_batch(self):
+        spec = ball(2, 1.0)
+        x, y = _rows_in_box(spec, 6, seed=4)
+        mixed_hessian(spec, x, y)
+        x[3, 1] = 1.5  # the box is [-1.1, 1.1]; 1% slack reaches 1.122
+        with pytest.raises(OutOfDomain, match="outside domain box"):
+            mixed_hessian(spec, x, y)
+        x[3, 1] = 1.12  # inside the slack
+        assert mixed_hessian(spec, x, y).shape == (6, 2, 2)
+
+    def test_one_row_outside_the_chart_fails_the_batch(self):
+        # the box reaches past the unit disc; only the chart check rejects
+        spec = sphere_delta(2, 0.0, box=((-1.0, 1.0),) * 4)
+        x, y = _rows_in_box(spec, 6, seed=5, shrink=0.5)
+        mixed_hessian(spec, x, y)
+        x[2] = [0.8, 0.8]
+        with pytest.raises(OutOfDomain, match="hemisphere chart"):
+            mixed_hessian(spec, x, y)
+
+
 class TestMixedHessianErrors:
     def test_requires_c2_near_chart_edge(self):
         # strip the exact derivatives; the FD stencil pokes outside the
@@ -200,7 +304,7 @@ class TestMixedHessianErrors:
             sphere_delta(2, 0.0, box=((-1.0, 1.0),) * 4), grad=None, hess_xy=None
         )
         with pytest.raises(RequiresC2):
-            mixed_hessian(spec, [0.999999, 0.0], [0.0, 0.0])
+            _hess_at(spec, [0.999999, 0.0], [0.0, 0.0])
 
 
 class TestExpressions:
@@ -313,5 +417,5 @@ class TestTranspose:
         u = np.array([0.2, 0.1])
         v = np.array([-0.1, 0.3])
         np.testing.assert_allclose(
-            mixed_hessian(tspec, v, u), mixed_hessian(spec, u, v).T, atol=1e-12
+            _hess_at(tspec, v, u), _hess_at(spec, u, v).T, atol=1e-12
         )
