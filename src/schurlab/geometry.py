@@ -9,7 +9,6 @@ into TRIANGULAR_MODEL / CURVATURE_FAIL / NON_TRANSVERSE / INCONCLUSIVE.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -356,19 +355,26 @@ def sample_boundary_points(
 
 
 def _wide_pairs(n2, tol_angle) -> list:
-    """The pairs (i, j), i < j in row-major order, of rows of n2 (k, n)
-    whose lines are more than ``tol_angle`` apart, from one |U U^t| of the
-    unit rows U."""
+    """The pairs (i, j, angle), i < j in row-major order, of rows of
+    n2 (k, n) whose lines are more than ``tol_angle`` apart.
+
+    The angle between the lines of unit rows u and v is
+    2 atan2(|u - s v|, |u + s v|) with s = sign(u . v): it keeps its
+    digits down to rounding, where arccos |u . v| reads 0 below about
+    1.5e-8.  The pairs are taken in chunks of at most MAX_RAY_ENTRIES
+    entries."""
     u = n2 / np.linalg.norm(n2, axis=1, keepdims=True)
-    wide = np.arccos(np.minimum(1.0, np.abs(u @ u.T))) > tol_angle
-    return list(zip(*np.nonzero(np.triu(wide, 1))))
-
-
-def _line_angle(u, v) -> float:
-    """Angle between the lines spanned by u and v (sign ignored), as
-    reported for a pair of ``_wide_pairs``."""
-    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-    return math.acos(min(1.0, abs(float(np.dot(u, v)))))
+    i, j = np.triu_indices(len(u), 1)
+    angle = np.empty(len(i))
+    step = max(1, MAX_RAY_ENTRIES // u.shape[1])
+    for c in range(0, len(i), step):
+        a, b = u[i[c : c + step]], u[j[c : c + step]]
+        s = np.where(np.sum(a * b, axis=1) < 0.0, -1.0, 1.0)[:, None]
+        angle[c : c + step] = 2.0 * np.arctan2(
+            np.linalg.norm(a - s * b, axis=1), np.linalg.norm(a + s * b, axis=1)
+        )
+    wide = angle > tol_angle
+    return [(int(p), int(q), float(t)) for p, q, t in zip(i[wide], j[wide], angle[wide])]
 
 
 def zero_curvature_check_c1(
@@ -394,7 +400,7 @@ def zero_curvature_check_c1(
     tangent = ~_transverse(n1, n2, transverse_tol)
     if tangent.any():
         raise NonTransverseSample(f"sample at x = {pts[int(tangent.argmax())].x} is not transverse")
-    witnesses = [(pts[i], pts[j], _line_angle(n2[i], n2[j])) for i, j in _wide_pairs(n2, tol_angle)]
+    witnesses = [(pts[i], pts[j], angle) for i, j, angle in _wide_pairs(n2, tol_angle)]
     return not witnesses, witnesses
 
 
@@ -765,10 +771,10 @@ def classify(
             used.append((x[kept], y[kept], gx[kept], gy[kept]))
             pairs = _wide_pairs(n2[kept], tol_angle)
             c1_ok = c1_ok and not pairs
-            for a, b in pairs[: 8 - len(report.witnesses)]:
+            for a, b, angle in pairs[: 8 - len(report.witnesses)]:
                 ab = kept[[a, b]]
                 p, q = _boundary_points(spec, x[ab], y[ab], gx[ab], gy[ab])
-                report.witnesses.append((p, q, _line_angle(n2[ab[0]], n2[ab[1]])))
+                report.witnesses.append((p, q, angle))
         start += group
     report.samples["sections_used"] = len(used)
     if not used:

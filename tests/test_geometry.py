@@ -453,6 +453,38 @@ class TestZeroCurvatureC1:
         ok, wit = zero_curvature_check_c1(spec, [0.866], [[-0.4], [0.1]])
         assert ok and not wit
 
+    def test_resolves_an_angle_of_a_billionth(self):
+        # the y-normal is (-1, e x2): sections at x2 = -0.9 and 0.9 are
+        # atan(0.9 e) - atan(-0.9 e) = 1.8e-9 apart; arccos |u.v| reads 0
+        spec = user_symbol("x1-y1+1e-9*x2*y2", 2, 2, [[-1.0, 1.0]] * 4)
+        ok, wit = zero_curvature_check_c1(spec, [0.2, 0.3], [[0.2, -0.9], [0.2, 0.9]], tol_angle=1e-10)
+        assert not ok and len(wit) == 1
+        assert abs(wit[0][2] - 1.8e-9) <= 1e-11
+        assert zero_curvature_check_c1(spec, [0.2, 0.3], [[0.2, -0.9], [0.2, 0.9]])[0]
+
+    def test_angles_match_the_pairwise_formula(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5):
+            n2 = rng.standard_normal((9, n))
+            n2[3] = -2.0 * n2[1] + 1e-12  # nearly the same line, opposite sign
+            got = geometry._wide_pairs(n2, 0.0)
+            expected = []
+            for i in range(9):
+                for j in range(i + 1, 9):
+                    u = n2[i] / math.sqrt(float(np.sum(n2[i] ** 2)))
+                    v = n2[j] / math.sqrt(float(np.sum(n2[j] ** 2)))
+                    s = -1.0 if np.sum(u * v) < 0.0 else 1.0
+                    ang = 2.0 * float(np.arctan2(math.sqrt(float(np.sum((u - s * v) ** 2))), math.sqrt(float(np.sum((u + s * v) ** 2)))))
+                    if ang > 0.0:
+                        expected.append((i, j, ang))
+            assert got == expected
+            # the angle between lines: at most pi / 2, and arccos |u.v| above its floor
+            for i, j, ang in got:
+                cos = abs(float(np.dot(n2[i], n2[j]))) / np.linalg.norm(n2[i]) / np.linalg.norm(n2[j])
+                assert ang <= math.pi / 2 + 1e-15
+                if ang > 1e-6:
+                    assert abs(ang - math.acos(min(1.0, cos))) <= 1e-9
+
     def test_non_transverse_sample_raises(self):
         with pytest.raises(NonTransverseSample):
             zero_curvature_check_c1(ball(2, 1.0), [0.0, 0.0], [[0.9, 0.1]])
@@ -734,7 +766,9 @@ def _reference_classify(spec, seed, z0=None, sections=8, per=8):
     one BoundaryPoint per pool point and per section solve (one
     ``boundary_project_x`` each), the transversality rule and the kernel
     bases of the Hessian check at one point at a time, and each section
-    pair's angle by its own scalar acos.  Returns (verdict,
+    pair's angle by its own 2 atan2(|u - s v|, |u + s v|), s = sign(u.v)
+    (numpy's arctan2, whose last digit can differ from math.atan2's).
+    Returns (verdict,
     sections_used, hessian_points, hessian_violation, witnesses)."""
     pool = sample_boundary_points(spec, 64, seed=seed)
     if not pool:
@@ -773,8 +807,9 @@ def _reference_classify(spec, seed, z0=None, sections=8, per=8):
             used.append(kept)
             for a in range(len(kept)):
                 for b in range(a + 1, len(kept)):
-                    u, v = (p.n2 / np.linalg.norm(p.n2) for p in (kept[a], kept[b]))
-                    ang = math.acos(min(1.0, abs(float(np.dot(u, v)))))
+                    u, v = (p.n2 / math.sqrt(float(np.sum(p.n2**2))) for p in (kept[a], kept[b]))
+                    s = -1.0 if np.sum(u * v) < 0.0 else 1.0
+                    ang = 2.0 * float(np.arctan2(math.sqrt(float(np.sum((u - s * v) ** 2))), math.sqrt(float(np.sum((u + s * v) ** 2)))))
                     if ang > ANGLE_TOL:
                         witnesses.append((kept[a], kept[b], ang))
     if not used:
