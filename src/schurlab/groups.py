@@ -572,8 +572,9 @@ def boundary_subalgebra_verdict(
     Ad-invariance at boundary points sampled near the identity of the
     translated domain.  Those points solve F(v + t w) = 0 along the
     normal w from starts v drawn on the hyperplane; up to
-    ``20 * ad_samples`` starts are drawn, solved in ``_newton`` batches
-    in draw order, and the first ``ad_samples`` that converge are used.
+    ``20 * ad_samples`` starts are drawn, solved in draw order in
+    ``_newton`` batches of ``ad_samples``, and the first ``ad_samples``
+    that converge are used.
     """
     grp = _group(group_id, "exp")
     g0 = np.asarray(g0, dtype=float)
@@ -608,31 +609,42 @@ def boundary_subalgebra_verdict(
         q, _ = np.linalg.qr(hyper.T)
         proj = q @ q.T
         v = np.random.default_rng(seed).uniform(-radius, radius, size=(20 * ad_samples, d))
-        v = v - np.sum(v * w_hat, axis=-1)[:, None] * w_hat  # starts on the tangent hyperplane
+        # starts on the tangent hyperplane; the products of vectors here
+        # are matmuls of vector shapes, which round as numpy's 1-D dot does
+        v = v - (v[:, None] @ w_hat[:, None])[:, 0] * w_hat
         h_line = 1e-7  # central-difference step of the line derivative
 
-        def fline(t, rows):
-            return f_alg(v[rows] + t * w_hat)
+        def fline(starts, t):
+            """F at starts + t w_hat, row by row."""
+            return f_alg(starts + t * w_hat)
 
-        def dline(t, rows):
-            ends = f_alg(np.concatenate((v[rows] + (t + h_line) * w_hat, v[rows] + (t - h_line) * w_hat)))
+        def dline(starts, t):
+            ends = fline(np.concatenate((starts, starts)), np.concatenate((t + h_line, t - h_line)))
             return ((ends[: len(t)] - ends[len(t) :]) / (2.0 * h_line))[:, None]
 
         points = np.empty((0, d))
-        solved = 0
-        while len(points) < ad_samples and solved < len(v):
-            batch = v[solved : solved + ad_samples - len(points)]
-            t, status = _newton(fline, dline, np.zeros((len(batch), 1)), 1e-12, 60)
-            rows = np.flatnonzero(status == 0)
-            points = np.concatenate((points, v[solved + rows] + t[rows] * w_hat))
-            solved += len(batch)
+        for first in range(0, len(v), ad_samples):
+            if len(points) >= ad_samples:
+                break
+            starts = v[first : first + ad_samples]
+            t, status = _newton(
+                lambda t, rows: fline(starts[rows], t),
+                lambda t, rows: dline(starts[rows], t),
+                np.zeros((len(starts), 1)),
+                1e-12,
+                60,
+            )
+            ok = status == 0
+            points = np.concatenate((points, starts[ok] + t[ok] * w_hat))
+        points = points[:ad_samples]
         if len(points):
             x = expm(group_id, points)
             ad = x[:, None] @ np.tensordot(hyper, grp.basis, axes=1)[None] @ np.linalg.inv(x)[:, None]
-            coords = _alg_coords(ad, grp.basis)  # (samples, rows of hyper, d)
-            nrm = np.linalg.norm(coords, axis=-1)
-            resid = np.linalg.norm(coords - coords @ proj.T, axis=-1)
-            ad_defect = float(np.max(resid / nrm, where=nrm >= 1e-14, initial=0.0))
+            coords = _alg_coords(ad, grp.basis)[..., None]  # (samples, rows of hyper, d, 1)
+            resid = coords - proj @ coords
+            nrm = np.sqrt(np.swapaxes(coords, -1, -2) @ coords)[..., 0, 0]
+            off = np.sqrt(np.swapaxes(resid, -1, -2) @ resid)[..., 0, 0]
+            ad_defect = float(np.max(off / nrm, where=nrm >= 1e-14, initial=0.0))
             ad_ok = ad_defect <= max(tol, 1e-9) * 100.0
         else:
             notes.append("no boundary points found near the identity")

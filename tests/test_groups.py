@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import time
 
 import numpy as np
 import pytest
@@ -323,7 +322,7 @@ def _sequential_verdict(group_id, omega, g0, seed, tol=1e-9, ad_samples=32, radi
             if found == ad_samples:
                 break
             v = rng.uniform(-radius, radius, size=d)
-            v = v - np.sum(v * w_hat) * w_hat
+            v = v - np.dot(v, w_hat) * w_hat
 
             def fline(t, v=v):
                 return f_alg(v + t[0] * w_hat)
@@ -336,16 +335,12 @@ def _sequential_verdict(group_id, omega, g0, seed, tol=1e-9, ad_samples=32, radi
             except (NoConvergence, DegenerateGradient):
                 continue
             x = expm(group_id, (v + t * w_hat)[None])[0]
-            coords = np.array([
-                np.linalg.lstsq(a, (x @ np.tensordot(row, grp.basis, axes=1) @ np.linalg.inv(x)).ravel(), rcond=None)[0]
-                for row in hyper
-            ])
-            # the sample's (rows, d) coordinates projected at once, as the
-            # verdict projects each sample's
-            resid = np.linalg.norm(coords - coords @ proj.T, axis=-1)
-            for r, nrm in zip(resid, np.linalg.norm(coords, axis=-1)):
+            for row in hyper:
+                ad = x @ np.tensordot(row, grp.basis, axes=1) @ np.linalg.inv(x)
+                coords = np.linalg.lstsq(a, ad.ravel(), rcond=None)[0]
+                nrm = float(np.linalg.norm(coords))
                 if nrm >= 1e-14:
-                    ad_defect = max(ad_defect, float(r / nrm))
+                    ad_defect = max(ad_defect, float(np.linalg.norm(coords - proj @ coords)) / nrm)
             found += 1
         if found:
             ad_ok = ad_defect <= 100.0 * max(tol, 1e-9)
@@ -372,15 +367,20 @@ class TestBatchedVerdict:
         assert v.boundary_residual == residual
         assert v.ad_defect == ad_defect
 
-    def test_skipped_lines_match_the_sequential_verdict(self):
-        # a quarter of the lines have zero derivative: later batches fill in
-        def omega(c):
-            return np.where(c[..., 1] < 0.05, c[..., 0], 1.0)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_skipped_lines_match_the_sequential_verdict(self, seed):
+        # m0 where the entry b is below 0.02, else the constant 1: the lines
+        # through starts with b >= 0.02 have zero derivative and are
+        # skipped, so later batches supply the samples, and which samples
+        # are used moves ad_defect
+        m0 = GROUPS[SL2R].fields["m0"]
 
-        for seed in (0, 1):
-            v = boundary_subalgebra_verdict(HEISENBERG, omega, _g0(HEISENBERG), seed=seed)
-            ref = _sequential_verdict(HEISENBERG, omega, _g0(HEISENBERG), seed)
-            assert (v.passed, v.ad_defect, v.notes) == (ref[0], ref[5], ref[6])
+        def omega(c):
+            return np.where(c[..., 0, 1] < 0.02, m0(c), 1.0)
+
+        v = boundary_subalgebra_verdict(SL2R, omega, _g0(SL2R), seed=seed)
+        ref = _sequential_verdict(SL2R, omega, _g0(SL2R), seed)
+        assert (v.passed, v.subalgebra_ok, v.ad_ok, v.ad_defect, v.notes) == (*ref[:3], ref[5], ref[6])
 
     @pytest.mark.parametrize("expr", ["1", "2+0*a", "pi"])
     def test_constant_expression_field_is_one_value_per_row(self, expr):
@@ -390,7 +390,7 @@ class TestBatchedVerdict:
         assert got.shape == (5,)
         np.testing.assert_array_equal(got, [float(field(row[None])[0]) for row in c])
 
-    @pytest.mark.parametrize("group_id", LIE_GROUPS_WITH_FIELDS := sorted(g for g, r in GROUPS.items() if r.fields))
+    @pytest.mark.parametrize("group_id", sorted(g for g, row in GROUPS.items() if row.fields))
     def test_fields_map_a_batch_row_by_row(self, group_id):
         c = GROUPS[group_id].sample(7, np.random.default_rng(2), 0.4, None)
         for name, field in GROUPS[group_id].fields.items():
@@ -442,19 +442,14 @@ class TestHerzSchur:
         np.testing.assert_allclose(m3, m1[np.ix_(perm, perm)], atol=1e-12)
 
     def test_one_call_matches_the_double_loop_on_256_affine_elements(self):
-        # the double loop took 0.66 s at this size; one batched call of the
-        # symbol takes milliseconds (2-vCPU x86-64 host)
         grid = GROUPS[AFFINE].sample(256, np.random.default_rng(11), groups._CHART_RADIUS, None)
         sym = lambda c: np.exp(1j * c[..., 1]) * (c[..., 0] > 1.0)
-        t0 = time.perf_counter()
         m = herz_schur_matrix(AFFINE, sym, grid)
-        elapsed = time.perf_counter() - t0
         ref = np.zeros((256, 256), dtype=complex)
         for i in range(256):
             for j in range(256):
                 ref[i, j] = sym(_op(AFFINE, grid[i], _inv(AFFINE, grid[j])))
         np.testing.assert_array_equal(m, ref)
-        assert elapsed < 0.5
 
 
 def _cotlar_reference(group_id, samples, seed, band=1e-9):
