@@ -609,8 +609,9 @@ def boundary_subalgebra_verdict(
         q, _ = np.linalg.qr(hyper.T)
         proj = q @ q.T
         v = np.random.default_rng(seed).uniform(-radius, radius, size=(20 * ad_samples, d))
-        # starts on the tangent hyperplane; the products of vectors here
-        # are matmuls of vector shapes, which round as numpy's 1-D dot does
+        # starts on the tangent hyperplane.  Vector products in this check
+        # are matmuls of vector shapes: they round as numpy's 1-D dot, so
+        # the batched verdict equals the line-by-line one
         v = v - (v[:, None] @ w_hat[:, None])[:, 0] * w_hat
         h_line = 1e-7  # central-difference step of the line derivative
 
