@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import geometry, groups, harmonic, multiplier, symbols
-from .errors import ConfigInvalid, GroupMismatch, SchurLabError
+from .errors import ConfigInvalid, GroupMismatch, NonFinite, SchurLabError
 
 SCHEMA = "schur-lab/1"
 
@@ -306,6 +306,8 @@ def _transfer(seed, N, p, m, budget):
     else:
         raise ConfigInvalid("'m' must be 'half', 'delta', or a list of values")
     res = groups.fourier_multiplier_norm_finite_cyclic(mv, N, p, budget=budget, seed=seed)
+    if not (math.isfinite(res.fourier_lb) and math.isfinite(res.schur_lb)):
+        raise NonFinite(f"the bounds overflow the float range: {res.fourier_lb}, {res.schur_lb}")
     fields = {
         "N": N,
         "p": _p_label(p),

@@ -165,22 +165,6 @@ def _newton(f, grad, z, tol, max_iter):
     return z, status
 
 
-def _newton_one(f, grad, z, tol, max_iter):
-    """``_newton`` on the single point z, with f and grad taking one point;
-    raises the point's NoConvergence or DegenerateGradient."""
-    z, status = _newton(
-        lambda zs, _: np.array([float(f(zs[0]))]),
-        lambda zs, _: np.asarray(grad(zs[0]), dtype=float)[None],
-        np.asarray(z, dtype=float)[None],
-        tol,
-        max_iter,
-    )
-    if status[0]:
-        error, message = _NEWTON_FAILURES[status[0]]
-        raise error(message.format(abs(float(f(z[0])))))
-    return z[0]
-
-
 def boundary_project(
     spec: SymbolSpec,
     x,
@@ -410,26 +394,22 @@ def _kernel_basis(v: np.ndarray) -> np.ndarray:
     return np.linalg.svd(v[..., None, :])[2][..., 1:, :]
 
 
-def mixed_hessian_check(
-    spec: SymbolSpec,
-    pts,
-    tol: float = HESSIAN_TOL,
-):
+def mixed_hessian_check(spec: SymbolSpec, x, y, gx, gy, tol: float = HESSIAN_TOL):
     """C^2 form of the zero-curvature condition.
 
-    For each boundary point, evaluates |u^t H_xy v| over orthonormal bases
-    u of ker d_x F and v of ker d_y F; passes iff the maximum across all
-    points is <= tol * max ||H_xy||.  Returns (ok, max_violation) with the
-    violation already normalized by the Hessian scale.
+    At each boundary row of x (k, m), y (k, n) with gradient split
+    (gx, gy), evaluates |u^t H_xy v| over orthonormal bases u of ker d_x F
+    and v of ker d_y F; passes iff the maximum across all rows is
+    <= tol * max ||H_xy||.  Returns (ok, max_violation) with the violation
+    already normalized by the Hessian scale.
     """
-    if not pts:
+    if not len(x):
         return True, 0.0
-    n1 = np.array([pt.n1 for pt in pts])
-    n2 = np.array([pt.n2 for pt in pts])
+    n1, n2 = _unit_normals(gx, gy)
     tangent = ~_transverse(n1, n2, TRANSVERSE_TOL)
     if tangent.any():
-        raise NonTransverseSample(f"point at x = {pts[int(tangent.argmax())].x} is not transverse")
-    h = mixed_hessian(spec, np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts]))
+        raise NonTransverseSample(f"point at x = {x[int(tangent.argmax())]} is not transverse")
+    h = mixed_hessian(spec, x, y)
     scale = float(np.linalg.norm(h, 2, axis=(1, 2)).max())
     if scale == 0.0:
         return True, 0.0
@@ -446,10 +426,11 @@ def mixed_hessian_check(
 class NormalFormChart:
     """Local product chart straightening the boundary to {x1 = g(x~, y)}.
 
-    ``phi``/``psi`` map original coordinates into the chart, ``g`` is
-    evaluated in chart coordinates and satisfies g(0, y) = y1, and
-    ``surface_point`` reconstructs the original boundary point from
-    (x~, y) chart data.
+    Every map takes rows and returns rows: ``phi``/``psi`` map original
+    coordinates x (k, m), y (k, n) into the chart, ``g`` maps chart rows
+    x~ (k, m - 1), y (k, n) to (k,) and satisfies g(0, y) = y1, and
+    ``surface_point`` reconstructs the original boundary rows (x, y) from
+    (x~, y) chart data.  A row whose solve fails is NaN.
     """
 
     phi: Callable
@@ -461,6 +442,26 @@ class NormalFormChart:
     radius: float
 
 
+def _solve_lines(spec: SymbolSpec, x, y, dx, dy, tol):
+    """t (k,) with F(x + t dx, y + t dy) = 0 at each row of x (k, m),
+    y (k, n): one ``_newton`` batch in t from t = 0, with derivative
+    gx . dx + gy . dy.  NaN where the solve fails (a row that starts at
+    NaN fails at once: its gradient is degenerate)."""
+
+    def at(t, rows):
+        return x[rows] + t * dx, y[rows] + t * dy
+
+    def f(t, rows):
+        return np.broadcast_to(spec.f(*at(t, rows)), rows.shape)
+
+    def grad(t, rows):
+        gx, gy, degenerate = gradient(spec, *at(t, rows))
+        return np.where(degenerate, 0.0, gx @ dx + gy @ dy)[:, None]
+
+    t, status = _newton(f, grad, np.zeros((len(x), 1)), tol, 100)
+    return np.where(status == 0, t[:, 0], np.nan)
+
+
 def normal_form_chart(
     spec: SymbolSpec,
     z0: BoundaryPoint,
@@ -470,50 +471,36 @@ def normal_form_chart(
     """Build the normal-form chart around a transverse boundary point.
 
     The x chart is an isometry moving the x-normal onto e1, so the boundary
-    becomes a graph x1' = h(x~', y) solved pointwise by Newton.  The y chart
-    is y' = (h(0, y), P (y - y0)) for a fixed complement P, which forces
-    g(0, y') = y'_1 by construction.  All evaluations are per-point
-    implicit solves; NoConvergence propagates from points outside the
-    chart's reach.
+    becomes a graph x1' = h(x~', y), solved along the chart's x1 direction.
+    The y chart is y' = (h(0, y), P (y - y0)) for a fixed complement P,
+    which forces g(0, y') = y'_1 by construction.  Its inverse solves
+    F(phi_inv((y'_1, 0, ...)), y) = 0 along the y-direction of h(0, .), so
+    ``g`` and ``surface_point`` are two flat ``_newton`` batches.  Rows
+    outside the chart's reach come back NaN.
     """
     if not transversality_check(z0):
         raise NonTransverse("normal form requires a transverse base point")
     x0 = np.array(z0.x, dtype=float)
     y0 = np.array(z0.y, dtype=float)
-    m = spec.m_dim
+    m, n = spec.m_dim, spec.n_dim
 
     # orthogonal Q with Q n1_unit = e1
     n1u = z0.n1 / np.linalg.norm(z0.n1)
-    q = _householder(n1u, np.eye(n1u.shape[0])[0])
-
-    def grad_at(x, y):
-        gx, gy, _ = gradient(spec, x[None], y[None])
-        return gx[0], gy[0]
+    q = _householder(n1u, np.eye(m)[0])
 
     def phi(x):
-        return q @ (np.asarray(x, dtype=float) - x0)
+        return (np.asarray(x, dtype=float) - x0) @ q.T
 
     def phi_inv(xc):
-        return x0 + q.T @ np.asarray(xc, dtype=float)
+        return x0 + np.asarray(xc, dtype=float) @ q
 
-    def h(x_tail, y):
-        """Solve F(phi_inv((t, x_tail)), y) = 0 for t near 0."""
-        x_tail = np.asarray(x_tail, dtype=float)
-        y = np.asarray(y, dtype=float)
-
-        def fval(t):
-            return spec.f(phi_inv(np.concatenate((t, x_tail))), y)
-
-        def fder(t):
-            gx, _ = grad_at(phi_inv(np.concatenate((t, x_tail))), y)
-            return (q @ gx)[:1]
-
-        return float(_newton_one(fval, fder, np.zeros(1), tol, 100)[0])
+    def h(x_tail, y):  # t with F(phi_inv((t, x~)), y) = 0, from t = 0
+        base = phi_inv(np.column_stack((np.zeros(len(y)), x_tail)))
+        return _solve_lines(spec, base, np.asarray(y, dtype=float), q[0], np.zeros(n), tol)
 
     # direction of d_y h(0, .) at y0, from the implicit relation
-    gx0, gy0 = grad_at(x0, y0)
-    ft = float((q @ gx0)[0])
-    w = -gy0 / ft
+    gx0, gy0, _ = gradient(spec, x0[None], y0[None])
+    w = -gy0[0] / float(q[0] @ gx0[0])
     wn = float(np.linalg.norm(w))
     if wn < 1e-12:
         raise DegenerateGradient("boundary section has no y-dependence at base point")
@@ -522,23 +509,14 @@ def normal_form_chart(
 
     def psi(y):
         y = np.asarray(y, dtype=float)
-        return np.concatenate(([h(np.zeros(m - 1), y)], comp @ (y - y0)))
+        return np.column_stack((h(np.zeros((len(y), m - 1)), y), (y - y0) @ comp.T))
 
     def psi_inv(yc):
+        # h(0, y) = s exactly where F(phi_inv((s, 0, ...)), y) = 0
         yc = np.asarray(yc, dtype=float)
-        s, tail = float(yc[0]), yc[1:]
-        base = y0 + comp.T @ tail
-
-        def fval(t):
-            return h(np.zeros(m - 1), base + t[0] * w_hat) - s
-
-        def fder(t):
-            yy = base + t[0] * w_hat
-            gx, gy = grad_at(phi_inv(np.concatenate(([h(np.zeros(m - 1), yy)], np.zeros(m - 1)))), yy)
-            return np.array([np.dot(-gy / float((q @ gx)[0]), w_hat)])
-
-        t_star = _newton_one(fval, fder, np.zeros(1), tol, 100)[0]
-        return base + t_star * w_hat
+        base = y0 + yc[:, 1:] @ comp
+        t = _solve_lines(spec, x0 + yc[:, :1] * q[0], base, np.zeros(m), w_hat, tol)
+        return base + t[:, None] * w_hat
 
     def g(x_tail, yc):
         return h(x_tail, psi_inv(yc))
@@ -546,19 +524,12 @@ def normal_form_chart(
     def surface_point(x_tail, yc):
         y = psi_inv(yc)
         t = h(x_tail, y)
-        return phi_inv(np.concatenate(([t], np.asarray(x_tail, dtype=float)))), y
+        y[np.isnan(t)] = np.nan
+        return phi_inv(np.column_stack((t, x_tail))), y
 
     if radius is None:
         radius = 0.05 * (1.0 + float(np.linalg.norm(np.concatenate([x0, y0]))))
-    return NormalFormChart(
-        phi=phi,
-        phi_inv=phi_inv,
-        psi=psi,
-        psi_inv=psi_inv,
-        g=g,
-        surface_point=surface_point,
-        radius=radius,
-    )
+    return NormalFormChart(phi, phi_inv, psi, psi_inv, g, surface_point, radius)
 
 
 def _householder(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -678,7 +649,7 @@ def classify(
     )
 
     # the pool, its sections and their checks work on rows (x, y, gx, gy);
-    # BoundaryPoints are made only for the Hessian check and the witnesses.
+    # BoundaryPoints are made only for the witnesses.
     # The pool is read as a prefix, grown only where the prefix could
     # decide differently from the whole pool; rows of ``_newton`` are
     # solved independently, so every prefix is one of the whole pool's.
@@ -783,9 +754,9 @@ def classify(
 
     c2_ok = None
     if spec.hess_xy is not None:
-        pts = _boundary_points(spec, *(np.concatenate(c) for c in zip(*used)))
-        c2_ok, violation = mixed_hessian_check(spec, pts, hessian_tol)
-        report.samples["hessian_points"] = len(pts)
+        x, y, gx, gy = (np.concatenate(c) for c in zip(*used))
+        c2_ok, violation = mixed_hessian_check(spec, x, y, gx, gy, hessian_tol)
+        report.samples["hessian_points"] = len(x)
         report.samples["hessian_violation"] = violation
 
     if c2_ok is None or c2_ok == c1_ok:

@@ -31,7 +31,7 @@ from .errors import (
     GroupMismatch,
 )
 from .geometry import _kernel_basis, _newton
-from .matcore import _schatten_from_sv, multiplier_norm_lower_bound
+from .matcore import _ldexp, _schatten_from_sv, multiplier_norm_lower_bound
 from .multiplier import circulant
 from .symbols import parse_expression
 
@@ -743,6 +743,11 @@ def fourier_multiplier_norm_finite_cyclic(
         raise ValueError(f"symbol must have length {n}")
     p = float(p)
     idx = np.arange(n)
+    # both bounds are homogeneous in m: they run on m / 2^k, exact for the
+    # power of two 2^k just above max |m|, so no DFT of a near-max m
+    # overflows, and are scaled back
+    k = int(np.frexp(np.abs(mv).max())[1])
+    mv = _ldexp(mv, -k)
 
     def fourier_ratio(c):
         denom = _schatten_from_sv(np.abs(np.fft.fft(c)), p)
@@ -757,7 +762,7 @@ def fourier_multiplier_norm_finite_cyclic(
             c = np.fft.ifft((idx == 0).astype(complex))
         else:
             c = (idx == int(np.argmax(np.abs(mv)))).astype(complex)
-        ratio = fourier_ratio(c)
+        ratio = float(np.ldexp(fourier_ratio(c), k))
         return TransferenceResult(fourier_lb=ratio, schur_lb=ratio, n=n, p=p)
 
     starts = [np.zeros(n, dtype=complex)]
@@ -766,8 +771,8 @@ def fourier_multiplier_norm_finite_cyclic(
     shift[int(np.argmax(np.abs(mv)))] = 1.0  # best single shift lambda(g)
     starts.append(shift)
     starts.append(np.ones(n, dtype=complex) / n)
-    for k in range(budget):
-        rng = np.random.default_rng([seed, 211, k])
+    for j in range(budget):
+        rng = np.random.default_rng([seed, 211, j])
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
     best_ratio, best_c = 0.0, starts[0]
@@ -783,4 +788,6 @@ def fourier_multiplier_norm_finite_cyclic(
         seed=seed,
         extra_starts=[circulant(best_c)],
     )
-    return TransferenceResult(fourier_lb=best_ratio, schur_lb=float(schur_lb), n=n, p=p)
+    return TransferenceResult(
+        fourier_lb=float(np.ldexp(best_ratio, k)), schur_lb=float(np.ldexp(schur_lb, k)), n=n, p=p
+    )

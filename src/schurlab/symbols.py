@@ -423,25 +423,30 @@ def _num(v):
 
 MAX_AXES = 104_857  # geometry.MAX_RAY_ENTRIES // 40: the smallest classify batch fits it
 
-_BUILTIN_AXES = {  # m_dim + n_dim of a builtin, read from its params
-    "ball": lambda params: 2 * int(params["n"]),
-    "sphere_delta": lambda params: 2 * int(params["n"]),
-    "halfspace": lambda params: int(params.get("m_dim", 1)) + int(params.get("n_dim", 1)),
-    "toeplitz_ball": lambda params: 2 * int(params["n"]),
-    "triangular": lambda params: 2,
+def _whole(obj: dict, key: str, default=None) -> int:
+    """The integer field ``key`` of obj (``default`` when absent): an int
+    or an integral float; anything else raises ExpressionError."""
+    value = obj.get(key, default)
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise ExpressionError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+_BUILTIN_DIMS = {  # (m_dim, n_dim) of a builtin, read from its params
+    "ball": lambda params: (_whole(params, "n"),) * 2,
+    "sphere_delta": lambda params: (_whole(params, "n"),) * 2,
+    "halfspace": lambda params: (_whole(params, "m_dim", 1), _whole(params, "n_dim", 1)),
+    "toeplitz_ball": lambda params: (_whole(params, "n"),) * 2,
+    "triangular": lambda params: (1, 1),
 }
-_BUILTIN_FACTORY = {
-    "ball": lambda params, box: ball(int(params["n"]), params.get("R", 1.0), box),
-    "sphere_delta": lambda params, box: sphere_delta(int(params["n"]), params["delta"], box),
-    "halfspace": lambda params, box: halfspace(
-        params.get("f1", "x1"),
-        params.get("f2", "y1"),
-        int(params.get("m_dim", 1)),
-        int(params.get("n_dim", 1)),
-        box,
+_BUILTIN_FACTORY = {  # builtin -> factory of (params, its dims, box)
+    "ball": lambda params, dims, box: ball(dims[0], params.get("R", 1.0), box),
+    "sphere_delta": lambda params, dims, box: sphere_delta(dims[0], params["delta"], box),
+    "halfspace": lambda params, dims, box: halfspace(
+        params.get("f1", "x1"), params.get("f2", "y1"), *dims, box
     ),
-    "toeplitz_ball": lambda params, box: toeplitz_ball(int(params["n"]), params.get("R", 1.0), box),
-    "triangular": lambda params, box: triangular(box),
+    "toeplitz_ball": lambda params, dims, box: toeplitz_ball(dims[0], params.get("R", 1.0), box),
+    "triangular": lambda params, dims, box: triangular(box),
 }
 
 
@@ -450,30 +455,33 @@ def from_json(obj: dict) -> SymbolSpec:
 
     Schema: {"m_dim": int, "n_dim": int, "builtin": str|null,
     "params": {...}, "expr": str|null, "box": [[lo, hi], ...]}.
-    A symbol of more than MAX_AXES axes is rejected before it is built.
+    The integer fields (an expression's m_dim and n_dim, a builtin's n,
+    m_dim and n_dim) take ints or integral floats.  A symbol of more than
+    MAX_AXES axes is rejected before it is built.
     """
     builtin = obj.get("builtin")
     params = obj.get("params") or {}
+    if not isinstance(params, dict):
+        raise ExpressionError(f"'params' must be an object, got {params!r}")
     if builtin is not None and builtin not in _BUILTIN_FACTORY:
         raise ExpressionError(f"unknown builtin {builtin!r}")
-    axes = (
-        _BUILTIN_AXES[builtin](params)
-        if builtin is not None
-        else int(obj.get("m_dim", 0)) + int(obj.get("n_dim", 0))
-    )
-    if axes > MAX_AXES:
-        raise ExpressionError(f"symbol has {axes} axes, more than {MAX_AXES}")
+    expr = obj.get("expr")
+    if builtin is None and expr is None:
+        raise ExpressionError("symbol needs either 'builtin' or 'expr'")
+    if builtin is not None:
+        dims = _BUILTIN_DIMS[builtin](params)
+    else:
+        dims = (_whole(obj, "m_dim"), _whole(obj, "n_dim"))
+    if sum(dims) > MAX_AXES:
+        raise ExpressionError(f"symbol has {sum(dims)} axes, more than {MAX_AXES}")
     box = obj.get("box")
     if box is not None:
         box = tuple((float(lo), float(hi)) for lo, hi in box)
     if builtin is not None:
-        return _BUILTIN_FACTORY[builtin](params, box)
-    expr = obj.get("expr")
-    if expr is None:
-        raise ExpressionError("symbol needs either 'builtin' or 'expr'")
+        return _BUILTIN_FACTORY[builtin](params, dims, box)
     if box is None:
         raise ExpressionError("user symbols require an explicit 'box'")
-    return user_symbol(expr, int(obj["m_dim"]), int(obj["n_dim"]), box)
+    return user_symbol(expr, *dims, box)
 
 
 def to_json(spec: SymbolSpec) -> dict:

@@ -119,7 +119,9 @@ def test_criterion_2_c1_c2_agreement():
             sections_checked += 1
             c1_ok = c1_ok and ok
         assert sections_checked > 0, f"no usable sections for {spec.symbol_id}"
-        c2_ok, _ = mixed_hessian_check(spec, pts)
+        # the unit normals serve as the gradient split
+        rows = (np.array([getattr(p, a) for p in pts]) for a in ("x", "y", "n1", "n2"))
+        c2_ok, _ = mixed_hessian_check(spec, *rows)
         if c1_ok != c2_ok:
             disagreements += 1
     assert disagreements == 0

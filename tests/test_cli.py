@@ -203,6 +203,33 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert all(math.isfinite(rep[k]) and rep[k] > 0.0 for k in ("fourier_lb", "schur_lb"))
 
+    @pytest.mark.parametrize("p", [1.5, "inf"])
+    def test_transfer_with_a_near_max_symbol(self, tmp_path, p):
+        cfg = _write_config(
+            tmp_path,
+            {"schema": "schur-lab/1", "command": "transfer", "N": 3, "p": p, "m": [1e308, 1e308, 1e308]},
+        )
+        out = tmp_path / "r.json"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"the report holds {name}")
+
+        rep = json.loads(out.read_text(), parse_constant=no_constant)
+        assert rep["contract_ok"] and 0.0 < rep["fourier_lb"] <= rep["schur_lb"] * (1 + 1e-9)
+
+    def test_transfer_bound_beyond_the_float_range_exits_1(self, tmp_path, capsys):
+        # sum |fft(m)| / N = 5a / 3 > 1.8e308 for a = 1.7e308
+        cfg = _write_config(
+            tmp_path,
+            {"schema": "schur-lab/1", "command": "transfer", "N": 3, "p": "inf", "m": [1.7e308, -1.7e308, 1.7e308]},
+        )
+        out = tmp_path / "r.json"
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+        assert not out.exists()
+
     def test_squarefn(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -562,6 +589,16 @@ class TestErrorPaths:
             # finite bounds whose width hi - lo overflows to inf
             {**SPHERE_CLASSIFY, "symbol": {**SPHERE_CLASSIFY["symbol"], "box": [[-1e308, 1e308]] + [[-1, 1]] * 3}},
             {**TRIANGULAR_NORMS, "symbol": {**TRIANGULAR_NORMS["symbol"], "box": [[-1e308, 1e308], [0, 1024]]}},
+            # integer fields take ints or integral floats only
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": {"n": 2.5}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": {"n": True}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "sphere_delta", "params": {"n": "2", "delta": 0.0}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "halfspace", "params": {"n_dim": 1.5}}},
+            {**SPHERE_CLASSIFY, "symbol": {"m_dim": 1.5, "n_dim": 1, "expr": "x1 - y1", "box": [[-1, 1], [-1, 1]]}},
+            {**SPHERE_CLASSIFY, "symbol": {"m_dim": True, "n_dim": 1, "expr": "x1 - y1", "box": [[-1, 1], [-1, 1]]}},
+            {**SPHERE_CLASSIFY, "symbol": {"m_dim": 1, "expr": "x1 - y1", "box": [[-1, 1], [-1, 1]]}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": "abc"}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": [2]}},
         ],
         ids=[
             "classify-z0-string",
@@ -572,6 +609,15 @@ class TestErrorPaths:
             "classify-infinite-box",
             "classify-box-width-overflows",
             "norms-box-width-overflows",
+            "ball-fractional-n",
+            "ball-boolean-n",
+            "sphere-string-n",
+            "halfspace-fractional-n-dim",
+            "expression-fractional-m-dim",
+            "expression-boolean-m-dim",
+            "expression-missing-n-dim",
+            "ball-params-string",
+            "ball-params-list",
         ],
     )
     def test_malformed_values_exit_64(self, tmp_path, capsys, cfg):

@@ -22,7 +22,6 @@ from schurlab.geometry import (
     _boundary_points,
     _kernel_basis,
     _newton,
-    _newton_one,
     _project_rays,
     _transverse,
     _uniform_in_box,
@@ -38,6 +37,7 @@ from schurlab.geometry import (
 from schurlab.multiplier import componentwise_reparam, pullback_symbol
 from schurlab.symbols import (
     BoundaryPoint,
+    SymbolSpec,
     ball,
     mixed_hessian,
     halfspace,
@@ -85,11 +85,11 @@ class TestBoundaryProject:
 @pytest.mark.parametrize(
     "f,grad,z0,expect",
     [
-        (lambda z: z[:, 0] ** 2 - 2.0, lambda z: 2.0 * z, [1.0], [math.sqrt(2.0)]),
+        (lambda z: z[..., 0] ** 2 - 2.0, lambda z: 2.0 * z, [1.0], [math.sqrt(2.0)]),
         # minimum-norm steps stay on the ray through the start
-        (lambda z: np.sum(z * z, axis=1) - 1.0, lambda z: 2.0 * z, [0.3, 0.4], [0.6, 0.8]),
-        (lambda z: z[:, 0] ** 2 + 1.0, lambda z: 2.0 * z, [0.0], (DegenerateGradient, "vanishes")),
-        (lambda z: np.sum(z * z, axis=1) + 1.0, lambda z: 2.0 * z, [10.0, 1.0], (NoConvergence, "plateau")),
+        (lambda z: np.sum(z * z, axis=-1) - 1.0, lambda z: 2.0 * z, [0.3, 0.4], [0.6, 0.8]),
+        (lambda z: z[..., 0] ** 2 + 1.0, lambda z: 2.0 * z, [0.0], (DegenerateGradient, "vanishes")),
+        (lambda z: np.sum(z * z, axis=-1) + 1.0, lambda z: 2.0 * z, [10.0, 1.0], (NoConvergence, "plateau")),
     ],
     ids=["scalar-root", "vector-projection", "zero-gradient", "no-root-plateau"],
 )
@@ -98,8 +98,16 @@ def test_newton(f, grad, z0, expect):
     if isinstance(expect, tuple):
         error, message = _NEWTON_FAILURES[status[0]]
         assert error is expect[0] and expect[1] in message
+        # the single-point projection raises the row's failure: F(x, y) = f(y)
+        spec = SymbolSpec(
+            m_dim=1,
+            n_dim=len(z0),
+            f=lambda x, y: f(y),
+            grad=lambda x, y: (np.zeros_like(x), grad(y)),
+            domain_box=((-20.0, 20.0),) * (1 + len(z0)),
+        )
         with pytest.raises(expect[0], match=expect[1]):
-            _newton_one(lambda z: f(z[None])[0], grad, z0, 1e-12, 100)
+            boundary_project(spec, [0.0], z0, tol=1e-12)
     else:
         assert status.tolist() == [0]
         np.testing.assert_allclose(z[0], expect, rtol=1e-10)
@@ -194,25 +202,30 @@ def test_batched_halvings_match_one_at_a_time():
 
 
 def test_single_point_solve_halves_one_length_per_call():
-    # a y-solve of ball(2, 1) at |x| > 1 has no root; its steps take ever
-    # more halvings, each in its own call of f, as in the sequential loop
-    # (the last call evaluates |f| for the error message)
+    # a y-solve of ball(2, 1) at |x| > 1 has no root; in a batch of one its
+    # steps take ever more halvings, each in its own call of f, as in the
+    # sequential loop
     spec = ball(2, 1.0)
     x = np.array([0.8, 0.7])
     batched, sequential = [], []
-    with pytest.raises(NoConvergence):
-        # copies: both solvers later write their accepted points in place
-        _newton_one(lambda y: batched.append(y.copy()) or spec.f(x, y), lambda y: spec.grad(x, y)[1], [0.3, 0.1], 1e-9, 100)
 
-    def f(z, rows):
-        sequential.extend(z.copy())
-        return spec.f(x, z)
+    def record(calls):
+        def f(z, rows):
+            # copies: both solvers later write their accepted points in place
+            calls.extend(z.copy())
+            return spec.f(x, z)
 
+        return f
+
+    def grad(z, rows):
+        return spec.grad(x, z)[1]
+
+    _, status = _newton(record(batched), grad, np.array([[0.3, 0.1]]), 1e-9, 100)
+    assert status[0] and _NEWTON_FAILURES[status[0]][0] is NoConvergence
     halvings = []
-    _sequential_newton(f, lambda z, rows: spec.grad(x, z)[1], np.array([[0.3, 0.1]]), 1e-9, 100, halvings)
+    _sequential_newton(record(sequential), grad, np.array([[0.3, 0.1]]), 1e-9, 100, halvings)
     assert max(halvings) >= 8
-    assert len(batched) == len(sequential) + 1
-    np.testing.assert_array_equal(batched[:-1], sequential)
+    np.testing.assert_array_equal(batched, sequential)
 
 
 def _reference_pool(spec, count, seed):
@@ -511,13 +524,34 @@ class TestMixedHessianCheck:
     def _pts(self, spec, seed=0, count=6):
         return [p for p in sample_boundary_points(spec, count, seed=seed) if transversality_check(p)]
 
+    def _rows(self, spec, seed=0, count=6):
+        """The rows (x, y, gx, gy) of ``_pts``."""
+        x, y, gx, gy = _BoundaryPool(spec, count, seed).grow(count)
+        keep = _transverse(*geometry._unit_normals(gx, gy), TRANSVERSE_TOL)
+        return x[keep], y[keep], gx[keep], gy[keep]
+
     def test_ball_passes_with_zero_violation(self):
-        ok, violation = mixed_hessian_check(ball(2, 1.0), self._pts(ball(2, 1.0)))
+        ok, violation = mixed_hessian_check(ball(2, 1.0), *self._rows(ball(2, 1.0)))
         assert ok and violation == 0.0
 
     def test_halfspace_passes(self):
-        ok, violation = mixed_hessian_check(halfspace(), self._pts(halfspace()))
+        ok, violation = mixed_hessian_check(halfspace(), *self._rows(halfspace()))
         assert ok and violation <= 1e-6
+
+    def test_no_rows_pass(self):
+        empty = np.empty((0, 2))
+        assert mixed_hessian_check(ball(2, 1.0), empty, empty, empty, empty) == (True, 0.0)
+
+    def test_reads_only_the_directions_of_the_gradient_split(self):
+        spec = sphere_delta(3, 0.0)
+        x, y, gx, gy = self._rows(spec, seed=7, count=12)
+        scale = 2.0 ** np.arange(-5, len(x) - 5)[:, None]
+        assert mixed_hessian_check(spec, x, y, scale * gx, scale * gy) == mixed_hessian_check(spec, x, y, gx, gy)
+
+    def test_tangent_row_raises(self):
+        x, y = np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])
+        with pytest.raises(NonTransverseSample, match=r"x = \[1\. 0\.\]"):
+            mixed_hessian_check(ball(2, 1.0), x, y, np.array([[2.0, 0.0]]), np.zeros((1, 2)))
 
     def test_stacked_bases_match_point_by_point(self):
         spec = sphere_delta(3, 0.0)
@@ -528,17 +562,27 @@ class TestMixedHessianCheck:
             scale = max(scale, float(np.linalg.norm(h, 2)))
             vals = _kernel_basis(pt.n1) @ h @ _kernel_basis(pt.n2).T
             worst = max(worst, float(np.abs(vals).max()))
-        assert mixed_hessian_check(spec, pts) == (worst / scale <= 1e-6, worst / scale)
+        assert mixed_hessian_check(spec, *self._rows(spec, seed=7, count=12)) == (worst / scale <= 1e-6, worst / scale)
 
     def test_sphere_fails_consistently_with_c1(self):
         spec = sphere_delta(2, 0.3)
-        pts = self._pts(spec)
-        ok, violation = mixed_hessian_check(spec, pts)
+        x, y, gx, gy = self._rows(spec)
+        ok, violation = mixed_hessian_check(spec, x, y, gx, gy)
         assert not ok and violation > 1e-3
-        ok_c1, _ = zero_curvature_check_c1(
-            spec, pts[0].y, [pts[0].x + np.array([0.05, -0.02]), pts[0].x]
-        )
+        ok_c1, _ = zero_curvature_check_c1(spec, y[0], [x[0] + np.array([0.05, -0.02]), x[0]])
         assert ok_c1 is False
+
+
+_CHART_BUILTINS = [ball(2, 1.0), sphere_delta(2, 0.3), toeplitz_ball(2, 1.0), halfspace(), triangular()]
+
+
+def _chart_and_rows(spec, rng, count=200):
+    """The chart at the first transverse point of a 12-point pool (seed 3)
+    and ``count`` chart rows y' uniform in its radius."""
+    pts = [p for p in sample_boundary_points(spec, 12, seed=3) if transversality_check(p)]
+    assert pts, spec.symbol_id
+    chart = normal_form_chart(spec, pts[0])
+    return chart, rng.uniform(-chart.radius, chart.radius, size=(count, spec.n_dim))
 
 
 class TestNormalFormChart:
@@ -546,46 +590,94 @@ class TestNormalFormChart:
         spec = halfspace()
         z0 = boundary_project(spec, [0.4], [0.0])
         chart = normal_form_chart(spec, z0)
-        for s in np.linspace(-0.2, 0.2, 9):
-            assert abs(chart.g(np.zeros(0), np.array([s])) - s) <= 1e-9
+        s = np.linspace(-0.2, 0.2, 9)
+        assert np.all(np.abs(chart.g(np.zeros((9, 0)), s[:, None]) - s) <= 1e-9)
 
     def test_ball_circle_graph_residual(self):
         spec = ball(1, 1.0)
         z0 = boundary_project(spec, [math.cos(0.3)], [math.sin(0.3) - 0.05])
         chart = normal_form_chart(spec, z0)
-        for s in np.linspace(-0.03, 0.03, 11):
-            x, y = chart.surface_point(np.zeros(0), np.array([s]))
-            assert abs(float(spec.f(x, y))) <= 1e-8
+        s = np.linspace(-0.03, 0.03, 11)
+        x, y = chart.surface_point(np.zeros((11, 0)), s[:, None])
+        assert np.all(np.abs(spec.f(x, y)) <= 1e-8)
 
     def test_g_vanishing_tail_reproduces_y1_on_builtins(self):
-        specs = [
-            ball(2, 1.0),
-            sphere_delta(2, 0.3),
-            toeplitz_ball(2, 1.0),
-            halfspace(),
-            triangular(),
-        ]
         rng = np.random.default_rng(4)
-        for spec in specs:
-            pts = [
-                p
-                for p in sample_boundary_points(spec, 12, seed=3)
-                if transversality_check(p)
-            ]
-            assert pts, spec.symbol_id
-            chart = normal_form_chart(spec, pts[0])
-            count = 0
-            for _ in range(200):
-                yc = rng.uniform(-chart.radius, chart.radius, size=spec.n_dim)
-                try:
-                    val = chart.g(np.zeros(spec.m_dim - 1), yc)
-                except Exception:
-                    continue
-                assert abs(val - yc[0]) <= 1e-6, spec.symbol_id
-                count += 1
-                if count >= 50:
-                    break
-            assert count >= 50, f"not enough chart samples for {spec.symbol_id}"
+        for spec in _CHART_BUILTINS:
+            chart, yc = _chart_and_rows(spec, rng)
+            val = chart.g(np.zeros((len(yc), spec.m_dim - 1)), yc)
+            finite = np.isfinite(val)
+            assert finite.sum() >= 50, f"not enough chart samples for {spec.symbol_id}"
+            assert np.isnan(val[~finite]).all(), spec.symbol_id
+            assert np.abs(val[finite] - yc[finite, 0]).max() <= 1e-6, spec.symbol_id
+
+    def test_psi_inverts_psi_inv_on_builtins(self):
+        # psi(y)_1 = h(0, y), so this is h(0, psi_inv(y')) = y'_1
+        rng = np.random.default_rng(5)
+        for spec in _CHART_BUILTINS:
+            chart, yc = _chart_and_rows(spec, rng)
+            back = chart.psi(chart.psi_inv(yc))
+            finite = np.isfinite(back).all(axis=1)
+            assert finite.sum() >= 50, spec.symbol_id
+            assert np.abs(back[finite, 0] - yc[finite, 0]).max() <= 1e-6, spec.symbol_id
+            np.testing.assert_allclose(back[finite, 1:], yc[finite, 1:], atol=1e-12)
+            x = chart.radius * rng.standard_normal((20, spec.m_dim))
+            np.testing.assert_allclose(chart.phi(chart.phi_inv(x)), x, atol=1e-12)
+
+    def test_surface_points_lie_on_the_boundary(self):
+        rng = np.random.default_rng(6)
+        for spec in _CHART_BUILTINS:
+            chart, yc = _chart_and_rows(spec, rng)
+            tail = rng.uniform(-chart.radius, chart.radius, size=(len(yc), spec.m_dim - 1))
+            x, y = chart.surface_point(tail, yc)
+            finite = np.isfinite(x).all(axis=1)
+            assert finite.sum() >= 50, spec.symbol_id
+            assert (np.isfinite(y).all(axis=1) == finite).all(), spec.symbol_id
+            assert np.abs(spec.f(x[finite], y[finite])).max() <= 1e-9, spec.symbol_id
+            # x~ is the chart's tail of x
+            np.testing.assert_allclose(chart.phi(x[finite])[:, 1:], tail[finite], atol=1e-12)
+
+    def test_rows_out_of_reach_are_nan(self):
+        # y' = 5 is far off the unit circle: no x solves F(x, y) = 0
+        spec = ball(1, 1.0)
+        chart = normal_form_chart(spec, boundary_project(spec, [math.cos(0.3)], [math.sin(0.3)]))
+        yc = np.array([[0.01], [5.0], [np.nan]])
+        val = chart.g(np.zeros((3, 0)), yc)
+        assert np.isfinite(val[0]) and np.isnan(val[1:]).all()
+        x, y = chart.surface_point(np.zeros((3, 0)), yc)
+        assert np.isfinite(x[0]).all() and np.isfinite(y[0]).all()
+        assert np.isnan(x[1:]).all() and np.isnan(y[1:]).all()
+
+    def test_maps_are_flat_newton_batches(self, monkeypatch):
+        # g and surface_point are two _newton batches, psi and psi_inv one,
+        # and no solve runs inside another
+        newton = geometry._newton
+        depth, calls = [0], []
+
+        def traced(f, grad, z, tol, max_iter):
+            calls.append(len(z))
+            assert depth[0] == 0, "a _newton call nested in another"
+            depth[0] += 1
+            try:
+                return newton(f, grad, z, tol, max_iter)
+            finally:
+                depth[0] -= 1
+
+        spec = sphere_delta(2, 0.3)
+        chart, yc = _chart_and_rows(spec, np.random.default_rng(7), count=40)
+        monkeypatch.setattr(geometry, "_newton", traced)
+        tail = np.zeros((40, 1))
+        for run, expect in [
+            (lambda: chart.g(tail, yc), 2),
+            (lambda: chart.surface_point(tail, yc), 2),
+            (lambda: chart.psi(yc), 1),
+            (lambda: chart.psi_inv(yc), 1),
+            (lambda: chart.phi_inv(chart.phi(np.zeros((40, 2)))), 0),
+        ]:
+            calls.clear()
+            run()
+            assert len(calls) == expect
+            assert all(c <= 40 for c in calls)
 
     def test_requires_transverse_point(self):
         spec = ball(2, 1.0)

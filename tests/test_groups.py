@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from schurlab import groups
-from schurlab.errors import DegenerateBasis, DegenerateGradient, GroupMismatch, NoConvergence
-from schurlab.geometry import _kernel_basis, _newton_one
+from schurlab.errors import DegenerateBasis, GroupMismatch
+from schurlab.geometry import _kernel_basis, _newton
 from schurlab.groups import (
     AFFINE,
     CYCLIC,
@@ -291,7 +291,7 @@ class TestGoldenValues:
 def _sequential_verdict(group_id, omega, g0, seed, tol=1e-9, ad_samples=32, radius=0.1):
     """``boundary_subalgebra_verdict`` point by point: the field at one
     element per call, one chart-gradient direction at a time, one
-    single-point Newton solve per Ad-sample line in draw order, and one
+    one-row ``_newton`` solve per Ad-sample line in draw order, and one
     least-squares solve per Ad matrix.  Returns (passed, subalgebra_ok,
     ad_ok, hyperplane, boundary_residual, ad_defect, notes)."""
     grp = GROUPS[group_id]
@@ -330,10 +330,12 @@ def _sequential_verdict(group_id, omega, g0, seed, tol=1e-9, ad_samples=32, radi
             def dline(t):
                 return np.array([(fline(t + 1e-7) - fline(t - 1e-7)) / 2e-7])
 
-            try:
-                t = _newton_one(fline, dline, np.zeros(1), 1e-12, 60)[0]
-            except (NoConvergence, DegenerateGradient):
+            z, status = _newton(
+                lambda zs, _: np.array([fline(zs[0])]), lambda zs, _: dline(zs[0])[None], np.zeros((1, 1)), 1e-12, 60
+            )
+            if status[0]:
                 continue
+            t = z[0, 0]
             x = expm(group_id, (v + t * w_hat)[None])[0]
             for row in hyper:
                 ad = x @ np.tensordot(row, grp.basis, axes=1) @ np.linalg.inv(x)
@@ -727,6 +729,24 @@ class TestTransference:
                 mv = (rng.random(n) < 0.5).astype(float)
                 res = fourier_multiplier_norm_finite_cyclic(mv, n, p, budget=3, seed=3)
                 assert res.fourier_lb <= res.schur_lb * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+    def test_near_max_symbol_gives_finite_ordered_bounds(self, p):
+        # a constant symbol c gives M o A = c A: both norms are c = 1e308,
+        # whose unscaled DFTs (3e308) overflow
+        res = fourier_multiplier_norm_finite_cyclic(np.full(3, 1e308), 3, p, budget=2, seed=0)
+        assert math.isfinite(res.fourier_lb) and math.isfinite(res.schur_lb) and res.contract_ok
+        assert res.fourier_lb == pytest.approx(1e308, rel=1e-12)
+        assert res.schur_lb == pytest.approx(1e308, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 2.0, 3.0, math.inf])
+    def test_bounds_scale_exactly_with_the_symbol(self, p):
+        # m and 2^j m run on the same scaled symbol
+        mv = np.random.default_rng(9).standard_normal(6)
+        base = fourier_multiplier_norm_finite_cyclic(mv, 6, p, budget=2, seed=1)
+        for j in (-40, 3, 1020):
+            res = fourier_multiplier_norm_finite_cyclic(np.ldexp(mv, j), 6, p, budget=2, seed=1)
+            assert (res.fourier_lb, res.schur_lb) == (np.ldexp(base.fourier_lb, j), np.ldexp(base.schur_lb, j))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     @pytest.mark.parametrize("n", [1, 8, 64, 512])

@@ -392,6 +392,33 @@ class TestJsonSchema:
         with pytest.raises(ExpressionError, match="axes"):
             from_json(obj)
 
+    def test_integral_floats_are_integers(self):
+        for obj, expect in [
+            ({"builtin": "ball", "params": {"n": 2.0}}, ball(2)),
+            ({"builtin": "halfspace", "params": {"m_dim": 2.0, "n_dim": 3}}, halfspace(m_dim=2, n_dim=3)),
+            ({"m_dim": 1.0, "n_dim": 2, "expr": "x1 - y2", "box": [[-1, 1]] * 3},
+             user_symbol("x1 - y2", 1, 2, [(-1, 1)] * 3)),
+        ]:
+            spec = from_json(obj)
+            assert (spec.symbol_id, spec.m_dim, spec.n_dim) == (expect.symbol_id, expect.m_dim, expect.n_dim)
+            assert type(spec.m_dim) is int and type(spec.n_dim) is int
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"builtin": "ball", "params": {"n": 2.5}},
+            {"builtin": "toeplitz_ball", "params": {"n": False}},
+            {"builtin": "halfspace", "params": {"m_dim": "1"}},
+            {"builtin": "ball", "params": {}},
+            {"m_dim": 1, "n_dim": 1.5, "expr": "x1 - y1", "box": [[-1, 1], [-1, 1]]},
+            {"m_dim": None, "n_dim": 1, "expr": "x1 - y1", "box": [[-1, 1], [-1, 1]]},
+        ],
+        ids=["fractional", "boolean", "string", "missing", "expression-fractional", "expression-null"],
+    )
+    def test_non_integer_fields_rejected(self, obj):
+        with pytest.raises(ExpressionError, match="must be an integer"):
+            from_json(obj)
+
     def test_largest_symbol_accepted(self):
         spec = from_json({"builtin": "halfspace", "params": {"m_dim": 104_856, "n_dim": 1}})
         assert spec.m_dim + spec.n_dim == symbols.MAX_AXES
