@@ -61,6 +61,11 @@ CYCLIC = "cyclic"
 
 MAX_CYCLIC_ORDER = 512  # largest order the transference check accepts
 MAX_COTLAR_SAMPLES = 10**8  # most pairs the cotlar command checks, which bounds its run time
+_COTLAR_CHUNK = 65536  # most pairs the Cotlar check draws at once
+# most entries the Cotlar check and the sl2r exponential work on at once:
+# float64 temporaries of 64 KB stay in L2 and come from the heap, where a
+# 512 KB one is mapped afresh and page-faults on its first writes
+_SLICE = 8192
 
 _CONSTRAINT_TOL = 1e-10
 
@@ -176,13 +181,20 @@ def lie_algebra(group_id: str, candidate=None) -> LieAlgebraBasis:
 # ---------------------------------------------------------------------------
 
 
+def _entries(shape, batch) -> np.ndarray:
+    """An empty batch of elements, shape ``batch + shape``, whose entries
+    are each contiguous: the batch axes vary fastest, so entrywise code
+    reads and writes unit-stride arrays."""
+    n, m = len(shape), len(batch)
+    out = np.empty(tuple(shape) + tuple(batch))
+    return out.transpose(tuple(range(n, n + m)) + tuple(range(n)))
+
+
 def _matrix(rows) -> np.ndarray:
     """Square matrices (..., n, n) from n rows of n entries, each an array
-    of the batch shape or a scalar.  Each entry is contiguous: the batch
-    axes vary fastest, so entrywise code reads unit-stride arrays."""
-    n = len(rows)
+    of the batch shape or a scalar, laid out by ``_entries``."""
     batch = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
-    out = np.empty((n, n) + batch).transpose(tuple(range(2, len(batch) + 2)) + (0, 1))
+    out = _entries((len(rows), len(rows)), batch)
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
             out[..., i, j] = e
@@ -206,13 +218,33 @@ def _affine_exp(x):
 
 
 def _sl2_exp(x):
-    xh, xe, xf = x[..., 0], x[..., 1], x[..., 2]
-    disc = xh * xh + xe * xf
-    s = np.sqrt(np.abs(disc))
-    cosv = np.where(disc >= 0, np.cosh(s), np.cos(s))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sincv = np.where(s > 1e-8, np.where(disc >= 0, np.sinh(s), np.sin(s)) / s, 1.0)
-    return _matrix([[cosv + sincv * xh, sincv * xe], [sincv * xf, cosv - sincv * xh]])
+    # X^2 = disc I, so exp(X) = cosh(s) I + sinh(s)/s X with s = sqrt(|disc|)
+    # where disc >= 0, and cos and sin replace cosh and sinh where disc < 0.
+    # The trigonometric pair costs several times the hyperbolic one, so it
+    # runs only at the disc < 0 entries.  Runs in slices of _SLICE entries
+    flat = x.reshape(-1, 3)
+    out = _entries((2, 2), flat.shape[:1])
+    for lo in range(0, len(flat), _SLICE):
+        xh, xe, xf = flat[lo : lo + _SLICE].T
+        disc = xh * xh
+        disc += xe * xf
+        s = np.abs(disc)
+        np.sqrt(s, out=s)
+        cosv, sincv = np.cosh(s), np.sinh(s)
+        neg = np.flatnonzero(disc < 0)  # an index array: a boolean mask costs more
+        s_neg = s[neg]
+        cosv[neg] = np.cos(s_neg)
+        sincv[neg] = np.sin(s_neg)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sincv /= s
+        sincv[~(s > 1e-8)] = 1.0
+        sh = sincv * xh
+        m = out[lo : lo + _SLICE]
+        np.add(cosv, sh, out=m[:, 0, 0])
+        np.multiply(sincv, xe, out=m[:, 0, 1])
+        np.multiply(sincv, xf, out=m[:, 1, 0])
+        np.subtract(cosv, sh, out=m[:, 1, 1])
+    return out.reshape(x.shape[:-1] + (2, 2))
 
 
 def _so3_exp(w):
@@ -225,20 +257,66 @@ def _so3_exp(w):
 
 def _projective_act(g, t, pole_tol):
     a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
-    den = c * t + d
+    den = c * t
+    den += d
+    tol = np.abs(c)  # pole_tol (1 + |c| + |d|)
+    tol += 1.0
+    tol += np.abs(d)
+    tol *= pole_tol
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = (a * t + b) / den
-    return np.where(np.abs(den) < pole_tol * (1.0 + np.abs(c) + np.abs(d)), np.nan, val)
+        val = a * t
+        val += b
+        val /= den
+    val[np.abs(den) < tol] = np.nan
+    return val
 
 
 def _sl2_inv(g):
-    return _matrix([[g[..., 1, 1], -g[..., 0, 1]], [-g[..., 1, 0], g[..., 0, 0]]])
+    out = _entries((2, 2), g.shape[:-2])
+    out[..., 0, 0] = g[..., 1, 1]
+    np.negative(g[..., 0, 1], out=out[..., 0, 1])
+    np.negative(g[..., 1, 0], out=out[..., 1, 0])
+    out[..., 1, 1] = g[..., 0, 0]
+    return out
 
 
 def _sl2_op(g, h):
-    # g[i, 0] h[0, j] + g[i, 1] h[1, j] as two broadcast outer products, which
-    # keep the inputs' layout; a stacked g @ h makes one BLAS call per pair
-    return g[..., :, :1] * h[..., :1, :] + g[..., :, 1:] * h[..., 1:, :]
+    # entry (i, j) is g[i, 0] h[0, j] + g[i, 1] h[1, j], written into its
+    # contiguous place; a stacked g @ h makes one BLAS call per pair
+    out = _entries((2, 2), np.broadcast_shapes(g.shape[:-2], h.shape[:-2]))
+    for i in (0, 1):
+        for j in (0, 1):
+            e = out[..., i, j]
+            np.multiply(g[..., i, 0], h[..., 0, j], out=e)
+            e += g[..., i, 1] * h[..., 1, j]
+    return out
+
+
+def _affine_sample(k, rng, radius, n):
+    out = _entries((2,), (k,))
+    out[:, 0] = rng.uniform(0.25, 4.0, size=k)
+    out[:, 1] = rng.uniform(-2.0, 2.0, size=k)
+    return out
+
+
+def _affine_op(g, h):
+    # (a, b)(a', b') = (a a', a b' + b)
+    out = _entries((2,), np.broadcast_shapes(g.shape[:-1], h.shape[:-1]))
+    np.multiply(g[..., 0], h[..., 0], out=out[..., 0])
+    b = out[..., 1]
+    np.multiply(g[..., 0], h[..., 1], out=b)
+    b += g[..., 1]
+    return out
+
+
+def _affine_inv(g):
+    # (a, b)^-1 = (1 / a, -b / a)
+    out = _entries((2,), g.shape[:-1])
+    np.divide(1.0, g[..., 0], out=out[..., 0])
+    b = out[..., 1]
+    np.negative(g[..., 1], out=b)
+    b /= g[..., 0]
+    return out
 
 
 def _cyclic_op(g, h):
@@ -292,11 +370,11 @@ class Group:
     (coordinate batches (k, *shape) to values (k,)) and a default base
     point ``g0``.
 
-    Matrix batches built from their entries (the sl2r and affine
-    exponentials, sl2r's ``inv``) have the usual shape (k, n, n) with
-    each entry contiguous, batch axes fastest, so that entrywise code
-    reads unit-stride arrays; sl2r's ``op`` keeps that layout.  Every
-    function accepts any memory order.
+    The sl2r and affine exponentials, sl2r's ``op`` and ``inv``, and
+    affine's ``sample``, ``op`` and ``inv`` write their results entry by
+    entry into ``_entries`` arrays: the usual shape (k, *shape), with each
+    entry contiguous and the batch axes fastest, so that entrywise code
+    reads unit-stride arrays.  Every function accepts any memory order.
     """
 
     shape: tuple
@@ -335,13 +413,9 @@ GROUPS = {
     AFFINE: Group(
         shape=(2,),
         make=lambda c: _checked(c, c[0] > 0, "affine elements need a > 0"),
-        sample=lambda k, rng, radius, n: np.stack(
-            [rng.uniform(0.25, 4.0, size=k), rng.uniform(-2.0, 2.0, size=k)], axis=-1
-        ),
-        op=lambda g, h: np.stack(
-            [g[..., 0] * h[..., 0], g[..., 0] * h[..., 1] + g[..., 1]], axis=-1
-        ),
-        inv=lambda g: np.stack([1.0 / g[..., 0], -g[..., 1] / g[..., 0]], axis=-1),
+        sample=_affine_sample,
+        op=_affine_op,
+        inv=_affine_inv,
         act=lambda g, t, pole_tol: g[..., 0] * t + g[..., 1],
         exp=_affine_exp,
         basis=_AFFINE_BASIS,
@@ -477,6 +551,12 @@ def cotlar_pointwise_check(
     alpha = g . 0 = 0, beta = h . 0 = 0, alpha = beta, any other action
     value within ``band`` of 0 (band 1e-9) and chart poles.
 
+    Pairs are drawn in chunks of at most _COTLAR_CHUNK, g before h, and
+    each chunk is evaluated in consecutive slices of at most _SLICE pairs
+    in draw order, which keeps the temporaries small; the check stops once
+    ``samples`` valid pairs are counted, so the last slice counts only its
+    first valid pairs.
+
     The symbol values are boolean masks.  With t1 = m(h) m(g^-1) and
     t2 = m(h^-1) m(g^-1 h), a pair fails when lhs != t1 + t2.  That is
     lhs xor t1 xor t2, since t1 and t2 both hold only when lhs is 1, and
@@ -491,26 +571,32 @@ def cotlar_pointwise_check(
     failures = 0
     done = 0
     while done < samples:
-        k = min(65536, int(1.4 * (samples - done)) + 64)
+        k = min(_COTLAR_CHUNK, int(1.4 * (samples - done)) + 64)
         g = grp.sample(k, rng, _CHART_RADIUS, None)
         h = grp.sample(k, rng, _CHART_RADIUS, None)
-        alpha = act0(g)
-        beta = act0(h)
-        gi = grp.inv(g)
-        v_gi = act0(gi)
-        v_gih = act0(grp.op(gi, h))
-        v_hi = act0(grp.inv(h))
-        valid = np.isfinite(alpha) & (np.abs(alpha) > band) & (np.abs(alpha - beta) > band)
-        for v in (v_gi, v_gih, beta, v_hi):
-            valid &= np.isfinite(v) & (np.abs(v) > band)
-        n_valid = int(np.count_nonzero(valid))
-        take = min(n_valid, samples - done)
-        if take < n_valid:  # the last chunk counts its first take valid pairs
-            valid[np.flatnonzero(valid)[take] :] = False
-        m_gi, m_gih, m_h, m_hi = v_gi > 0.0, v_gih > 0.0, beta > 0.0, v_hi > 0.0
-        fails = (m_gi & m_gih) ^ (m_h & m_gi) ^ (m_hi & m_gih)
-        failures += int(np.count_nonzero(fails & valid))
-        done += take
+        for lo in range(0, k, _SLICE):
+            gs, hs = g[lo : lo + _SLICE], h[lo : lo + _SLICE]
+            alpha = act0(gs)
+            beta = act0(hs)
+            gi = grp.inv(gs)
+            v_gi = act0(gi)
+            v_gih = act0(grp.op(gi, hs))
+            v_hi = act0(grp.inv(hs))
+            valid = np.abs(alpha - beta) > band
+            for v in (alpha, beta, v_gi, v_gih, v_hi):  # finite, off the band
+                size = np.abs(v)
+                valid &= size > band
+                valid &= size < np.inf
+            n_valid = int(np.count_nonzero(valid))
+            take = min(n_valid, samples - done)
+            if take < n_valid:  # the last slice counts its first take valid pairs
+                valid[np.flatnonzero(valid)[take] :] = False
+            m_gi, m_gih, m_h, m_hi = v_gi > 0.0, v_gih > 0.0, beta > 0.0, v_hi > 0.0
+            fails = (m_gi & m_gih) ^ (m_h & m_gi) ^ (m_hi & m_gih)
+            failures += int(np.count_nonzero(fails & valid))
+            done += take
+            if done == samples:
+                break
     return failures
 
 

@@ -432,6 +432,17 @@ def _whole(obj: dict, key: str, default=None) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float: an int or a float; anything else (a bool, a
+    string, an int beyond the float range) raises ExpressionError."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ExpressionError(f"{what} must be a number, got {value!r}")
+
+
 _BUILTIN_DIMS = {  # (m_dim, n_dim) of a builtin, read from its params
     "ball": lambda params: (_whole(params, "n"),) * 2,
     "sphere_delta": lambda params: (_whole(params, "n"),) * 2,
@@ -440,12 +451,16 @@ _BUILTIN_DIMS = {  # (m_dim, n_dim) of a builtin, read from its params
     "triangular": lambda params: (1, 1),
 }
 _BUILTIN_FACTORY = {  # builtin -> factory of (params, its dims, box)
-    "ball": lambda params, dims, box: ball(dims[0], params.get("R", 1.0), box),
-    "sphere_delta": lambda params, dims, box: sphere_delta(dims[0], params["delta"], box),
+    "ball": lambda params, dims, box: ball(dims[0], _real(params.get("R", 1.0), "'R'"), box),
+    "sphere_delta": lambda params, dims, box: sphere_delta(
+        dims[0], _real(params.get("delta"), "'delta'"), box
+    ),
     "halfspace": lambda params, dims, box: halfspace(
         params.get("f1", "x1"), params.get("f2", "y1"), *dims, box
     ),
-    "toeplitz_ball": lambda params, dims, box: toeplitz_ball(dims[0], params.get("R", 1.0), box),
+    "toeplitz_ball": lambda params, dims, box: toeplitz_ball(
+        dims[0], _real(params.get("R", 1.0), "'R'"), box
+    ),
     "triangular": lambda params, dims, box: triangular(box),
 }
 
@@ -456,7 +471,8 @@ def from_json(obj: dict) -> SymbolSpec:
     Schema: {"m_dim": int, "n_dim": int, "builtin": str|null,
     "params": {...}, "expr": str|null, "box": [[lo, hi], ...]}.
     The integer fields (an expression's m_dim and n_dim, a builtin's n,
-    m_dim and n_dim) take ints or integral floats.  A symbol of more than
+    m_dim and n_dim) take ints or integral floats; the real fields (R,
+    delta and the box bounds) take ints or floats.  A symbol of more than
     MAX_AXES axes is rejected before it is built.
     """
     builtin = obj.get("builtin")
@@ -476,7 +492,7 @@ def from_json(obj: dict) -> SymbolSpec:
         raise ExpressionError(f"symbol has {sum(dims)} axes, more than {MAX_AXES}")
     box = obj.get("box")
     if box is not None:
-        box = tuple((float(lo), float(hi)) for lo, hi in box)
+        box = tuple((_real(lo, "a box bound"), _real(hi, "a box bound")) for lo, hi in box)
     if builtin is not None:
         return _BUILTIN_FACTORY[builtin](params, dims, box)
     if box is None:

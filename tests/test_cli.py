@@ -599,6 +599,18 @@ class TestErrorPaths:
             {**SPHERE_CLASSIFY, "symbol": {"m_dim": 1, "expr": "x1 - y1", "box": [[-1, 1], [-1, 1]]}},
             {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": "abc"}},
             {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": [2]}},
+            # real fields take ints or floats only
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": {"n": 2, "R": True}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": {"n": 2, "R": "1.0"}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "toeplitz_ball", "params": {"n": 1, "R": False}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "sphere_delta", "params": {"n": 2, "delta": "0.1"}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "sphere_delta", "params": {"n": 2, "delta": True}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "sphere_delta", "params": {"n": 2}}},
+            {**SPHERE_CLASSIFY, "symbol": {"builtin": "ball", "params": {"n": 2, "R": 10**400}}},
+            {**SPHERE_CLASSIFY, "symbol": {"m_dim": 1, "n_dim": 1, "expr": "x1 - y1",
+                                           "box": [[-1, True], [-1, 1]]}},
+            {**SPHERE_CLASSIFY, "symbol": {"m_dim": 1, "n_dim": 1, "expr": "x1 - y1",
+                                           "box": [["-1", 1], [-1, 1]]}},
         ],
         ids=[
             "classify-z0-string",
@@ -618,6 +630,15 @@ class TestErrorPaths:
             "expression-missing-n-dim",
             "ball-params-string",
             "ball-params-list",
+            "ball-boolean-R",
+            "ball-string-R",
+            "toeplitz-boolean-R",
+            "sphere-string-delta",
+            "sphere-boolean-delta",
+            "sphere-missing-delta",
+            "ball-R-beyond-float-range",
+            "expression-boolean-box-bound",
+            "expression-string-box-bound",
         ],
     )
     def test_malformed_values_exit_64(self, tmp_path, capsys, cfg):

@@ -165,6 +165,128 @@ class TestGroupArithmetic:
             same([grp.coords(a) for a in layouts(mats)])
 
 
+# ---------------------------------------------------------------------------
+# The table kernels against the formulas they replaced, entry for entry
+# ---------------------------------------------------------------------------
+
+
+def _matrix_formula(rows) -> np.ndarray:
+    n = len(rows)
+    batch = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
+    out = np.empty((n, n) + batch).transpose(tuple(range(2, len(batch) + 2)) + (0, 1))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[..., i, j] = e
+    return out
+
+
+def _sl2_exp_formula(x):
+    xh, xe, xf = x[..., 0], x[..., 1], x[..., 2]
+    disc = xh * xh + xe * xf
+    s = np.sqrt(np.abs(disc))
+    cosv = np.where(disc >= 0, np.cosh(s), np.cos(s))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sincv = np.where(s > 1e-8, np.where(disc >= 0, np.sinh(s), np.sin(s)) / s, 1.0)
+    return _matrix_formula([[cosv + sincv * xh, sincv * xe], [sincv * xf, cosv - sincv * xh]])
+
+
+def _projective_act_formula(g, t, pole_tol):
+    a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    den = c * t + d
+    with np.errstate(invalid="ignore", divide="ignore"):
+        val = (a * t + b) / den
+    return np.where(np.abs(den) < pole_tol * (1.0 + np.abs(c) + np.abs(d)), np.nan, val)
+
+
+def _sl2_inv_formula(g):
+    return _matrix_formula([[g[..., 1, 1], -g[..., 0, 1]], [-g[..., 1, 0], g[..., 0, 0]]])
+
+
+def _sl2_op_formula(g, h):
+    return g[..., :, :1] * h[..., :1, :] + g[..., :, 1:] * h[..., 1:, :]
+
+
+def _affine_sample_formula(k, rng, radius, n):
+    return np.stack([rng.uniform(0.25, 4.0, size=k), rng.uniform(-2.0, 2.0, size=k)], axis=-1)
+
+
+def _affine_op_formula(g, h):
+    return np.stack([g[..., 0] * h[..., 0], g[..., 0] * h[..., 1] + g[..., 1]], axis=-1)
+
+
+def _affine_inv_formula(g):
+    return np.stack([1.0 / g[..., 0], -g[..., 1] / g[..., 0]], axis=-1)
+
+
+def _assert_same_entries(got, ref):
+    """Equal shapes and equal values, NaN where the reference has NaN, and
+    equal bits: the sign of every zero too."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _sl2_algebra_batch():
+    """Seeded sl2r algebra coordinates with disc < 0 and disc >= 0 rows,
+    rows with s <= 1e-8, exact zeros and one entry that is -0.0."""
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-1.0, 1.0, size=(509, 3))
+    special = [
+        [0.0, 0.0, 0.0],
+        [-0.0, 0.0, -0.0],
+        [1e-10, 0.0, 0.0],
+        [0.0, 3e-9, -2e-9],
+        [0.0, 0.7, 0.0],  # disc exactly 0
+        [0.0, 0.5, -0.5],  # disc < 0
+        [0.3, 0.0, 0.0],  # disc > 0
+        [0.2, 0.6, -0.1],
+    ]
+    return np.concatenate((x, special))
+
+
+def _sl2_group_batch():
+    """Group elements from the batch above, plus a chart pole (c t + d = 0
+    at t = 0) and rows with exact zeros."""
+    g = _sl2_exp_formula(_sl2_algebra_batch())
+    extra = np.array([[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[-1.0, -0.0], [0.0, -1.0]]])
+    return np.concatenate((g, extra))
+
+
+class TestTableKernels:
+    def test_sl2_exp_matches_the_formula(self):
+        x = _sl2_algebra_batch()
+        assert (x[:, 0] ** 2 + x[:, 1] * x[:, 2] < 0).any() and (x[:, 0] ** 2 + x[:, 1] * x[:, 2] >= 0).any()
+        for batch in (x, np.ascontiguousarray(x.T).T, x[:-1].reshape(4, 129, 3), x[5], x[:0]):
+            _assert_same_entries(groups._sl2_exp(batch), _sl2_exp_formula(batch))
+        # more entries than one slice of the exponential
+        big = np.random.default_rng(24).uniform(-0.4, 0.4, size=(3, 2 * groups._SLICE + 3)).T
+        _assert_same_entries(groups._sl2_exp(big), _sl2_exp_formula(big))
+
+    def test_sl2_inv_op_and_act_match_the_formulas(self):
+        g = _sl2_group_batch()
+        h = g[::-1]
+        _assert_same_entries(groups._sl2_inv(g), _sl2_inv_formula(g))
+        _assert_same_entries(groups._sl2_op(g, h), _sl2_op_formula(g, h))
+        _assert_same_entries(groups._sl2_op(g[:1], h), _sl2_op_formula(g[:1], h))
+        _assert_same_entries(groups._sl2_op(g[:7, None], h[None, :9]), _sl2_op_formula(g[:7, None], h[None, :9]))
+        for t in (0.0, 0.7, -1.3):
+            got = groups._projective_act(g, t, 1e-9)
+            _assert_same_entries(got, _projective_act_formula(g, t, 1e-9))
+        assert np.isnan(groups._projective_act(g, 0.0, 1e-9)[-3])
+
+    def test_affine_row_matches_the_formulas(self):
+        row = GROUPS[AFFINE]
+        for seed in range(3):
+            got = row.sample(257, np.random.default_rng(seed), 0.4, None)
+            _assert_same_entries(got, _affine_sample_formula(257, np.random.default_rng(seed), 0.4, None))
+        g = np.concatenate((got, [[1.0, 0.0], [2.0, -0.0], [0.5, 1.0]]))
+        h = g[::-1]
+        _assert_same_entries(row.op(g, h), _affine_op_formula(g, h))
+        _assert_same_entries(row.op(g[:5, None], h[None, :6]), _affine_op_formula(g[:5, None], h[None, :6]))
+        _assert_same_entries(row.inv(g), _affine_inv_formula(g))
+
+
 def _expm_series(z):
     """exp(z) by a truncated Taylor series with scaling and squaring."""
     squarings = max(0, int(np.ceil(np.log2(np.abs(z).sum(axis=0).max() + 1e-300))) + 1)
@@ -513,10 +635,11 @@ class TestCotlar:
     def test_perturbed_action_fails_as_the_reference_counts(self, group_id, monkeypatch):
         # shifting the line action by 0.3 breaks the identity on a share of
         # the pairs: the mask count must equal the integer loop's count,
-        # also across the chunk boundary (65_537) and in a cut last chunk
+        # also at and across a slice boundary (8_192, 8_193), across the
+        # chunk boundary (65_537) and in a cut last chunk
         row = GROUPS[group_id]
         for seed in range(3):
-            for samples in (1, 64, 65_537, 200_003):
+            for samples in (1, 64, 8_192, 8_193, 65_537, 200_003):
                 assert cotlar_pointwise_check(group_id, samples=samples, seed=seed) == 0
         monkeypatch.setitem(
             GROUPS, group_id,
@@ -524,7 +647,7 @@ class TestCotlar:
         )
         counts = {}
         for seed in range(3):
-            for samples in (1, 64, 65_537, 200_003):
+            for samples in (1, 64, 8_192, 8_193, 65_537, 200_003):
                 got = cotlar_pointwise_check(group_id, samples=samples, seed=seed)
                 assert got == _cotlar_reference(group_id, samples, seed)
                 counts[seed, samples] = got
