@@ -264,7 +264,7 @@ def _projective_act(g, t, pole_tol):
     tol += np.abs(d)
     tol *= pole_tol
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = a * t
+        val = np.asarray(a * t)  # an array even for one element and a scalar t
         val += b
         val /= den
     val[np.abs(den) < tol] = np.nan
@@ -272,24 +272,13 @@ def _projective_act(g, t, pole_tol):
 
 
 def _sl2_inv(g):
-    out = _entries((2, 2), g.shape[:-2])
-    out[..., 0, 0] = g[..., 1, 1]
-    np.negative(g[..., 0, 1], out=out[..., 0, 1])
-    np.negative(g[..., 1, 0], out=out[..., 1, 0])
-    out[..., 1, 1] = g[..., 0, 0]
-    return out
+    return _matrix([[g[..., 1, 1], -g[..., 0, 1]], [-g[..., 1, 0], g[..., 0, 0]]])
 
 
 def _sl2_op(g, h):
-    # entry (i, j) is g[i, 0] h[0, j] + g[i, 1] h[1, j], written into its
-    # contiguous place; a stacked g @ h makes one BLAS call per pair
-    out = _entries((2, 2), np.broadcast_shapes(g.shape[:-2], h.shape[:-2]))
-    for i in (0, 1):
-        for j in (0, 1):
-            e = out[..., i, j]
-            np.multiply(g[..., i, 0], h[..., 0, j], out=e)
-            e += g[..., i, 1] * h[..., 1, j]
-    return out
+    # g[i, 0] h[0, j] + g[i, 1] h[1, j] as two broadcast outer products, which
+    # keep the inputs' layout; a stacked g @ h makes one BLAS call per pair
+    return g[..., :, :1] * h[..., :1, :] + g[..., :, 1:] * h[..., 1:, :]
 
 
 def _affine_sample(k, rng, radius, n):
@@ -370,11 +359,12 @@ class Group:
     (coordinate batches (k, *shape) to values (k,)) and a default base
     point ``g0``.
 
-    The sl2r and affine exponentials, sl2r's ``op`` and ``inv``, and
-    affine's ``sample``, ``op`` and ``inv`` write their results entry by
-    entry into ``_entries`` arrays: the usual shape (k, *shape), with each
-    entry contiguous and the batch axes fastest, so that entrywise code
-    reads unit-stride arrays.  Every function accepts any memory order.
+    The sl2r and affine exponentials, sl2r's ``inv``, and affine's
+    ``sample``, ``op`` and ``inv`` write their results entry by entry into
+    ``_entries`` arrays: the usual shape (k, *shape), with each entry
+    contiguous and the batch axes fastest, so that entrywise code reads
+    unit-stride arrays; sl2r's ``op`` keeps that layout.  Every function
+    accepts any memory order.
     """
 
     shape: tuple

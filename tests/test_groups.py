@@ -273,6 +273,8 @@ class TestTableKernels:
         for t in (0.0, 0.7, -1.3):
             got = groups._projective_act(g, t, 1e-9)
             _assert_same_entries(got, _projective_act_formula(g, t, 1e-9))
+            for one in (g[0], g[-3]):  # one unbatched element, the pole too
+                _assert_same_entries(GROUPS[SL2R].act(one, t, 1e-9), _projective_act_formula(one, t, 1e-9))
         assert np.isnan(groups._projective_act(g, 0.0, 1e-9)[-3])
 
     def test_affine_row_matches_the_formulas(self):
