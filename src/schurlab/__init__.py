@@ -52,7 +52,6 @@ from .harmonic import (
     square_function_test,
 )
 from .groups import (
-    LieAlgebraBasis,
     boundary_subalgebra_verdict,
     cotlar_pointwise_check,
     fourier_multiplier_norm_finite_cyclic,

@@ -76,6 +76,23 @@ def _finite_number(value) -> bool:
         return False
 
 
+def _numbers(value):
+    """``value`` as a float array when it is a finite JSON number or nested
+    lists of them, else None: a bool, a string, a ragged list.  The leaves
+    are walked with a stack, so no nesting depth exhausts the recursion."""
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            todo.extend(v)
+        elif not _finite_number(v):
+            return None
+    try:
+        return np.array(value, dtype=float)
+    except ValueError:  # ragged, or nested deeper than numpy's 64 axes
+        return None
+
+
 def _integer(lo, hi=math.inf):
     def parse(key, value):
         whole = type(value) is int or (type(value) is float and value.is_integer())
@@ -165,18 +182,15 @@ def _svg_norm_plot(records) -> str:
 def _classify(seed, symbol, z0, boundary_samples, sections, points_per_section):
     dims = (symbol.m_dim, symbol.n_dim)
     if z0 is not None:
+        parts = [_numbers(part) for part in z0] if isinstance(z0, list) else []
         if not (
-            isinstance(z0, list)
-            and len(z0) == 2
-            and all(
-                isinstance(part, list) and len(part) == d and all(map(_finite_number, part))
-                for part, d in zip(z0, dims)
-            )
+            len(parts) == 2
+            and all(part is not None and part.shape == (d,) for part, d in zip(parts, dims))
         ):
             raise ConfigInvalid(
                 f"'z0' must be two lists of {dims[0]} and {dims[1]} finite numbers, got {z0!r}"
             )
-        z0 = (np.array(z0[0], dtype=float), np.array(z0[1], dtype=float))
+        z0 = tuple(parts)
     rays = max(40 * boundary_samples, points_per_section * min(sections, boundary_samples))
     if rays * sum(dims) > geometry.MAX_RAY_ENTRIES:
         raise ConfigInvalid(f"{rays} rays x {sum(dims)} axes > {geometry.MAX_RAY_ENTRIES} entries")
@@ -265,11 +279,8 @@ def _groupcheck(seed, group, field, g0):
     except SchurLabError as exc:
         raise ConfigInvalid(str(exc)) from exc
     row = groups.GROUPS[group]  # g0: coordinates in the group's shape, or its default
-    try:
-        coords = np.array(row.g0 if g0 is None else g0, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"g0 for group {group!r} is not numeric: {exc}") from exc
-    if coords.size != math.prod(row.shape) or not np.isfinite(coords).all():
+    coords = np.array(row.g0, dtype=float) if g0 is None else _numbers(g0)
+    if coords is None or coords.size != math.prod(row.shape):
         raise ConfigInvalid(
             f"g0 for group {group!r} needs {math.prod(row.shape)} finite numbers "
             f"(shape {list(row.shape)}), got {g0!r}"
@@ -294,17 +305,10 @@ def _transfer(seed, N, p, m, budget):
     elif m == "delta":
         mv = np.zeros(N)
         mv[0] = 1.0
-    elif isinstance(m, list):
-        try:
-            mv = np.array(m, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigInvalid(f"'m' is not a list of numbers: {exc}") from exc
-        if mv.shape != (N,):
-            raise ConfigInvalid(f"'m' must be a flat list of N = {N} values, got shape {mv.shape}")
-        if not np.all(np.isfinite(mv)):
-            raise ConfigInvalid("'m' must hold finite numbers")
     else:
-        raise ConfigInvalid("'m' must be 'half', 'delta', or a list of values")
+        mv = _numbers(m)
+        if mv is None or mv.shape != (N,):
+            raise ConfigInvalid(f"'m' must be 'half', 'delta', or a flat list of N = {N} finite numbers")
     res = groups.fourier_multiplier_norm_finite_cyclic(mv, N, p, budget=budget, seed=seed)
     if not (math.isfinite(res.fourier_lb) and math.isfinite(res.schur_lb)):
         raise NonFinite(f"the bounds overflow the float range: {res.fourier_lb}, {res.schur_lb}")

@@ -40,11 +40,7 @@ __all__ = [
     "expm",
     "herz_schur_matrix",
     "cotlar_pointwise_check",
-    "LieAlgebraBasis",
-    "bracket_coords",
     "subalgebra_check",
-    "lie_algebra",
-    "abelian_algebra",
     "SubalgebraVerdict",
     "boundary_subalgebra_verdict",
     "named_boundary_field",
@@ -86,94 +82,6 @@ def _checked(c, ok, message):
     if not ok:
         raise GroupMismatch(message)
     return c
-
-
-# ---------------------------------------------------------------------------
-# Lie algebra machinery
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LieAlgebraBasis:
-    """Structure constants c[i][j][k] with [X_i, X_j] = sum_k c[i][j][k] X_k
-    and a candidate subspace given by coordinate vectors (rows)."""
-
-    dim: int
-    structure_constants: np.ndarray
-    candidate_subspace: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-    def __post_init__(self):
-        c = np.asarray(self.structure_constants, dtype=float)
-        if c.shape != (self.dim, self.dim, self.dim):
-            raise ValueError("structure constants must have shape (d, d, d)")
-        if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-10:
-            raise ValueError("structure constants are not antisymmetric")
-        jac = _jacobi_defect(c)
-        if jac > 1e-10:
-            raise ValueError(f"Jacobi identity violated by {jac:.3e}")
-        object.__setattr__(self, "structure_constants", c)
-        object.__setattr__(
-            self, "candidate_subspace", np.atleast_2d(np.asarray(self.candidate_subspace, dtype=float))
-        )
-
-
-def _jacobi_defect(c: np.ndarray) -> float:
-    # [[x, y], z] components via double contraction of the constants
-    t1 = np.einsum("ijm,mkl->ijkl", c, c)  # [[i, j], k]
-    defect = t1 + np.einsum("jkm,mil->jkil", c, c).transpose(2, 0, 1, 3) + np.einsum(
-        "kim,mjl->kijl", c, c
-    ).transpose(1, 2, 0, 3)
-    return float(np.max(np.abs(defect))) if c.size else 0.0
-
-
-def bracket_coords(structure_constants: np.ndarray, u, v) -> np.ndarray:
-    """[u, v] in basis coordinates."""
-    return np.einsum("i,j,ijk->k", np.asarray(u, dtype=float), np.asarray(v, dtype=float), structure_constants)
-
-
-def subalgebra_check(basis: LieAlgebraBasis, tol: float = 1e-9) -> bool:
-    """True iff the candidate subspace is closed under the bracket.
-
-    Brackets of the (normalized) candidate vectors are projected onto the
-    orthogonal complement of the subspace; closure requires every residual
-    norm <= tol.  Raises DegenerateBasis for dependent candidates.
-    """
-    s = np.atleast_2d(np.asarray(basis.candidate_subspace, dtype=float))
-    if s.size == 0 or s.shape[0] == 0:
-        return True  # the zero subalgebra
-    if s.shape[1] != basis.dim:
-        raise ValueError("candidate vectors have the wrong dimension")
-    sv = np.linalg.svd(s, compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0]:
-        raise DegenerateBasis("candidate subspace vectors are linearly dependent")
-    norms = np.linalg.norm(s, axis=1)
-    s = s / norms[:, None]
-    q, _ = np.linalg.qr(s.T)  # columns span the subspace
-    proj = q @ q.T
-    for i in range(s.shape[0]):
-        for j in range(i + 1, s.shape[0]):
-            w = bracket_coords(basis.structure_constants, s[i], s[j])
-            resid = w - proj @ w
-            if float(np.linalg.norm(resid)) > tol:
-                return False
-    return True
-
-
-def abelian_algebra(n: int, candidate=None) -> LieAlgebraBasis:
-    return LieAlgebraBasis(
-        n, np.zeros((n, n, n)), candidate if candidate is not None else np.zeros((0, n))
-    )
-
-
-def lie_algebra(group_id: str, candidate=None) -> LieAlgebraBasis:
-    """The Lie algebra of a matrix group, read off the row's basis
-    matrices: c_ijk = <[B_i, B_j], B_k> / <B_k, B_k> in the Frobenius
-    inner product, exact because every table basis is orthogonal in it."""
-    b = _group(group_id, "exp").basis
-    d = len(b)
-    brackets = b[:, None] @ b[None, :] - b[None, :] @ b[:, None]
-    c = np.einsum("ijab,kab->ijk", brackets, b) / np.einsum("kab,kab->k", b, b)
-    return LieAlgebraBasis(d, c, candidate if candidate is not None else np.zeros((0, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +189,7 @@ def _sl2_op(g, h):
     return g[..., :, :1] * h[..., :1, :] + g[..., :, 1:] * h[..., 1:, :]
 
 
-def _affine_sample(k, rng, radius, n):
+def _affine_sample(k, rng, n):
     out = _entries((2,), (k,))
     out[:, 0] = rng.uniform(0.25, 4.0, size=k)
     out[:, 1] = rng.uniform(-2.0, 2.0, size=k)
@@ -314,7 +222,7 @@ def _cyclic_op(g, h):
     return np.stack([(g[..., 0] + h[..., 0]) % g[..., 1], g[..., 1]], axis=-1)
 
 
-def _cyclic_sample(k, rng, radius, n):
+def _cyclic_sample(k, rng, n):
     n = _order(n)
     return np.stack([rng.integers(0, n, size=k), np.full(k, n)], axis=-1)
 
@@ -348,16 +256,15 @@ class Group:
     Batched functions take and return arrays with leading batch axes;
     one element's coordinates have shape ``shape``.  ``make`` checks one
     element's coordinates (GroupMismatch off the group) and returns
-    them.  ``sample(k, rng,
-    radius, n)`` draws k seeded elements (``radius`` bounds the sl2r
-    exponential coordinates, ``n`` is the cyclic order); ``act(g, t,
-    pole_tol)`` is the line action, NaN at chart poles.  Only the matrix
-    Lie groups have ``exp`` (algebra coordinates (..., d) to group
-    matrices), ``basis`` (d, n, n), Frobenius-orthogonal, from which
-    ``lie_algebra`` reads the bracket, ``entries`` (where the coordinates
-    sit in the group matrix), chart variables, named boundary fields
-    (coordinate batches (k, *shape) to values (k,)) and a default base
-    point ``g0``.
+    them.  ``sample(k, rng, n)`` draws k seeded elements (``n`` is the
+    cyclic order; the sl2r exponential coordinates stay within
+    ``_CHART_RADIUS``); ``act(g, t, pole_tol)`` is the line action, NaN at
+    chart poles.  Only the matrix Lie groups have ``exp`` (algebra
+    coordinates (..., d) to group matrices), ``basis`` (d, n, n), the
+    algebra's only description: its commutators are the bracket,
+    ``entries`` (where the coordinates sit in the group matrix), chart
+    variables, named boundary fields (coordinate batches (k, *shape) to
+    values (k,)) and a default base point ``g0``.
 
     The sl2r and affine exponentials, sl2r's ``inv``, and affine's
     ``sample``, ``op`` and ``inv`` write their results entry by entry into
@@ -389,7 +296,7 @@ GROUPS = {
     REAL: Group(
         shape=(1,),
         make=lambda c: c,
-        sample=lambda k, rng, radius, n: rng.uniform(-2.0, 2.0, size=(k, 1)),
+        sample=lambda k, rng, n: rng.uniform(-2.0, 2.0, size=(k, 1)),
         op=lambda g, h: g + h,
         inv=lambda g: -g,
         act=lambda g, t, pole_tol: g[..., 0] + t,
@@ -419,8 +326,8 @@ GROUPS = {
         make=lambda m: _checked(
             m, abs(np.linalg.det(m) - 1.0) <= _CONSTRAINT_TOL, "sl2r elements are 2x2 with det 1"
         ),
-        sample=lambda k, rng, radius, n: expm(
-            SL2R, rng.uniform(-radius, radius, size=(3, k)).T
+        sample=lambda k, rng, n: expm(
+            SL2R, rng.uniform(-_CHART_RADIUS, _CHART_RADIUS, size=(3, k)).T
         ),
         op=_sl2_op,
         inv=_sl2_inv,
@@ -443,7 +350,7 @@ GROUPS = {
             and abs(np.linalg.det(m) - 1.0) <= _CONSTRAINT_TOL,
             "so3 elements are 3x3 rotations",
         ),
-        sample=lambda k, rng, radius, n: expm(
+        sample=lambda k, rng, n: expm(
             SO3, rng.uniform(-math.pi / 2, math.pi / 2, size=(k, 3))
         ),
         op=lambda g, h: g @ h,
@@ -458,7 +365,7 @@ GROUPS = {
     HEISENBERG: Group(
         shape=(3,),
         make=lambda c: c,
-        sample=lambda k, rng, radius, n: rng.uniform(-2.0, 2.0, size=(k, 3)),
+        sample=lambda k, rng, n: rng.uniform(-2.0, 2.0, size=(k, 3)),
         op=lambda g, h: np.stack(
             [
                 g[..., 0] + h[..., 0],
@@ -562,8 +469,8 @@ def cotlar_pointwise_check(
     done = 0
     while done < samples:
         k = min(_COTLAR_CHUNK, int(1.4 * (samples - done)) + 64)
-        g = grp.sample(k, rng, _CHART_RADIUS, None)
-        h = grp.sample(k, rng, _CHART_RADIUS, None)
+        g = grp.sample(k, rng, None)
+        h = grp.sample(k, rng, None)
         for lo in range(0, k, _SLICE):
             gs, hs = g[lo : lo + _SLICE], h[lo : lo + _SLICE]
             alpha = act0(gs)
@@ -601,6 +508,46 @@ def _alg_coords(mats, basis) -> np.ndarray:
     a = basis.reshape(len(basis), -1).T
     b = mats.reshape(-1, a.shape[0]).T
     return np.linalg.lstsq(a, b, rcond=None)[0].T.reshape(mats.shape[:-2] + (len(basis),))
+
+
+def _off_plane(coords, rows):
+    """Norms (...) of the coordinate vectors ``coords`` (..., d) and of
+    their parts off the span of ``rows`` (k, d), through the orthogonal
+    projector of one QR.  Vector products are matmuls of vector shapes:
+    they round as numpy's 1-D dot, so a batch gives the bits of its rows."""
+    q, _ = np.linalg.qr(rows.T)  # columns span the plane
+    proj = q @ q.T
+    coords = coords[..., None]
+    resid = coords - proj @ coords
+    nrm = np.sqrt(np.swapaxes(coords, -1, -2) @ coords)[..., 0, 0]
+    off = np.sqrt(np.swapaxes(resid, -1, -2) @ resid)[..., 0, 0]
+    return nrm, off
+
+
+def subalgebra_check(basis, candidate, tol: float = 1e-9) -> bool:
+    """True iff the candidate rows (k, d), coordinates over the algebra's
+    basis matrices ``basis`` (d, n, n), span a subspace closed under the
+    bracket.
+
+    The rows are normalized to s, and the commutators H_i H_j - H_j H_i
+    of their matrices H = s . basis, formed in one broadcast, are read back
+    in basis coordinates; closure requires each commutator's part off the
+    candidate plane to have norm <= tol.  Raises DegenerateBasis for
+    dependent candidates.
+    """
+    basis = np.asarray(basis, dtype=float)
+    s = np.atleast_2d(np.asarray(candidate, dtype=float))
+    if s.size == 0:
+        return True  # the zero subalgebra
+    if s.shape[1] != len(basis):
+        raise ValueError("candidate vectors have the wrong dimension")
+    sv = np.linalg.svd(s, compute_uv=False)
+    if sv[-1] < 1e-12 * sv[0]:
+        raise DegenerateBasis("candidate subspace vectors are linearly dependent")
+    s = s / np.linalg.norm(s, axis=1)[:, None]
+    h = np.tensordot(s, basis, axes=1)
+    brackets = h[:, None] @ h[None] - h[None] @ h[:, None]
+    return bool(_off_plane(_alg_coords(brackets, basis), s)[1].max() <= tol)
 
 
 @dataclass
@@ -676,14 +623,12 @@ def boundary_subalgebra_verdict(
 
     hyper = _kernel_basis(w_hat)
 
-    sub_ok = subalgebra_check(lie_algebra(group_id, hyper), tol)
+    sub_ok = subalgebra_check(grp.basis, hyper, tol)
 
     ad_defect = 0.0
     ad_ok = True
     notes = []
     if hyper.shape[0] > 0:
-        q, _ = np.linalg.qr(hyper.T)
-        proj = q @ q.T
         v = np.random.default_rng(seed).uniform(-radius, radius, size=(20 * ad_samples, d))
         # starts on the tangent hyperplane.  Vector products in this check
         # are matmuls of vector shapes: they round as numpy's 1-D dot, so
@@ -717,10 +662,8 @@ def boundary_subalgebra_verdict(
         if len(points):
             x = expm(group_id, points)
             ad = x[:, None] @ np.tensordot(hyper, grp.basis, axes=1)[None] @ np.linalg.inv(x)[:, None]
-            coords = _alg_coords(ad, grp.basis)[..., None]  # (samples, rows of hyper, d, 1)
-            resid = coords - proj @ coords
-            nrm = np.sqrt(np.swapaxes(coords, -1, -2) @ coords)[..., 0, 0]
-            off = np.sqrt(np.swapaxes(resid, -1, -2) @ resid)[..., 0, 0]
+            # (samples, rows of hyper) norms of Ad_x H and of its part off h
+            nrm, off = _off_plane(_alg_coords(ad, grp.basis), hyper)
             ad_defect = float(np.max(off / nrm, where=nrm >= 1e-14, initial=0.0))
             ad_ok = ad_defect <= max(tol, 1e-9) * 100.0
         else:

@@ -42,9 +42,6 @@ __all__ = [
     "parse_expression",
 ]
 
-BUILTIN_IDS = ("ball", "sphere_delta", "halfspace", "toeplitz_ball", "triangular")
-
-
 @dataclass(frozen=True)
 class SymbolSpec:
     """An idempotent symbol: Sigma = {(x, y) : F(x, y) > 0}.
@@ -443,25 +440,26 @@ def _real(value, what: str) -> float:
     raise ExpressionError(f"{what} must be a number, got {value!r}")
 
 
-_BUILTIN_DIMS = {  # (m_dim, n_dim) of a builtin, read from its params
-    "ball": lambda params: (_whole(params, "n"),) * 2,
-    "sphere_delta": lambda params: (_whole(params, "n"),) * 2,
-    "halfspace": lambda params: (_whole(params, "m_dim", 1), _whole(params, "n_dim", 1)),
-    "toeplitz_ball": lambda params: (_whole(params, "n"),) * 2,
-    "triangular": lambda params: (1, 1),
-}
-_BUILTIN_FACTORY = {  # builtin -> factory of (params, its dims, box)
-    "ball": lambda params, dims, box: ball(dims[0], _real(params.get("R", 1.0), "'R'"), box),
-    "sphere_delta": lambda params, dims, box: sphere_delta(
-        dims[0], _real(params.get("delta"), "'delta'"), box
+# builtin -> ((m_dim, n_dim) read from its params, factory of (params, its
+# dims, box))
+_BUILTINS = {
+    "ball": (
+        lambda params: (_whole(params, "n"),) * 2,
+        lambda params, dims, box: ball(dims[0], _real(params.get("R", 1.0), "'R'"), box),
     ),
-    "halfspace": lambda params, dims, box: halfspace(
-        params.get("f1", "x1"), params.get("f2", "y1"), *dims, box
+    "sphere_delta": (
+        lambda params: (_whole(params, "n"),) * 2,
+        lambda params, dims, box: sphere_delta(dims[0], _real(params.get("delta"), "'delta'"), box),
     ),
-    "toeplitz_ball": lambda params, dims, box: toeplitz_ball(
-        dims[0], _real(params.get("R", 1.0), "'R'"), box
+    "halfspace": (
+        lambda params: (_whole(params, "m_dim", 1), _whole(params, "n_dim", 1)),
+        lambda params, dims, box: halfspace(params.get("f1", "x1"), params.get("f2", "y1"), *dims, box),
     ),
-    "triangular": lambda params, dims, box: triangular(box),
+    "toeplitz_ball": (
+        lambda params: (_whole(params, "n"),) * 2,
+        lambda params, dims, box: toeplitz_ball(dims[0], _real(params.get("R", 1.0), "'R'"), box),
+    ),
+    "triangular": (lambda params: (1, 1), lambda params, dims, box: triangular(box)),
 }
 
 
@@ -479,13 +477,13 @@ def from_json(obj: dict) -> SymbolSpec:
     params = obj.get("params") or {}
     if not isinstance(params, dict):
         raise ExpressionError(f"'params' must be an object, got {params!r}")
-    if builtin is not None and builtin not in _BUILTIN_FACTORY:
+    if builtin is not None and builtin not in _BUILTINS:
         raise ExpressionError(f"unknown builtin {builtin!r}")
     expr = obj.get("expr")
     if builtin is None and expr is None:
         raise ExpressionError("symbol needs either 'builtin' or 'expr'")
     if builtin is not None:
-        dims = _BUILTIN_DIMS[builtin](params)
+        dims = _BUILTINS[builtin][0](params)
     else:
         dims = (_whole(obj, "m_dim"), _whole(obj, "n_dim"))
     if sum(dims) > MAX_AXES:
@@ -494,7 +492,7 @@ def from_json(obj: dict) -> SymbolSpec:
     if box is not None:
         box = tuple((_real(lo, "a box bound"), _real(hi, "a box bound")) for lo, hi in box)
     if builtin is not None:
-        return _BUILTIN_FACTORY[builtin](params, dims, box)
+        return _BUILTINS[builtin][1](params, dims, box)
     if box is None:
         raise ExpressionError("user symbols require an explicit 'box'")
     return user_symbol(expr, *dims, box)

@@ -24,14 +24,13 @@ from schurlab.geometry import (
 )
 from schurlab.groups import (
     AFFINE,
+    GROUPS,
     HEISENBERG,
     REAL,
     SL2R,
     SO3,
-    abelian_algebra,
     cotlar_pointwise_check,
     fourier_multiplier_norm_finite_cyclic,
-    lie_algebra,
     subalgebra_check,
 )
 from schurlab.harmonic import scaling_limit_check, solve_T
@@ -199,17 +198,18 @@ def test_criterion_5_cotlar_identities():
 def test_criterion_6_subalgebra_criterion():
     """Bracket-closure verdicts at tolerance 1e-9: the standard positive
     cases pass, 20 random planes in so(3) all fail."""
-    assert subalgebra_check(lie_algebra(SL2R, [[1, 0, 0], [0, 1, 0]]), tol=1e-9)
-    assert subalgebra_check(lie_algebra(HEISENBERG, [[1, 0, 0], [0, 0, 1]]), tol=1e-9)
-    assert subalgebra_check(lie_algebra(HEISENBERG, [[0.3, -1.2, 0], [0, 0, 1]]), tol=1e-9)
+    assert subalgebra_check(GROUPS[SL2R].basis, [[1, 0, 0], [0, 1, 0]], tol=1e-9)
+    assert subalgebra_check(GROUPS[HEISENBERG].basis, [[1, 0, 0], [0, 0, 1]], tol=1e-9)
+    assert subalgebra_check(GROUPS[HEISENBERG].basis, [[0.3, -1.2, 0], [0, 0, 1]], tol=1e-9)
     rng = np.random.default_rng(31)
     for n in (2, 3, 5):
         cand = rng.standard_normal((n - 1, n))
-        assert subalgebra_check(abelian_algebra(n, cand), tol=1e-9)
+        diagonal = np.array([np.diag(e) for e in np.eye(n)])  # an abelian algebra
+        assert subalgebra_check(diagonal, cand, tol=1e-9)
     failures = 0
     for _ in range(20):
         plane = rng.standard_normal((2, 3))
-        if subalgebra_check(lie_algebra(SO3, plane), tol=1e-9):
+        if subalgebra_check(GROUPS[SO3].basis, plane, tol=1e-9):
             failures += 1
     assert failures == 0, f"{failures} so(3) planes wrongly accepted"
     _report("6 (subalgebra criterion)", "sl2/heis/abelian pass; 20 so3 planes fail")

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -435,6 +436,12 @@ class TestErrorPaths:
             ({"command": "groupcheck", "group": "real", "field": "t-0.5", "g0": [0.5]}, 0),
             ({"command": "groupcheck", "group": "real", "field": "t", "g0": [math.nan]}, 64),
             ({"command": "groupcheck", "group": "affine", "field": "b", "g0": [1, math.inf]}, 64),
+            # g0 and m take JSON numbers only: no strings, no booleans
+            ({"command": "groupcheck", "group": "affine", "field": "b", "g0": ["1", "0"]}, 64),
+            ({"command": "groupcheck", "group": "real", "field": "t", "g0": [False]}, 64),
+            ({"command": "groupcheck", "group": "real", "field": "t", "g0": "0"}, 64),
+            ({"command": "groupcheck", "group": "affine", "field": "b", "g0": [[1], [0, 1]]}, 64),
+            ({"command": "groupcheck", "group": "real", "field": "t", "g0": 0}, 0),
             ({"command": "groupcheck", "group": "real", "field": "log(t)"}, 1),
             # |phi| = 0.5 at the default g0 = (1, 0)
             ({"command": "groupcheck", "group": "affine", "field": "b-0.5"}, 64),
@@ -446,6 +453,11 @@ class TestErrorPaths:
             ({"command": "groupcheck", "group": "affine", "field": "0"}, 1),
             ({"command": "transfer", "N": 1000}, 64),
             ({"command": "transfer", "N": 8, "m": [1, 0, 1]}, 64),
+            ({"command": "transfer", "N": 4, "m": ["1", "0", "1", "0"]}, 64),
+            ({"command": "transfer", "N": 4, "m": [True, False, True, False]}, 64),
+            ({"command": "transfer", "N": 1, "m": 1}, 64),
+            # nested far past numpy's 64 axes
+            ({"command": "transfer", "N": 4, "m": functools.reduce(lambda v, _: [v], range(600), 1)}, 64),
         ],
         ids=[
             "cotlar-negative-samples",
@@ -455,6 +467,11 @@ class TestErrorPaths:
             "groupcheck-real-g0-list",
             "groupcheck-real-g0-nan",
             "groupcheck-affine-g0-inf",
+            "groupcheck-affine-g0-strings",
+            "groupcheck-real-g0-boolean",
+            "groupcheck-real-g0-string",
+            "groupcheck-affine-g0-ragged",
+            "groupcheck-real-g0-bare-number",
             "groupcheck-field-not-finite",
             "groupcheck-g0-off-boundary",
             "groupcheck-g0-on-shifted-boundary",
@@ -463,6 +480,10 @@ class TestErrorPaths:
             "groupcheck-zero-field",
             "transfer-N-too-large",
             "transfer-m-wrong-length",
+            "transfer-m-strings",
+            "transfer-m-booleans",
+            "transfer-m-bare-number",
+            "transfer-m-nested-600-deep",
         ],
     )
     def test_group_command_configs(self, tmp_path, capsys, cfg, code):
@@ -581,6 +602,7 @@ class TestErrorPaths:
         [
             {**SPHERE_CLASSIFY, "z0": "abc"},
             {**SPHERE_CLASSIFY, "z0": [[0.1, 0.2], [0.2]], "symbol": TRIANGULAR_NORMS["symbol"]},
+            {**SPHERE_CLASSIFY, "z0": [[0.1], [True]], "symbol": TRIANGULAR_NORMS["symbol"]},
             {**SPHERE_CLASSIFY, "seed": "x"},
             {"command": "squarefn", "C": "x"},
             {"command": "cotlar", "group": "affine", "samples": 10, "seed": -1},
@@ -615,6 +637,7 @@ class TestErrorPaths:
         ids=[
             "classify-z0-string",
             "classify-z0-wrong-size",
+            "classify-z0-boolean",
             "classify-seed-string",
             "squarefn-C-string",
             "cotlar-negative-seed",

@@ -15,15 +15,12 @@ from schurlab.groups import (
     REAL,
     SL2R,
     SO3,
-    LieAlgebraBasis,
-    abelian_algebra,
+    _alg_coords,
     boundary_subalgebra_verdict,
-    bracket_coords,
     cotlar_pointwise_check,
     expm,
     fourier_multiplier_norm_finite_cyclic,
     herz_schur_matrix,
-    lie_algebra,
     named_boundary_field,
     subalgebra_check,
 )
@@ -41,7 +38,7 @@ def _g0(group_id):
 
 def _draw(group_id, rng, n=None):
     """One seeded element, the group row's batch of one."""
-    return GROUPS[group_id].sample(1, rng, groups._CHART_RADIUS, n)[0]
+    return GROUPS[group_id].sample(1, rng, n)[0]
 
 
 def _op(group_id, g, h):
@@ -132,7 +129,7 @@ class TestGroupArithmetic:
     def test_sl2_batch_arithmetic_matches_numpy(self):
         grp = GROUPS[SL2R]
         rng = np.random.default_rng(16)
-        g, h = (grp.sample(10**4, rng, 0.4, None) for _ in range(2))
+        g, h = (grp.sample(10**4, rng, None) for _ in range(2))
         prod, inv = grp.op(g, h), grp.inv(g)
         for got, ref in ((prod, np.matmul(g, h)), (inv, np.linalg.inv(g))):
             # relative to each matrix's largest entry: entries that cancel to
@@ -147,7 +144,7 @@ class TestGroupArithmetic:
     def test_results_do_not_depend_on_the_input_layout(self, group_id):
         grp = GROUPS[group_id]
         rng = np.random.default_rng(17)
-        g, h = (grp.sample(257, rng, 0.4, 7) for _ in range(2))
+        g, h = (grp.sample(257, rng, 7) for _ in range(2))
 
         def layouts(x):  # as given, row-major, and batch axis fastest
             fastest = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
@@ -280,7 +277,7 @@ class TestTableKernels:
     def test_affine_row_matches_the_formulas(self):
         row = GROUPS[AFFINE]
         for seed in range(3):
-            got = row.sample(257, np.random.default_rng(seed), 0.4, None)
+            got = row.sample(257, np.random.default_rng(seed), None)
             _assert_same_entries(got, _affine_sample_formula(257, np.random.default_rng(seed), 0.4, None))
         g = np.concatenate((got, [[1.0, 0.0], [2.0, -0.0], [0.5, 1.0]]))
         h = g[::-1]
@@ -400,7 +397,7 @@ class TestGoldenValues:
 
     @pytest.mark.parametrize("group_id", sorted(GOLDEN_COTLAR_BATCH))
     def test_cotlar_batch_draws(self, group_id):
-        got = GROUPS[group_id].sample(3, np.random.default_rng(0), 0.4, None)
+        got = GROUPS[group_id].sample(3, np.random.default_rng(0), None)
         np.testing.assert_allclose(got, GOLDEN_COTLAR_BATCH[group_id], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("group_id, name, passed, hyperplane, ad_defect", GOLDEN_VERDICTS)
@@ -434,7 +431,7 @@ def _sequential_verdict(group_id, omega, g0, seed, tol=1e-9, ad_samples=32, radi
         w[i] = (f_alg(e) - f_alg(-e)) / 2e-6
     w_hat = w / float(np.linalg.norm(w))
     hyper = _kernel_basis(w_hat)
-    sub_ok = subalgebra_check(lie_algebra(group_id, hyper), tol)
+    sub_ok = subalgebra_check(grp.basis, hyper, tol)
     ad_defect, ad_ok, notes = 0.0, True, []
     if hyper.shape[0]:
         rng = np.random.default_rng(seed)
@@ -511,14 +508,14 @@ class TestBatchedVerdict:
     @pytest.mark.parametrize("expr", ["1", "2+0*a", "pi"])
     def test_constant_expression_field_is_one_value_per_row(self, expr):
         field = named_boundary_field(AFFINE, expr)
-        c = GROUPS[AFFINE].sample(5, np.random.default_rng(0), 0.4, None)
+        c = GROUPS[AFFINE].sample(5, np.random.default_rng(0), None)
         got = field(c)
         assert got.shape == (5,)
         np.testing.assert_array_equal(got, [float(field(row[None])[0]) for row in c])
 
     @pytest.mark.parametrize("group_id", sorted(g for g, row in GROUPS.items() if row.fields))
     def test_fields_map_a_batch_row_by_row(self, group_id):
-        c = GROUPS[group_id].sample(7, np.random.default_rng(2), 0.4, None)
+        c = GROUPS[group_id].sample(7, np.random.default_rng(2), None)
         for name, field in GROUPS[group_id].fields.items():
             got = field(c)
             assert got.shape == (7,)
@@ -568,7 +565,7 @@ class TestHerzSchur:
         np.testing.assert_allclose(m3, m1[np.ix_(perm, perm)], atol=1e-12)
 
     def test_one_call_matches_the_double_loop_on_256_affine_elements(self):
-        grid = GROUPS[AFFINE].sample(256, np.random.default_rng(11), groups._CHART_RADIUS, None)
+        grid = GROUPS[AFFINE].sample(256, np.random.default_rng(11), None)
         sym = lambda c: np.exp(1j * c[..., 1]) * (c[..., 0] > 1.0)
         m = herz_schur_matrix(AFFINE, sym, grid)
         ref = np.zeros((256, 256), dtype=complex)
@@ -591,8 +588,8 @@ def _cotlar_reference(group_id, samples, seed, band=1e-9):
     done = 0
     while done < samples:
         k = min(65536, int(1.4 * (samples - done)) + 64)
-        g = grp.sample(k, rng, groups._CHART_RADIUS, None)
-        h = grp.sample(k, rng, groups._CHART_RADIUS, None)
+        g = grp.sample(k, rng, None)
+        h = grp.sample(k, rng, None)
         alpha = act0(g)
         beta = act0(h)
         gi = grp.inv(g)
@@ -686,19 +683,21 @@ class TestCotlar:
 LIE_GROUPS = sorted(g for g, row in GROUPS.items() if row.basis is not None)
 
 
-class TestLieAlgebras:
-    def test_builtin_tables_satisfy_jacobi(self):
-        for alg in [lie_algebra(g) for g in LIE_GROUPS] + [abelian_algebra(4)]:
-            c = alg.structure_constants
-            assert np.max(np.abs(c + np.swapaxes(c, 0, 1))) <= 1e-10
+def _brackets(basis):
+    """Commutators [B_i, B_j] (d, d, n, n) of a table's basis matrices."""
+    return basis[:, None] @ basis[None] - basis[None] @ basis[:, None]
 
+
+class TestLieAlgebras:
     @pytest.mark.parametrize("group_id", LIE_GROUPS)
     def test_constants_reproduce_the_basis_brackets(self, group_id):
+        # the structure constants c_ij = coordinates of [B_i, B_j] rebuild
+        # every bracket: each table basis spans an algebra closed under it.
+        # _alg_coords solves least squares, exact to rounding
         b = GROUPS[group_id].basis
-        c = lie_algebra(group_id).structure_constants
-        for i, j in np.ndindex(len(b), len(b)):
-            bracket = b[i] @ b[j] - b[j] @ b[i]
-            np.testing.assert_array_equal(bracket, np.tensordot(c[i, j], b, axes=1))
+        brackets = _brackets(b)
+        c = _alg_coords(brackets, b)
+        np.testing.assert_allclose(np.tensordot(c, b, axes=1), brackets, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize(
         "group_id,pairs",
@@ -711,47 +710,40 @@ class TestLieAlgebras:
         ],
     )
     def test_structure_constants_match_the_named_brackets(self, group_id, pairs):
-        c = lie_algebra(group_id).structure_constants
+        b = GROUPS[group_id].basis
+        c = _alg_coords(_brackets(b), b)
         expected = np.zeros_like(c)
         for (i, j), vec in pairs.items():
             expected[i, j], expected[j, i] = vec, np.negative(vec)
-        np.testing.assert_array_equal(c, expected)
-
-    def test_groups_without_a_basis_have_no_algebra(self):
-        with pytest.raises(GroupMismatch):
-            lie_algebra(CYCLIC)
-
-    def test_invalid_structure_constants_rejected(self):
-        c = np.zeros((2, 2, 2))
-        c[0, 1, 0] = 1.0  # not antisymmetric
-        with pytest.raises(ValueError):
-            LieAlgebraBasis(2, c)
+        np.testing.assert_allclose(c, expected, rtol=0, atol=1e-14)
 
     def test_sl2_brackets(self):
-        c = lie_algebra(SL2R).structure_constants
-        np.testing.assert_allclose(bracket_coords(c, [1, 0, 0], [0, 1, 0]), [0, 2, 0])
-        np.testing.assert_allclose(bracket_coords(c, [0, 1, 0], [0, 0, 1]), [1, 0, 0])
+        h, e, f = GROUPS[SL2R].basis
+        np.testing.assert_allclose(_alg_coords(h @ e - e @ h, GROUPS[SL2R].basis), [0, 2, 0])  # [H, E] = 2E
+        np.testing.assert_allclose(_alg_coords(e @ f - f @ e, GROUPS[SL2R].basis), [1, 0, 0])  # [E, F] = H
 
     def test_upper_triangular_sl2_subalgebra(self):
-        assert subalgebra_check(lie_algebra(SL2R, [[1, 0, 0], [0, 1, 0]]))
+        assert subalgebra_check(GROUPS[SL2R].basis, [[1, 0, 0], [0, 1, 0]])
 
     def test_so3_plane_is_not_subalgebra(self):
-        assert not subalgebra_check(lie_algebra(SO3, [[1, 0, 0], [0, 1, 0]]))
+        assert not subalgebra_check(GROUPS[SO3].basis, [[1, 0, 0], [0, 1, 0]])
 
     def test_heisenberg_center_containing_plane(self):
-        assert subalgebra_check(lie_algebra(HEISENBERG, [[1, 0, 0], [0, 0, 1]]))
-        assert subalgebra_check(lie_algebra(HEISENBERG, [[0, 1, 0], [0, 0, 1]]))
-        assert subalgebra_check(lie_algebra(HEISENBERG, [[1, 2, 0], [0, 0, 1]]))
+        b = GROUPS[HEISENBERG].basis
+        assert subalgebra_check(b, [[1, 0, 0], [0, 0, 1]])
+        assert subalgebra_check(b, [[0, 1, 0], [0, 0, 1]])
+        assert subalgebra_check(b, [[1, 2, 0], [0, 0, 1]])
 
     def test_abelian_any_subspace(self):
+        diagonal = np.array([np.diag(e) for e in np.eye(5)])  # commuting matrix units
         rng = np.random.default_rng(6)
         for _ in range(5):
             cand = rng.standard_normal((3, 5))
-            assert subalgebra_check(abelian_algebra(5, cand))
+            assert subalgebra_check(diagonal, cand)
 
     def test_degenerate_candidate_rejected(self):
         with pytest.raises(DegenerateBasis):
-            subalgebra_check(lie_algebra(SL2R, [[1, 0, 0], [2, 0, 0]]))
+            subalgebra_check(GROUPS[SL2R].basis, [[1, 0, 0], [2, 0, 0]])
 
 
 class TestBoundaryVerdict:
@@ -809,7 +801,7 @@ class TestBoundaryVerdict:
         rng = np.random.default_rng(8)
         f_named = named_boundary_field(SL2R, "sgn_c")
         f_expr = named_boundary_field(SL2R, "c")
-        g = GROUPS[SL2R].sample(20, rng, groups._CHART_RADIUS, None)
+        g = GROUPS[SL2R].sample(20, rng, None)
         np.testing.assert_array_equal(f_named(g), f_expr(g))
         v = boundary_subalgebra_verdict(SL2R, f_expr, _g0(SL2R))
         assert v.passed
