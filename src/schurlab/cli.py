@@ -32,7 +32,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config must be a JSON object")

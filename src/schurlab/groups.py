@@ -24,12 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasis,
-    DegenerateGradient,
-    ExpressionError,
-    GroupMismatch,
-)
+from .errors import DegenerateBasis, DegenerateGradient, ExpressionError, GroupMismatch
 from .geometry import _kernel_basis, _newton
 from .matcore import _ldexp, _schatten_from_sv, multiplier_norm_lower_bound
 from .multiplier import circulant
@@ -189,13 +184,6 @@ def _sl2_op(g, h):
     return g[..., :, :1] * h[..., :1, :] + g[..., :, 1:] * h[..., 1:, :]
 
 
-def _affine_sample(k, rng, n):
-    out = _entries((2,), (k,))
-    out[:, 0] = rng.uniform(0.25, 4.0, size=k)
-    out[:, 1] = rng.uniform(-2.0, 2.0, size=k)
-    return out
-
-
 def _affine_op(g, h):
     # (a, b)(a', b') = (a a', a b' + b)
     out = _entries((2,), np.broadcast_shapes(g.shape[:-1], h.shape[:-1]))
@@ -225,6 +213,27 @@ def _cyclic_op(g, h):
 def _cyclic_sample(k, rng, n):
     n = _order(n)
     return np.stack([rng.integers(0, n, size=k), np.full(k, n)], axis=-1)
+
+
+class _Box:
+    """A line-action row's sampler: coordinates drawn uniformly in the box
+    ``lims`` ((lo, hi) each), mapped to elements (k, *shape) by ``build``."""
+
+    def __init__(self, lims, build):
+        self.lims, self.build = lims, build
+
+    def draw(self, k, rng, out=None) -> np.ndarray:
+        # k points (d, k) with the bits of rng.uniform(lo, hi, k), in ``out`` if given
+        d = len(self.lims)
+        x = (np.empty(d * k) if out is None else out[: d * k]).reshape(d, k)
+        rng.random(out=x)
+        for row, (lo, hi) in zip(x, self.lims):
+            row *= hi - lo  # lo + (hi - lo) u, as uniform computes it
+            row += lo
+        return x
+
+    def __call__(self, k, rng, n):
+        return self.build(self.draw(k, rng))
 
 
 _REAL_BASIS = np.array([[[0.0, 1.0], [0.0, 0.0]]])
@@ -267,11 +276,14 @@ class Group:
     values (k,)) and a default base point ``g0``.
 
     The sl2r and affine exponentials, sl2r's ``inv``, and affine's
-    ``sample``, ``op`` and ``inv`` write their results entry by entry into
+    ``op`` and ``inv`` write their results entry by entry into
     ``_entries`` arrays: the usual shape (k, *shape), with each entry
     contiguous and the batch axes fastest, so that entrywise code reads
     unit-stride arrays; sl2r's ``op`` keeps that layout.  Every function
     accepts any memory order.
+
+    A row with a line action samples through a ``_Box``: a coordinate draw
+    composed with a map to elements, two parts the Cotlar check calls apart.
     """
 
     shape: tuple
@@ -296,7 +308,7 @@ GROUPS = {
     REAL: Group(
         shape=(1,),
         make=lambda c: c,
-        sample=lambda k, rng, n: rng.uniform(-2.0, 2.0, size=(k, 1)),
+        sample=_Box(((-2.0, 2.0),), np.transpose),
         op=lambda g, h: g + h,
         inv=lambda g: -g,
         act=lambda g, t, pole_tol: g[..., 0] + t,
@@ -310,7 +322,7 @@ GROUPS = {
     AFFINE: Group(
         shape=(2,),
         make=lambda c: _checked(c, c[0] > 0, "affine elements need a > 0"),
-        sample=_affine_sample,
+        sample=_Box(((0.25, 4.0), (-2.0, 2.0)), np.transpose),
         op=_affine_op,
         inv=_affine_inv,
         act=lambda g, t, pole_tol: g[..., 0] * t + g[..., 1],
@@ -326,9 +338,7 @@ GROUPS = {
         make=lambda m: _checked(
             m, abs(np.linalg.det(m) - 1.0) <= _CONSTRAINT_TOL, "sl2r elements are 2x2 with det 1"
         ),
-        sample=lambda k, rng, n: expm(
-            SL2R, rng.uniform(-_CHART_RADIUS, _CHART_RADIUS, size=(3, k)).T
-        ),
+        sample=_Box(((-_CHART_RADIUS, _CHART_RADIUS),) * 3, lambda x: _sl2_exp(x.T)),
         op=_sl2_op,
         inv=_sl2_inv,
         act=_projective_act,
@@ -450,7 +460,8 @@ def cotlar_pointwise_check(
 
     Pairs are drawn in chunks of at most _COTLAR_CHUNK, g before h, and
     each chunk is evaluated in consecutive slices of at most _SLICE pairs
-    in draw order, which keeps the temporaries small; the check stops once
+    in draw order, which keeps the temporaries small: g and h are drawn
+    into two reused buffers and built slice by slice.  The check stops once
     ``samples`` valid pairs are counted, so the last slice counts only its
     first valid pairs.
 
@@ -460,37 +471,43 @@ def cotlar_pointwise_check(
     then the xor is 1 too.  Contract: 0 failures.
     """
     grp = _group(group_id, "act")
+    box = grp.sample
 
     def act0(g):
         return grp.act(g, 0.0, 1e-9)
 
+    def count(xg, xh, left):
+        # (valid pairs taken, at most left, and their failures) on one slice
+        # of coordinates; g is dropped before h is built, the rest on return
+        g = box.build(xg)
+        alpha, gi = act0(g), grp.inv(g)
+        del g
+        h = box.build(xh)
+        v_gih = act0(grp.op(gi, h))
+        beta, v_gi, v_hi = act0(h), act0(gi), act0(grp.inv(h))
+        valid = np.abs(alpha - beta) > band
+        for v in (alpha, beta, v_gi, v_gih, v_hi):  # finite, off the band
+            size = np.abs(v)
+            valid &= size > band
+            valid &= size < np.inf
+        n_valid = int(np.count_nonzero(valid))
+        take = min(n_valid, left)
+        if take < n_valid:  # the last slice counts its first take valid pairs
+            valid[np.flatnonzero(valid)[take] :] = False
+        m_gi, m_gih, m_h, m_hi = v_gi > 0.0, v_gih > 0.0, beta > 0.0, v_hi > 0.0
+        fails = (m_gi & m_gih) ^ (m_h & m_gi) ^ (m_hi & m_gih)
+        return take, int(np.count_nonzero(fails & valid))
+
     rng = np.random.default_rng(seed)
-    failures = 0
-    done = 0
+    failures = done = 0
+    # the first chunk is the longest: its two draw buffers serve them all
+    buf_g, buf_h = np.empty((2, len(box.lims) * min(_COTLAR_CHUNK, int(1.4 * samples) + 64)))
     while done < samples:
         k = min(_COTLAR_CHUNK, int(1.4 * (samples - done)) + 64)
-        g = grp.sample(k, rng, None)
-        h = grp.sample(k, rng, None)
+        xg, xh = box.draw(k, rng, buf_g), box.draw(k, rng, buf_h)
         for lo in range(0, k, _SLICE):
-            gs, hs = g[lo : lo + _SLICE], h[lo : lo + _SLICE]
-            alpha = act0(gs)
-            beta = act0(hs)
-            gi = grp.inv(gs)
-            v_gi = act0(gi)
-            v_gih = act0(grp.op(gi, hs))
-            v_hi = act0(grp.inv(hs))
-            valid = np.abs(alpha - beta) > band
-            for v in (alpha, beta, v_gi, v_gih, v_hi):  # finite, off the band
-                size = np.abs(v)
-                valid &= size > band
-                valid &= size < np.inf
-            n_valid = int(np.count_nonzero(valid))
-            take = min(n_valid, samples - done)
-            if take < n_valid:  # the last slice counts its first take valid pairs
-                valid[np.flatnonzero(valid)[take] :] = False
-            m_gi, m_gih, m_h, m_hi = v_gi > 0.0, v_gih > 0.0, beta > 0.0, v_hi > 0.0
-            fails = (m_gi & m_gih) ^ (m_h & m_gi) ^ (m_hi & m_gih)
-            failures += int(np.count_nonzero(fails & valid))
+            take, fails = count(xg[:, lo : lo + _SLICE], xh[:, lo : lo + _SLICE], samples - done)
+            failures += fails
             done += take
             if done == samples:
                 break
@@ -625,9 +642,7 @@ def boundary_subalgebra_verdict(
 
     sub_ok = subalgebra_check(grp.basis, hyper, tol)
 
-    ad_defect = 0.0
-    ad_ok = True
-    notes = []
+    ad_defect, ad_ok, notes = 0.0, True, []
     if hyper.shape[0] > 0:
         v = np.random.default_rng(seed).uniform(-radius, radius, size=(20 * ad_samples, d))
         # starts on the tangent hyperplane.  Vector products in this check
@@ -665,19 +680,13 @@ def boundary_subalgebra_verdict(
             # (samples, rows of hyper) norms of Ad_x H and of its part off h
             nrm, off = _off_plane(_alg_coords(ad, grp.basis), hyper)
             ad_defect = float(np.max(off / nrm, where=nrm >= 1e-14, initial=0.0))
-            ad_ok = ad_defect <= max(tol, 1e-9) * 100.0
+            ad_ok = bool(ad_defect <= max(tol, 1e-9) * 100.0)
         else:
             notes.append("no boundary points found near the identity")
             ad_ok = False
-    passed = bool(sub_ok and ad_ok)
     return SubalgebraVerdict(
-        passed=passed,
-        subalgebra_ok=bool(sub_ok),
-        ad_ok=bool(ad_ok),
-        hyperplane=hyper,
-        boundary_residual=base_res,
-        ad_defect=ad_defect,
-        notes=notes,
+        passed=sub_ok and ad_ok, subalgebra_ok=sub_ok, ad_ok=ad_ok, hyperplane=hyper,
+        boundary_residual=base_res, ad_defect=ad_defect, notes=notes,
     )
 
 
@@ -784,12 +793,11 @@ def fourier_multiplier_norm_finite_cyclic(
         ratio = float(np.ldexp(fourier_ratio(c), k))
         return TransferenceResult(fourier_lb=ratio, schur_lb=ratio, n=n, p=p)
 
-    starts = [np.zeros(n, dtype=complex)]
-    starts[0][0] = 1.0  # identity of the group algebra
-    shift = np.zeros(n, dtype=complex)
-    shift[int(np.argmax(np.abs(mv)))] = 1.0  # best single shift lambda(g)
-    starts.append(shift)
-    starts.append(np.ones(n, dtype=complex) / n)
+    starts = [
+        (idx == 0).astype(complex),  # identity of the group algebra
+        (idx == int(np.argmax(np.abs(mv)))).astype(complex),  # best single shift lambda(g)
+        np.ones(n, dtype=complex) / n,
+    ]
     for j in range(budget):
         rng = np.random.default_rng([seed, 211, j])
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))

@@ -413,6 +413,24 @@ class TestErrorPaths:
         path.write_text("{not json")
         assert main(["--config", str(path)]) == 64
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff\xfe" + json.dumps({"schema": "schur-lab/1", "command": "classify"}).encode(),
+            b'{"schema": "schur-lab/1", "command": "transfer", "N": 4, "m": ' + b"[" * 100_000,
+            b'{"schema": "schur-lab/1", "command": "transfer", "N": 4, "m": '
+            + b"[" * 100_000 + b"1" + b"]" * 100_000 + b"}",
+            b'{"schema": "schur-lab/1", "command": "transfer", "N": ' + b"9" * 5000 + b"}",
+        ],
+        ids=["not-utf8", "m-open-100000-deep", "m-nested-100000-deep", "N-5000-digits"],
+    )
+    def test_unparsable_config_exits_64(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main(["--config", str(path)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+
     def test_missing_config_exits_74(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json")]) == 74
 

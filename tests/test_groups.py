@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,49 @@ class TestTableKernels:
         _assert_same_entries(row.op(g, h), _affine_op_formula(g, h))
         _assert_same_entries(row.op(g[:5, None], h[None, :6]), _affine_op_formula(g[:5, None], h[None, :6]))
         _assert_same_entries(row.inv(g), _affine_inv_formula(g))
+
+
+LINE_GROUPS = [REAL, AFFINE, SL2R]
+
+
+def _line_sample_formula(group_id, k, rng):
+    """The samplers of the line-action rows as uniform calls, as they drew
+    before the coordinate draw was split from the element map."""
+    if group_id == REAL:
+        return rng.uniform(-2.0, 2.0, size=(k, 1))
+    if group_id == AFFINE:
+        return _affine_sample_formula(k, rng, 0.4, None)
+    return expm(SL2R, rng.uniform(-0.4, 0.4, size=(3, k)).T)
+
+
+class TestSplitSampler:
+    @pytest.mark.parametrize("group_id", LINE_GROUPS)
+    def test_buffered_slices_build_the_sampled_elements(self, group_id):
+        # the Cotlar check's path: g then h drawn into two reused buffers,
+        # chunk after chunk, and built slice by slice
+        box = GROUPS[group_id].sample
+        for k in (1, 3, 8_191, 8_192, 65_536, 65_537):
+            _assert_same_entries(box(k, np.random.default_rng(k), None),
+                                 _line_sample_formula(group_id, k, np.random.default_rng(k)))
+            rng, ref = np.random.default_rng(k), np.random.default_rng(k)
+            bufs = np.full((2, len(box.lims) * 65_537 + 5), np.nan)
+            for _ in range(2):
+                for buf in bufs:
+                    x = box.draw(k, rng, buf)
+                    assert np.shares_memory(x, buf)
+                    got = [box.build(x[:, lo : lo + groups._SLICE]) for lo in range(0, k, groups._SLICE)]
+                    _assert_same_entries(np.concatenate(got), _line_sample_formula(group_id, k, ref))
+
+    @pytest.mark.parametrize("group_id", LINE_GROUPS)
+    def test_draw_has_the_bits_of_uniform(self, group_id):
+        # random(out=) and the in-place map to [lo, hi) against numpy's uniform
+        box = GROUPS[group_id].sample
+        for k in (1, 70_000):
+            rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+            for _ in range(2):
+                got = box.draw(k, rng, np.empty(len(box.lims) * k + 3))
+                _assert_same_entries(got, np.stack([ref.uniform(lo, hi, size=k) for lo, hi in box.lims]))
+                _assert_same_entries(box.draw(k, rng), np.stack([ref.uniform(lo, hi, k) for lo, hi in box.lims]))
 
 
 def _expm_series(z):
@@ -654,6 +698,26 @@ class TestCotlar:
         assert all(n > 0 for (seed, samples), n in counts.items() if samples > 1)
         expected = {REAL: 17_745, AFFINE: 33_816, SL2R: 140_660}[group_id]
         assert counts[0, 200_003] == expected
+
+    def test_working_set_does_not_grow_with_samples(self):
+        # two draw buffers sized by the first chunk, and elements that live
+        # for one slice: the sl2r peak of numpy allocations, which numpy
+        # reports to tracemalloc, is that of one chunk however many follow
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                cotlar_pointwise_check(SL2R, samples=samples, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cotlar_pointwise_check(SL2R, samples=1)  # first-call allocations
+        mib = 2**20
+        one_chunk, many = peak(65_537), peak(10**6)
+        assert many <= 1.1 * one_chunk and many <= 6 * mib
+        # one part chunk, within 10% of the 1.72 MiB that held whole chunks
+        # of elements
+        assert peak(8_192) <= 1.1 * 1.72 * mib
 
     def test_affine_against_sign_case_oracle(self):
         # oracle: the six orderings of 0, alpha, beta decide every term
