@@ -280,10 +280,9 @@ class Group:
     ``_entries`` arrays: the usual shape (k, *shape), with each entry
     contiguous and the batch axes fastest, so that entrywise code reads
     unit-stride arrays; sl2r's ``op`` keeps that layout.  Every function
-    accepts any memory order.
-
-    A row with a line action samples through a ``_Box``: a coordinate draw
-    composed with a map to elements, two parts the Cotlar check calls apart.
+    accepts any memory order.  A row with a line action samples through a
+    ``_Box``: a coordinate draw composed with a map to elements, two parts
+    the Cotlar check calls apart.
     """
 
     shape: tuple
@@ -477,8 +476,7 @@ def cotlar_pointwise_check(
         return grp.act(g, 0.0, 1e-9)
 
     def count(xg, xh, left):
-        # (valid pairs taken, at most left, and their failures) on one slice
-        # of coordinates; g is dropped before h is built, the rest on return
+        # (valid pairs taken, at most left, failures) on one slice; g is freed before h is built
         g = box.build(xg)
         alpha, gi = act0(g), grp.inv(g)
         del g
@@ -500,8 +498,12 @@ def cotlar_pointwise_check(
 
     rng = np.random.default_rng(seed)
     failures = done = 0
-    # the first chunk is the longest: its two draw buffers serve them all
-    buf_g, buf_h = np.empty((2, len(box.lims) * min(_COTLAR_CHUNK, int(1.4 * samples) + 64)))
+    # two draw buffers of the first, longest chunk serve them all.  An untouched
+    # block of their size, freed first, raises glibc's mmap and trim thresholds,
+    # so the heap keeps the slices' temporaries from slice to slice
+    shape = (2, len(box.lims) * min(_COTLAR_CHUNK, int(1.4 * samples) + 64))
+    np.empty(shape)
+    buf_g, buf_h = np.empty(shape)
     while done < samples:
         k = min(_COTLAR_CHUNK, int(1.4 * (samples - done)) + 64)
         xg, xh = box.draw(k, rng, buf_g), box.draw(k, rng, buf_h)

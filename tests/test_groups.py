@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -718,6 +723,23 @@ class TestCotlar:
         # one part chunk, within 10% of the 1.72 MiB that held whole chunks
         # of elements
         assert peak(8_192) <= 1.1 * 1.72 * mib
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults")
+    def test_first_check_in_a_process_keeps_its_heap(self):
+        # a fresh process, as a cotlar CLI run is: the slices' temporaries
+        # must stay on the heap from slice to slice, not be handed back and
+        # faulted in again (about 24,800 faults without that, 10,500 when
+        # whole chunks were drawn, about 1,300 with it)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = (
+            "import resource; from schurlab.groups import cotlar_pointwise_check; "
+            "f = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+            "cotlar_pointwise_check('sl2r', 10**6, 0); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f)"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 5000
 
     def test_affine_against_sign_case_oracle(self):
         # oracle: the six orderings of 0, alpha, beta decide every term
