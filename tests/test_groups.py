@@ -332,7 +332,7 @@ class TestSplitSampler:
             for _ in range(2):
                 got = box.draw(k, rng, np.empty(len(box.lims) * k + 3))
                 _assert_same_entries(got, np.stack([ref.uniform(lo, hi, size=k) for lo, hi in box.lims]))
-                _assert_same_entries(box.draw(k, rng), np.stack([ref.uniform(lo, hi, k) for lo, hi in box.lims]))
+                _assert_same_entries(box.draw(k, rng), np.stack([ref.uniform(lo, hi, size=k) for lo, hi in box.lims]))
 
 
 def _expm_series(z):
