@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NegativeWeight, OutOfDomain, ShapeInvalid, ShapeMismatch
-from .matcore import as_dense, multiplier_norm_lower_bound
+from .matcore import _check_exponent, as_dense, multiplier_norm_lower_bound
 from .symbols import SymbolSpec, indicator_values
 
 __all__ = [
@@ -104,9 +104,9 @@ class NormGrowthRecord:
     p: float
     n: int
     lower_bound: float
-    upper_bound: Optional[float]  # certified, at p in {1, inf}; else None
-    iterations: Optional[int]  # scaling-loop steps, at p in {1, inf}
-    stop: Optional[str]  # why the scaling loop stopped: gap, stall or cap
+    upper_bound: float  # certified: the scaling loop's, interpolated at 1 < p < inf
+    iterations: int  # scaling-loop steps (0 at p = 2, where no loop runs)
+    stop: str  # why the scaling loop stopped: gap, stall or cap
     trials: int
     seed: int
     wall_ms: int
@@ -118,12 +118,12 @@ CSV_HEADER = ",".join(("symbol_id", "p", "N") + RECORD_FIELDS)
 
 
 def records_to_csv(records) -> str:
-    """One CSV row per record; a None field (at p outside {1, inf}) is empty."""
+    """One CSV row per record."""
     lines = [CSV_HEADER]
     for r in records:
         p = "inf" if np.isinf(r.p) else repr(float(r.p))
         cells = [r.symbol_id, p, r.n] + [getattr(r, k) for k in RECORD_FIELDS]
-        lines.append(",".join("" if c is None else str(c) for c in cells))
+        lines.append(",".join(map(str, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -135,30 +135,42 @@ def norm_growth_experiment(
     seed: int = 0,
     ascent_steps: int = 50,
 ):
-    """Multiplier-norm lower bounds on nested grids of increasing size.
+    """Multiplier-norm brackets on nested grids of increasing size.
 
     The best witness found at each size is zero-padded into the next
     (larger grids contain the smaller ones as leading prefixes), so the
-    reported bounds never decrease with N.  A record's ``trials`` counts
-    the estimator's starts: the matrix unit, the carried witness (after the
-    first size) and ``2 * budget`` seeded starts; at p in {1, inf}, where
-    the scaling loop replaces the starts, its witness and the carried one.
+    reported lower bounds never decrease with N.  At 1 < p < inf, p != 2,
+    each size first runs the scaling loop at the nearer end (p = inf above
+    2, p = 1 below), whose witness is the first extra start, ahead of the
+    carried one.  The loop's certified S_inf (= S_1) bound U gives the
+    Riesz-Thorin upper bound sup|M|^(1 - theta) U^theta, theta = |1 - 2/p|,
+    between the exact S_2 norm sup|M| and U; at p = 2 the bracket is
+    [sup|M|, sup|M|] and no loop runs.  A record's ``trials`` counts the
+    estimator's starts: the matrix unit, the loop's witness, the carried
+    witness (after the first size) and ``2 * budget`` seeded starts; at p
+    in {1, inf}, where the scaling loop replaces the starts, its witness and
+    the carried one; at p = 2 all but the loop's witness.
     """
     sizes = list(sizes)
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
+    p = _check_exponent(p)
+    theta = abs(1.0 - 2.0 / p)  # 1 at p in {1, inf}, 0 at p = 2
     grids = nested_grids(spec, sizes)
     records = []
     prev_witness = None
     for n in sizes:
         gx, gy = grids[n]
         m = discretize_symbol(spec, gx, gy)
-        extra = []
+        t0 = time.perf_counter()
+        extra, loop = [], None
+        if 0.0 < theta < 1.0:
+            loop = multiplier_norm_lower_bound(m, np.inf if p > 2.0 else 1.0, report=True)
+            extra.append(loop.witness)
         if prev_witness is not None:
             pad = np.zeros(m.shape, dtype=prev_witness.dtype)
             pad[: prev_witness.shape[0], : prev_witness.shape[1]] = prev_witness
             extra.append(pad)
-        t0 = time.perf_counter()
         est = multiplier_norm_lower_bound(
             m,
             p,
@@ -168,17 +180,24 @@ def norm_growth_experiment(
             ascent_steps=ascent_steps,
             report=True,
         )
+        loop = est if loop is None else loop  # at p in {1, inf} the estimate is the loop
+        sup = float(np.abs(m).max())
+        if theta == 0.0:
+            upper, iterations, stop = sup, 0, "gap"
+        else:
+            upper = sup ** (1.0 - theta) * loop.upper_bound**theta
+            iterations, stop = loop.iterations, loop.stop
         wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
         prev_witness = est.witness
         records.append(
             NormGrowthRecord(
                 symbol_id=spec.symbol_id,
-                p=float(p),
+                p=p,
                 n=n,
                 lower_bound=float(est.lower_bound),
-                upper_bound=est.upper_bound,
-                iterations=est.iterations,
-                stop=est.stop,
+                upper_bound=upper,
+                iterations=iterations,
+                stop=stop,
                 trials=1 + len(extra) + (2 * budget if est.stop is None else 0),
                 seed=seed,
                 wall_ms=wall_ms,

@@ -86,10 +86,62 @@ class TestNormGrowth:
         assert all(b >= a - 1e-12 for a, b in zip(bounds, bounds[1:]))
 
     def test_trials_count_the_estimator_starts(self):
-        # matrix unit + 2 * budget seeded starts, plus the carried witness
-        # from the second size on
+        # matrix unit + the scaling loop's witness + 2 * budget seeded
+        # starts, plus the carried witness from the second size on
         records = norm_growth_experiment(triangular(), 4.0, [8, 16], budget=3, seed=0)
-        assert [r.trials for r in records] == [7, 8]
+        assert [r.trials for r in records] == [8, 9]
+
+    @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0], ids=["p4", "p4/3"])
+    @pytest.mark.parametrize("spec", [triangular(), sphere_delta(2, 0.0)], ids=lambda s: s.symbol_id)
+    def test_bracket_holds_the_bound(self, spec, p):
+        """The Riesz-Thorin upper bound sup|M|^(1 - theta) U^theta of the
+        scaling loop's certified U sits above the lower bound, and the
+        loop's steps and stop reason come with it."""
+        records = norm_growth_experiment(spec, p, [8, 16, 32, 64], budget=2, seed=0)
+        grids = nested_grids(spec, [r.n for r in records])
+        for r in records:
+            m = discretize_symbol(spec, *grids[r.n])
+            loop = multiplier_norm_lower_bound(m, np.inf if p > 2.0 else 1.0, report=True)
+            theta = abs(1.0 - 2.0 / p)
+            assert r.upper_bound == np.abs(m).max() ** (1.0 - theta) * loop.upper_bound**theta
+            assert (r.iterations, r.stop) == (loop.iterations, loop.stop)
+            assert r.lower_bound <= r.upper_bound, r
+
+    @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0], ids=["p4", "p4/3"])
+    def test_records_beat_the_loop_witness(self, p):
+        """Each record is at least the ratio ||M o W||_p / ||W||_p at the
+        scaling loop's witness W, computed here by SVD."""
+        for spec in (triangular(), ball(2, 1.0)):
+            sizes = [8, 16, 32]
+            grids = nested_grids(spec, sizes)
+            for r in norm_growth_experiment(spec, p, sizes, budget=2, seed=1):
+                m = discretize_symbol(spec, *grids[r.n])
+                w = multiplier_norm_lower_bound(m, np.inf if p > 2.0 else 1.0, report=True).witness
+                ratio = schatten_norm(m * w, p) / schatten_norm(w, p)
+                assert r.lower_bound >= ratio * (1.0 - 1e-12), (spec.symbol_id, r, ratio)
+
+    def test_p2_bracket_is_closed(self):
+        for spec in (triangular(), sphere_delta(2, 0.0)):
+            for r in norm_growth_experiment(spec, 2.0, [4, 8, 16], budget=1, seed=0):
+                assert (r.upper_bound, r.iterations, r.stop) == (1.0, 0, "gap"), r
+                assert abs(r.lower_bound - r.upper_bound) <= 1e-12, r
+
+    @pytest.mark.parametrize("p", [4.0, 4.0 / 3.0, 2.0, np.inf])
+    def test_zero_symbol_bracket(self, p):
+        spec = halfspace("x1 - 5", "y1")  # x1 - 5 < y1 on the whole box [-2, 2]^2
+        for r in norm_growth_experiment(spec, p, [4, 8], budget=1, seed=0):
+            assert (r.lower_bound, r.upper_bound) == (0.0, 0.0), r
+
+    def test_bounds_monotone_in_budget(self):
+        sizes = [8, 16, 32]
+        runs = [
+            norm_growth_experiment(triangular(), 4.0, sizes, budget=b, seed=0) for b in (1, 2, 4)
+        ]
+        for records in runs:
+            bounds = [r.lower_bound for r in records]
+            assert all(b >= a for a, b in zip(bounds, bounds[1:])), bounds
+        for small, large in zip(runs, runs[1:]):
+            assert all(b.lower_bound >= a.lower_bound for a, b in zip(small, large))
 
     def test_submatrix_monotonicity_directly(self):
         # restriction to a subgrid never increases the estimated norm
