@@ -795,20 +795,16 @@ def fourier_multiplier_norm_finite_cyclic(
         ratio = float(np.ldexp(fourier_ratio(c), k))
         return TransferenceResult(fourier_lb=ratio, schur_lb=ratio, n=n, p=p)
 
-    starts = [
-        (idx == 0).astype(complex),  # identity of the group algebra
-        (idx == int(np.argmax(np.abs(mv)))).astype(complex),  # best single shift lambda(g)
-        np.ones(n, dtype=complex) / n,
-    ]
-    for j in range(budget):
-        rng = np.random.default_rng([seed, 211, j])
-        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    def starts():  # drawn when the loop reaches them
+        yield (idx == 0).astype(complex)  # identity of the group algebra
+        yield (idx == int(np.argmax(np.abs(mv)))).astype(complex)  # best single shift lambda(g)
+        yield np.ones(n, dtype=complex) / n
+        for j in range(budget):
+            rng = np.random.default_rng([seed, 211, j])
+            yield rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    best_ratio, best_c = 0.0, starts[0]
-    for c in starts:
-        ratio = fourier_ratio(c)
-        if ratio > best_ratio:
-            best_ratio, best_c = ratio, c
+    # max keeps the first start of the largest ratio
+    best_ratio, best_c = max(((fourier_ratio(c), c) for c in starts()), key=lambda t: t[0])
 
     schur_lb = multiplier_norm_lower_bound(
         circulant(mv),

@@ -8,7 +8,6 @@ input stays real, so its SVDs run in real arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -102,10 +101,13 @@ def schur_product(m, a) -> np.ndarray:
 # Other exponents and start norms take a thin SVD, except for the matrix
 # unit (norm 1) and the rank-one starts u v^T (norm |u||v|).
 #
-# Starts are pruned by successive halving: after WARMUP_STEPS steps only a
-# start whose ratio ranks among the best SURVIVORS of the starts up to it
-# (earlier starts winning ties) ascends on to the step cap.  A larger budget
-# only appends starts, so the bound never decreases with the budget.
+# Starts are pruned against a step-matched leader (successive halving,
+# Jamieson and Talwalkar, AISTATS 2016): lead[k] is the best ratio any
+# earlier start had after k steps, where a start that stalled or was pruned
+# keeps its last ratio for every later k.  A start stops at the first step
+# k >= WARMUP_STEPS where its ratio is not above lead[k] (earlier starts win
+# ties).  A larger budget only appends starts, so it never changes the steps
+# of an earlier one, and the bound never decreases with the budget.
 #
 # At p in {1, inf}, where the norm is one number (duality), a diagonal-
 # scaling loop brackets it instead.  With M stripped of its all-zero rows
@@ -133,7 +135,6 @@ def schur_product(m, a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 WARMUP_STEPS = 4  # ascent steps every start gets before it is judged
-SURVIVORS = 2  # starts that ascend past the warm-up rank in the top SURVIVORS
 GRAM_DUALS = (2.0, 4.0, 6.0, 8.0)  # dual exponents normed by Gram products
 GAP_TOL = 1e-6  # relative gap between the bounds that stops the scaling loop
 SCALING_STALL = 15  # scaling steps with neither bound improving before it stops
@@ -315,13 +316,6 @@ def _scaling_bracket(m, p):
     return Estimate(float(np.ldexp(low, k)), witness, float(np.ldexp(up, k)), steps, stop)
 
 
-def _advance(run, steps, state):
-    """Take at most ``steps`` more states from ``run``; return the last one."""
-    for state in itertools.islice(run, max(steps, 0)):
-        pass
-    return state
-
-
 def multiplier_norm_lower_bound(
     m,
     p,
@@ -340,10 +334,11 @@ def multiplier_norm_lower_bound(
     ``ascent_steps`` change nothing there.  At other p the starts are, in
     order, a matrix unit at argmax |M|, any ``extra_starts``, and ``budget``
     seeded Gaussian and rank-one starts (real for a symbol with no
-    imaginary part; trial k draws from the substream (seed, k), so a larger
-    budget only appends starts).  Each is scored and ascended for
-    WARMUP_STEPS steps; only one that ranks in the top SURVIVORS of the
-    starts up to it goes on to the ``ascent_steps`` cap (0 keeps the best
+    imaginary part; trial k draws from the substream (seed, k) when the
+    loop reaches it, so a larger budget only appends starts).  Each is
+    scored and ascended for at least WARMUP_STEPS steps, and then for as
+    long as its ratio stays above the best ratio any earlier start had
+    after as many steps, up to the ``ascent_steps`` cap (0 keeps the best
     start).  At every p the ratio at each extra start (which keeps its own
     dtype) floors the bound, which never exceeds the true multiplier norm;
     at p = 2 the matrix-unit start attains the exact value sup |M|.
@@ -373,23 +368,27 @@ def multiplier_norm_lower_bound(
 
     unit = np.zeros((rows, cols), dtype=mm.dtype)
     unit[np.unravel_index(int(np.argmax(np.abs(mm))), mm.shape)] = 1.0
-    starts = [(unit, 1.0)] + [(a, None) for a in extras]  # (start, its S_p norm when known)
-    for k in range(budget):
-        rng = np.random.default_rng([seed, k])
-        starts.append((draw(rng, (rows, cols)), None))
-        u, v = draw(rng, rows), draw(rng, cols)
-        starts.append((np.outer(u, v), float(np.linalg.norm(u) * np.linalg.norm(v))))
+
+    def starts():  # (start, its S_p norm when known)
+        yield unit, 1.0
+        yield from ((a, None) for a in extras)
+        for k in range(budget):
+            rng = np.random.default_rng([seed, k])
+            yield draw(rng, (rows, cols)), None
+            u, v = draw(rng, rows), draw(rng, cols)
+            yield np.outer(u, v), float(np.linalg.norm(u) * np.linalg.norm(v))
 
     mc = np.conj(mm)
-    warm = []  # ratio of each earlier start after its warm-up
+    lead = [-np.inf]  # best ratio of the earlier starts after k steps; lead[-1] after more
     best, best_a = 0.0, unit
-    for a, na in starts:
-        run = _ascent(mm, mc, a, p, na)
-        r, a = _advance(run, 1 + min(WARMUP_STEPS, ascent_steps), None)
-        survives = sum(w >= r for w in warm) < SURVIVORS
-        warm.append(r)
-        if survives:
-            r, a = _advance(run, ascent_steps - WARMUP_STEPS, (r, a))
+    for a, na in starts():
+        ratios = []
+        for k, (r, a) in enumerate(_ascent(mm, mc, a, p, na)):
+            ratios.append(r)
+            if k >= ascent_steps or (k >= WARMUP_STEPS and r <= lead[min(k, len(lead) - 1)]):
+                break
+        n = max(len(lead), len(ratios))  # both held at their last ratio out to n
+        lead = list(map(max, *(f + f[-1:] * (n - len(f)) for f in (lead, ratios))))
         if r > best:
             best, best_a = r, a
     return Estimate(best, best_a) if report else best

@@ -942,6 +942,23 @@ class TestTransference:
         assert res.fourier_lb == pytest.approx(1e308, rel=1e-12)
         assert res.schur_lb == pytest.approx(1e308, rel=1e-12)
 
+    def test_starts_are_drawn_on_demand(self):
+        # both sides draw trial k when their loop reaches it: drawn up
+        # front, budget 200 took the N = 16 peak from 0.07 to 1.0 MB
+        mv = (np.random.default_rng(11).random(16) < 0.5).astype(float)
+
+        def peak(budget):
+            tracemalloc.start()
+            try:
+                fourier_multiplier_norm_finite_cyclic(mv, 16, 4.0, budget=budget, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fourier_multiplier_norm_finite_cyclic(mv, 16, 4.0, budget=2, seed=0)  # first-call allocations
+        few, many = peak(2), peak(200)
+        assert many <= 1.5 * few, (few, many)
+
     @pytest.mark.parametrize("p", [4.0 / 3.0, 2.0, 3.0, math.inf])
     def test_bounds_scale_exactly_with_the_symbol(self, p):
         # m and 2^j m run on the same scaled symbol

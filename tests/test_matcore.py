@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -234,6 +235,116 @@ class TestMultiplierNormLowerBound:
         )
         assert np.iscomplexobj(kept.witness)
         assert abs(kept.lower_bound - best.lower_bound) <= 1e-12 * best.lower_bound
+
+
+def _record_ascents(monkeypatch):
+    """Wrap matcore._ascent; each start appends {"ratios": the ratio after
+    0, 1, ... steps, as far as the estimator took it, "stalled": whether
+    the ascent ended by itself (M o A = 0 or a stall)}."""
+    runs = []
+    ascent = matcore._ascent
+
+    def recording(m, mc, a, p, na=None):
+        run = {"ratios": [], "stalled": False}
+        runs.append(run)
+        for state in ascent(m, mc, a, p, na):
+            run["ratios"].append(state[0])
+            yield state
+        run["stalled"] = True
+
+    monkeypatch.setattr(matcore, "_ascent", recording)
+    return runs
+
+
+def _random_01(seed, n=12):
+    return (np.random.default_rng(seed).random((n, n)) < 0.5).astype(float)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_starts_stop_under_the_step_matched_leader(seed, monkeypatch):
+    """Past the warm-up a start ascends only while its ratio is above
+    lead[k], the best ratio of the earlier starts after as many steps (a
+    start that ended keeps its last ratio); it stops at the first step
+    where it is not, or on a stall, or at the cap."""
+    runs = _record_ascents(monkeypatch)
+    multiplier_norm_lower_bound(np.tril(np.ones((32, 32))), 4.0, budget=6, seed=seed)
+    lead = []
+
+    def leader(k):
+        return lead[min(k, len(lead) - 1)] if lead else -math.inf
+
+    for run in runs:
+        r = run["ratios"]
+        steps = len(r) - 1
+        assert all(r[k] > leader(k) for k in range(matcore.WARMUP_STEPS, steps))
+        assert run["stalled"] or steps == 50 or (
+            steps >= matcore.WARMUP_STEPS and r[-1] <= leader(steps)
+        ), (steps, r[-1], leader(steps))
+        n = max(len(lead), len(r))
+        lead = [max(leader(k), r[min(k, steps)]) for k in range(n)]
+    steps = [len(run["ratios"]) - 1 for run in runs]
+    # both ways out are taken: a start cut at the warm-up, one that goes past it
+    assert matcore.WARMUP_STEPS in steps and max(steps) > matcore.WARMUP_STEPS, steps
+
+
+@pytest.mark.parametrize("p", [4.0, 3.0])
+def test_appended_starts_keep_the_steps_of_earlier_ones(p, monkeypatch):
+    """A start is judged only against the starts before it, so a larger
+    budget leaves every earlier start's step count as it was."""
+    runs = _record_ascents(monkeypatch)
+    seen = []
+    for budget in range(1, 7):
+        runs.clear()
+        multiplier_norm_lower_bound(np.tril(np.ones((16, 16))), p, budget=budget, seed=2)
+        seen.append([len(run["ratios"]) - 1 for run in runs])
+    for short, long in zip(seen, seen[1:]):
+        assert long[: len(short)] == short, (short, long)
+
+
+@pytest.mark.parametrize("p", [4.0, 4.0 / 3.0, 3.0], ids=["p4", "p4/3", "p3"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bound_never_decreases_with_the_budget(seed, p):
+    m = _random_01([seed, 27])
+    vals = [multiplier_norm_lower_bound(m, p, budget=b, seed=seed) for b in range(1, 7)]
+    assert all(big >= small for small, big in zip(vals, vals[1:])), vals
+
+
+def _peak(f):
+    """The peak of traced allocations (numpy reports its own) while f runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unbounded_step_cap_ends_on_stalls(monkeypatch):
+    """ascent_steps is only compared with, never used as a size: at 10^12
+    every start ends on a stall or under the leader, and the peak stays
+    that of the default cap."""
+    m = np.tril(np.ones((8, 8)))
+    runs = _record_ascents(monkeypatch)
+    multiplier_norm_lower_bound(m, 4.0, budget=2, seed=0)  # first-call allocations
+    capped = _peak(lambda: multiplier_norm_lower_bound(m, 4.0, budget=2, seed=0))
+    runs.clear()
+    free = _peak(lambda: multiplier_norm_lower_bound(m, 4.0, budget=2, seed=0, ascent_steps=10**12))
+    assert runs[0]["stalled"] and max(len(run["ratios"]) for run in runs) < 1000, runs
+    assert all(run["stalled"] or len(run["ratios"]) - 1 >= matcore.WARMUP_STEPS for run in runs)
+    assert free <= 1.5 * capped, (free, capped)
+
+
+def test_starts_are_drawn_on_demand():
+    """Trial k is drawn when the loop reaches it, so the working set does
+    not grow with the budget (drawn up front, 400 starts of 32 x 32 took
+    the peak from 0.10 to 3.4 MB)."""
+    m = np.tril(np.ones((32, 32)))
+    multiplier_norm_lower_bound(m, 4.0, budget=2, seed=0)  # first-call allocations
+    few, many = (
+        _peak(lambda: multiplier_norm_lower_bound(m, 4.0, budget=b, seed=0, ascent_steps=0))
+        for b in (2, 200)
+    )
+    assert many <= 1.5 * few, (few, many)
 
 
 # np.linalg.svd calls of the p = 3 estimate below when every start ascends

@@ -132,6 +132,23 @@ class TestNormGrowth:
         for r in norm_growth_experiment(spec, p, [4, 8], budget=1, seed=0):
             assert (r.lower_bound, r.upper_bound) == (0.0, 0.0), r
 
+    def test_step_matched_leader_cuts_the_sweep_eighs(self, monkeypatch):
+        """The benchmark's seed-1 triangular p = 4 sweep made 773
+        np.linalg.eigh calls when each start was ranked once, after its
+        warm-up, and the top two went on to the step cap; judged step by
+        step against the leader it makes 414.  The guard is 60% of 773."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        records = norm_growth_experiment(triangular(), 4, [8, 16, 32, 64], budget=6, seed=1114088974)
+        assert len(calls) <= 0.6 * 773, len(calls)
+        assert records[-1].lower_bound >= 1.191231199731878 * (1.0 - 1e-12), records[-1]
+
     def test_bounds_monotone_in_budget(self):
         sizes = [8, 16, 32]
         runs = [
