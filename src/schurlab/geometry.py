@@ -64,8 +64,14 @@ MAX_RAY_ENTRIES = 1 << 22
 def _unit_normals(gx, gy):
     """The normal split (n1, n2) at each row: the gradient split (gx, gy)
     of the row divided by its joint length."""
-    nrm = np.sqrt(np.sum(gx**2, axis=-1) + np.sum(gy**2, axis=-1))[:, None]
+    nrm = np.sqrt((gx**2).sum(axis=-1) + (gy**2).sum(axis=-1))[:, None]
     return gx / nrm, gy / nrm
+
+
+def _row_norms(a):
+    """The Euclidean length of each row of a (k, d), as
+    np.linalg.norm(a, axis=1) computes it."""
+    return np.sqrt((a * a).sum(axis=1))
 
 
 def _boundary_points(spec, x, y, gx, gy) -> list:
@@ -100,9 +106,9 @@ def _newton(f, grad, z, tol, max_iter):
     Each row takes minimum-norm Newton steps -f / |grad f|^2 * grad f; a
     step that does not decrease |f| is replaced by the longest of its
     halvings 2^-1 ... 2^-29 that does.  The rising rows try their next
-    halvings together, as many per call of f as keep the call to k rows
-    (one at a time when they are more than k / 2, and for k = 1), so f
-    never sees more rows at once than the batch has.
+    halvings together, as many per call of f as keep the call to
+    max(k, 1024) rows: all 29 in one call while at most 35 rows rise, but
+    one at a time for a batch of one (k = 1).
     Returns (z, status): status[i] is 0 where row i converged, else the
     index into ``_NEWTON_FAILURES`` of why it stopped: a vanishing
     gradient, no decrease of |f|, a plateau, or ``max_iter`` steps.
@@ -112,6 +118,7 @@ def _newton(f, grad, z, tol, max_iter):
     val = np.array(f(z, active), dtype=float)
     stall = np.zeros(z.shape[0], dtype=int)
     status = np.zeros(z.shape[0], dtype=np.int8)
+    budget = max(z.shape[0], 1024) if z.shape[0] > 1 else 1
 
     def drop(mask, code):
         """Fail the active rows in ``mask``; returns the mask of the others."""
@@ -138,7 +145,7 @@ def _newton(f, grad, z, tol, max_iter):
         rows = np.flatnonzero(rise)
         done = 0
         while rows.size and done < 29:
-            lams = 0.5 ** np.arange(done + 1, min(29, done + z.shape[0] // rows.size) + 1)
+            lams = 0.5 ** np.arange(done + 1, min(29, done + budget // rows.size) + 1)
             done += lams.size
             cand = za[rows, None] + lams[:, None] * step[rows, None]
             cval = np.reshape(f(cand.reshape(-1, z.shape[1]), np.repeat(active[rows], lams.size)), cand.shape[:2])
@@ -204,8 +211,9 @@ def _solve_rays(spec: SymbolSpec, x, y, move_x: bool, tol=BOUNDARY_TOL, max_iter
         return (z, y[rows]) if move_x else (x[rows], z)
 
     def f(z, rows):
+        val = spec.f(*split(z, rows))
         # a constant F evaluates to a scalar
-        return np.broadcast_to(spec.f(*split(z, rows)), rows.shape)
+        return val if np.ndim(val) else np.full(rows.shape, val)
 
     def grad(z, rows):
         gx, gy, degenerate = gradient(spec, *split(z, rows))
@@ -243,7 +251,7 @@ def _project_rays(spec: SymbolSpec, x, y, move_x: bool):
     z = x if move_x else y
     box = np.asarray(spec.x_box if move_x else spec.y_box, dtype=float)
     rows = np.flatnonzero(status == 0)
-    rows = rows[np.all((box[:, 0] <= z[rows]) & (z[rows] <= box[:, 1]), axis=1)]
+    rows = rows[((box[:, 0] <= z[rows]) & (z[rows] <= box[:, 1])).all(axis=1)]
     xs, ys = x[rows], y[rows]
     gx, gy, degenerate = gradient(spec, xs, ys)
     keep = ~degenerate
@@ -253,7 +261,7 @@ def _project_rays(spec: SymbolSpec, x, y, move_x: bool):
 def _transverse(n1, n2, tol):
     """Mask of the rows of the normal split n1 (k, m), n2 (k, n) whose
     components both carry at least ``tol`` of the joint normal's length."""
-    s1, s2 = np.sum(n1**2, axis=-1), np.sum(n2**2, axis=-1)
+    s1, s2 = (n1**2).sum(axis=-1), (n2**2).sum(axis=-1)
     floor = tol * np.sqrt(s1 + s2)
     return (np.sqrt(s1) >= floor) & (np.sqrt(s2) >= floor)
 
@@ -347,16 +355,14 @@ def _wide_pairs(n2, tol_angle) -> list:
     digits down to rounding, where arccos |u . v| reads 0 below about
     1.5e-8.  The pairs are taken in chunks of at most MAX_RAY_ENTRIES
     entries."""
-    u = n2 / np.linalg.norm(n2, axis=1, keepdims=True)
+    u = n2 / _row_norms(n2)[:, None]
     i, j = np.triu_indices(len(u), 1)
     angle = np.empty(len(i))
     step = max(1, MAX_RAY_ENTRIES // u.shape[1])
     for c in range(0, len(i), step):
         a, b = u[i[c : c + step]], u[j[c : c + step]]
-        s = np.where(np.sum(a * b, axis=1) < 0.0, -1.0, 1.0)[:, None]
-        angle[c : c + step] = 2.0 * np.arctan2(
-            np.linalg.norm(a - s * b, axis=1), np.linalg.norm(a + s * b, axis=1)
-        )
+        s = np.where((a * b).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+        angle[c : c + step] = 2.0 * np.arctan2(_row_norms(a - s * b), _row_norms(a + s * b))
     wide = angle > tol_angle
     return [(int(p), int(q), float(t)) for p, q, t in zip(i[wide], j[wide], angle[wide])]
 
@@ -683,14 +689,14 @@ def classify(
         return report
 
     n1, n2 = _unit_normals(gx, gy)
-    if min(np.linalg.norm(n1, axis=1).max(), np.linalg.norm(n2, axis=1).max()) < DEGENERATE_TOL:
+    if min(_row_norms(n1).max(), _row_norms(n2).max()) < DEGENERATE_TOL:
         # a component vanishing on the prefix may not vanish on the pool
         n1, n2 = _unit_normals(*grow(boundary_samples)[2:])
-    if np.linalg.norm(n1, axis=1).max() < DEGENERATE_TOL:
+    if _row_norms(n1).max() < DEGENERATE_TOL:
         report.verdict = TRIANGULAR_MODEL
         report.notes.append("degenerate case: n1 vanishes at all samples")
         return report
-    if np.linalg.norm(n2, axis=1).max() < DEGENERATE_TOL:
+    if _row_norms(n2).max() < DEGENERATE_TOL:
         report.verdict = TRIANGULAR_MODEL
         report.notes.append("degenerate case: n2 vanishes at all samples")
         return report

@@ -214,7 +214,7 @@ def ball(n: int, r: float = 1.0, box=None) -> SymbolSpec:
     r = float(r)
 
     def f(x, y):
-        return r**2 - np.sum(np.asarray(x) ** 2, axis=-1) - np.sum(np.asarray(y) ** 2, axis=-1)
+        return r**2 - (np.asarray(x) ** 2).sum(axis=-1) - (np.asarray(y) ** 2).sum(axis=-1)
 
     def grad(x, y):
         return -2.0 * np.asarray(x, dtype=float), -2.0 * np.asarray(y, dtype=float)
@@ -240,7 +240,7 @@ def ball(n: int, r: float = 1.0, box=None) -> SymbolSpec:
 def _chart_lift(u):
     """Orthographic chart point u (|u| < 1) -> height sqrt(1 - |u|^2)."""
     u = np.asarray(u, dtype=float)
-    sq = 1.0 - np.sum(u**2, axis=-1)
+    sq = 1.0 - (u**2).sum(axis=-1)
     return np.sqrt(np.maximum(sq, 0.0)), sq
 
 
@@ -257,7 +257,7 @@ def sphere_delta(n: int, delta: float, box=None) -> SymbolSpec:
     def f(u, v):
         su, squ = _chart_lift(u)
         sv, sqv = _chart_lift(v)
-        val = np.sum(np.asarray(u) * np.asarray(v), axis=-1) + su * sv - delta
+        val = (np.asarray(u) * np.asarray(v)).sum(axis=-1) + su * sv - delta
         outside = (squ <= 0.0) | (sqv <= 0.0)
         return np.where(outside, np.nan, val)
 
@@ -333,7 +333,7 @@ def toeplitz_ball(n: int, r: float = 1.0, box=None) -> SymbolSpec:
 
     def f(x, y):
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return r**2 - np.sum(d**2, axis=-1)
+        return r**2 - (d**2).sum(axis=-1)
 
     def grad(x, y):
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -562,9 +562,9 @@ def gradient(spec: SymbolSpec, x, y, fd_step: float = 1e-5):
         gx = np.asarray(gx, dtype=float)
         gy = np.asarray(gy, dtype=float)
     else:
-        scale = 1.0 + np.sqrt(np.sum(x**2, axis=-1) + np.sum(y**2, axis=-1))
+        scale = 1.0 + np.sqrt((x**2).sum(axis=-1) + (y**2).sum(axis=-1))
         gx, gy = _fd_gradient(spec, x, y, fd_step * scale)
-    nrm = np.sqrt(np.sum(gx**2, axis=-1) + np.sum(gy**2, axis=-1))
+    nrm = np.sqrt((gx**2).sum(axis=-1) + (gy**2).sum(axis=-1))
     return gx, gy, ~np.isfinite(nrm) | (nrm < 1e-12)
 
 
@@ -591,7 +591,7 @@ def mixed_hessian(spec: SymbolSpec, x, y, fd_step: float = 1e-4) -> np.ndarray:
         if h.shape != (k, m, n):
             raise ValueError(f"analytic hessian has shape {h.shape}, expected {(k, m, n)}")
         return h
-    h = fd_step * (1.0 + np.sqrt(np.sum(x**2, axis=-1) + np.sum(y**2, axis=-1)))
+    h = fd_step * (1.0 + np.sqrt((x**2).sum(axis=-1) + (y**2).sum(axis=-1)))
     out = np.zeros((k, m, n))
     for j in range(m):
         ex = np.zeros((k, m))

@@ -92,6 +92,25 @@ class TestClassifyCommand:
         assert report["verdict"] == "INCONCLUSIVE"
         assert report["samples"]["sections_used"] == 0
 
+    def test_constant_expression_has_no_boundary(self, tmp_path):
+        # a constant F evaluates to a scalar, which the ray solves fill out
+        # to their rows; it has no boundary and a vanishing gradient
+        cfg = dict(SPHERE_CLASSIFY)
+        cfg["symbol"] = {
+            "m_dim": 1,
+            "n_dim": 1,
+            "builtin": None,
+            "params": {},
+            "expr": "1",
+            "box": [[-1.0, 1.0], [-1.0, 1.0]],
+        }
+        out = tmp_path / "r.json"
+        assert main(["--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert report["samples"]["pool_points"] == 0
+        assert report["notes"] == ["no boundary points found in the domain box"]
+
     def test_explicit_base_point(self, tmp_path):
         cfg = dict(SPHERE_CLASSIFY)
         cfg["symbol"] = {

@@ -175,7 +175,7 @@ def test_batched_halvings_match_one_at_a_time():
     # y-solves of ball(2, 1) rays: those with |x| > 1 have no root, shrink
     # y towards 0 with ever more halvings and stop on a plateau, on a step
     # that no halving decreases, or (from y = 0) on a vanishing gradient;
-    # no call of f takes more rows than the batch has
+    # the rising rows try several halvings per call of f, in at most 1,024 rows
     spec = ball(2, 1.0)
     rng = np.random.default_rng(0)
     x = rng.uniform(-1.5, 1.5, (200, 2))
@@ -198,7 +198,44 @@ def test_batched_halvings_match_one_at_a_time():
     z, status = _newton(f, grad, y, 1e-9, 100)
     np.testing.assert_array_equal(status, status_ref)
     np.testing.assert_array_equal(z, z_ref)
-    assert max(calls) == 200
+    assert 200 < max(calls) <= 1024
+
+
+@pytest.mark.parametrize("k", [16, 2000])
+def test_halving_budget_matches_one_at_a_time(k):
+    # y-solves of rootless ball(2, 1) rays (1.05 <= |x| <= 1.5): nearly every
+    # step rises, and the rising rows try their halvings in calls of f of at
+    # most max(k, 1024) rows. 16 rays try all 29 lengths in one call; 2,000
+    # rays, with more than 2,000 / 29 rising, split them over calls
+    spec = ball(2, 1.0)
+    rng = np.random.default_rng(1)
+    angle, radius = rng.uniform(0.0, 2.0 * np.pi, k), rng.uniform(1.05, 1.5, k)
+    x = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    y = rng.uniform(-1.1, 1.1, (k, 2))
+    sizes, lengths = [], []
+
+    def f(z, rows):
+        # a row tried at n lengths in one call appears n times in ``rows``
+        sizes.append(len(z))
+        lengths.append(int(np.bincount(rows).max()))
+        return spec.f(x[rows], z)
+
+    def grad(z, rows):
+        return spec.grad(x[rows], z)[1]
+
+    halvings = []
+    z_ref, status_ref = _sequential_newton(f, grad, y, 1e-9, 100, halvings)
+    assert max(halvings) >= 20
+    sizes.clear()
+    lengths.clear()
+    z, status = _newton(f, grad, y, 1e-9, 100)
+    np.testing.assert_array_equal(status, status_ref)
+    np.testing.assert_array_equal(z, z_ref)
+    assert max(sizes) <= max(k, 1024)
+    if k == 16:
+        assert set(lengths) == {1, 29}
+    else:
+        assert 29 in lengths and any(1 < n < 29 for n in lengths)
 
 
 def test_single_point_solve_halves_one_length_per_call():
@@ -352,6 +389,9 @@ def test_pool_solves_only_the_rays_it_needs():
     pts = sample_boundary_points(dataclasses.replace(spec, f=f), 64, seed=0)
     assert len(pts) == 64
     assert sum(rows) <= 8000
+    # a rising Newton step tries its halvings in one call of F: 23 calls,
+    # 40 with one halving per call
+    assert len(rows) <= 30
 
 
 def test_classify_solves_only_the_pool_prefix_it_reads():
@@ -367,6 +407,8 @@ def test_classify_solves_only_the_pool_prefix_it_reads():
     rep = classify(dataclasses.replace(spec, f=f), seed=0)
     assert rep.verdict == TRIANGULAR_MODEL
     assert sum(rows) <= 1500
+    # 21 calls of F, 41 with one halving per call
+    assert len(rows) <= 25
 
 
 @pytest.mark.parametrize("spec,seed", [(ball(2, 1.0), 0), (sphere_delta(3, 0.0), 7)], ids=["ball", "sphere3"])
