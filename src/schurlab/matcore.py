@@ -82,7 +82,12 @@ def schur_product(m, a) -> np.ndarray:
 # Lower bounds for multiplier norms.
 #
 # The norm of A -> M o A on S_p is bounded below by ||M o A||_p / ||A||_p for
-# any test matrix A.  At 1 < p < inf, starting from a deterministic matrix
+# any test matrix A.  At every p the estimate runs on the block of M's
+# nonzero rows and columns: M o A never reads A off that block, and the
+# nonzero singular values of A and M o A are those of their blocks, so
+# restricting a test matrix to it can only raise its ratio.  A symbol with
+# full support is used as it is, and the witness is zero-padded back to the
+# full shape.  At 1 < p < inf, starting from a deterministic matrix
 # unit at the largest |M| entry, any extra starts, and seeded Gaussian and
 # rank-one draws, each start is scored and then refined by alternating
 # duality ascent on the bilinear form Re<Z, M o A> over unit balls
@@ -110,8 +115,8 @@ def schur_product(m, a) -> np.ndarray:
 # of an earlier one, and the bound never decreases with the budget.
 #
 # At p in {1, inf}, where the norm is one number (duality), a diagonal-
-# scaling loop brackets it instead.  With M stripped of its all-zero rows
-# and columns and A = diag(d) M diag(e) = U S V^H for positive d, e:
+# scaling loop brackets it instead.  With A = diag(d) M diag(e) = U S V^H
+# for positive d, e (M has no all-zero row or column):
 # - M = X Y^H with X = D^-1 U S^(1/2), Y = E^-1 V S^(1/2), so ||S_M|| is at
 #   most max_i |x_i| max_j |y_j| (Haagerup; Paulsen, Completely Bounded Maps
 #   and Operator Algebras (2002), Thm 8.7), where |x_i|^2 = |A^H|_ii / d_i^2
@@ -235,8 +240,20 @@ def _ascent(m, mc, a, p, na=None, rel_tol=1e-7):
         yield best_r, best_a
 
 
+def _support(x):
+    """The index of the block of the rows and columns of ``x`` that hold a
+    nonzero entry, or None when all of them do."""
+    rows, cols = x.any(axis=1), x.any(axis=0)
+    return None if rows.all() and cols.all() else np.ix_(rows, cols)
+
+
 def _ratio(m, a, p):
-    """||M o A||_p / ||A||_p, both by SVD."""
+    """||M o A||_p / ||A||_p, both by SVD of the block of A's nonzero rows and
+    columns (M o A is zero off it, and both keep their nonzero singular
+    values there); 0 at A = 0."""
+    keep = _support(a)
+    if keep is not None:
+        m, a = m[keep], a[keep]
     na = _schatten_from_sv(np.linalg.svd(a, compute_uv=False), p)
     return _schatten_from_sv(np.linalg.svd(m * a, compute_uv=False), p) / na if na else 0.0
 
@@ -267,16 +284,12 @@ def _anderson(history, n):
 
 def _scaling_bracket(m, p):
     """The p in {1, inf} bracket of the scaling loop (see the comment above)
-    as an Estimate; its witness is conj(U V^H) at p = inf and d e^T at p = 1.
-    It runs on M / 2^k, exact for the power of two 2^k just above max |M|,
-    and scales both bounds back, which keeps them in order for a subnormal M."""
-    witness = np.zeros_like(m)
-    if not m.any():
-        witness[0, 0] = 1.0  # the matrix unit, a witness of the norm 0
-        return Estimate(0.0, witness, 0.0, 0, "gap")
+    for an M with no all-zero row or column, as an Estimate; its witness is
+    conj(U V^H) at p = inf and d e^T at p = 1.  It runs on M / 2^k, exact
+    for the power of two 2^k just above max |M|, and scales both bounds
+    back, which keeps them in order for a subnormal M."""
     k = int(np.frexp(np.abs(m).max())[1])  # M = 2^k M2 with max |M2| in [1/2, 1), exactly
-    keep = np.ix_(m.any(axis=1), m.any(axis=0))
-    ms = _ldexp(m[keep], -k)
+    ms = _ldexp(m, -k)
     d, e = (np.full(n, n**-0.5) for n in ms.shape)
     best_low, best_up, stall, stop = (0.0,), (np.inf,), 0, "cap"
     history, mixed = [], False  # Anderson pairs, None once mixing is off; (d, e) mixed
@@ -309,10 +322,10 @@ def _scaling_bracket(m, p):
     row = [np.linalg.norm(f, axis=1).max() for f in (fx, fy, ms - fx @ np.conj(fy.T))]
     _, d, e = best_low
     if np.isinf(p):  # conj of the polar factor U V^H, the S_inf-norming Y of A
-        witness[keep] = np.conj(_norming(d[:, None] * ms * e, np.inf, 1.0)[0])
+        witness = np.conj(_norming(d[:, None] * ms * e, np.inf, 1.0)[0])
     else:
-        witness[keep] = np.outer(d, e)
-    low, up = _ratio(_ldexp(m, -k), witness, p), float(row[0] * row[1] + row[2])
+        witness = np.outer(d, e).astype(ms.dtype)
+    low, up = _ratio(ms, witness, p), float(row[0] * row[1] + row[2])
     return Estimate(float(np.ldexp(low, k)), witness, float(np.ldexp(up, k)), steps, stop)
 
 
@@ -341,7 +354,10 @@ def multiplier_norm_lower_bound(
     after as many steps, up to the ``ascent_steps`` cap (0 keeps the best
     start).  At every p the ratio at each extra start (which keeps its own
     dtype) floors the bound, which never exceeds the true multiplier norm;
-    at p = 2 the matrix-unit start attains the exact value sup |M|.
+    at p = 2 the matrix-unit start attains the exact value sup |M|.  Both
+    branches run on the block of M's nonzero rows and columns, to which
+    every start is restricted (the seeded ones are drawn at full shape
+    first); the witness is zero off it.
     """
     mm = as_dense(m)
     if not mm.imag.any():
@@ -353,42 +369,64 @@ def multiplier_norm_lower_bound(
     for a in extras:
         if a.shape != mm.shape:
             raise ShapeMismatch(f"extra start shape {a.shape} vs {mm.shape}")
-    if p == 1.0 or np.isinf(p):
-        est = _scaling_bracket(mm, p)
+    scaling = p == 1.0 or np.isinf(p)
+    if not mm.any():  # the matrix unit at (0, 0) is a witness of the norm 0
+        unit = np.zeros_like(mm)
+        unit[0, 0] = 1.0
+        est = Estimate(0.0, unit, 0.0, 0, "gap") if scaling else Estimate(0.0, unit)
+        return est if report else 0.0
+    keep, block = _support(mm), mm
+    if keep is not None:
+        block, extras = mm[keep], [a[keep] for a in extras]
+    if scaling:
+        est = _scaling_bracket(block, p)
         for a in extras:
-            r = _ratio(mm, a, p)
+            r = _ratio(block, a, p)
             if r > est.lower_bound:
                 est = replace(est, lower_bound=r, witness=a)
-        return est if report else est.lower_bound
-    rows, cols = mm.shape
+        if est.upper_bound < est.lower_bound:  # by rounding; a raised upper bound is still one
+            est = replace(est, upper_bound=est.lower_bound)
+    else:
+        def draw(rng, shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if np.iscomplexobj(mm) else x
 
-    def draw(rng, shape):
-        x = rng.standard_normal(shape)
-        return x + 1j * rng.standard_normal(shape) if np.iscomplexobj(mm) else x
+        def starts():  # (start, its S_p norm when known), the seeded ones drawn at full shape
+            unit = np.zeros(block.shape, dtype=block.dtype)
+            unit[np.unravel_index(int(np.argmax(np.abs(block))), block.shape)] = 1.0
+            yield unit, 1.0
+            yield from ((a, None) for a in extras)
+            for k in range(budget):
+                rng = np.random.default_rng([seed, k])
+                a = draw(rng, mm.shape)
+                yield (a if keep is None else a[keep]), None
+                u, v = (draw(rng, n) for n in mm.shape)
+                if keep is not None:  # |u_b||v_b| stays the exact norm
+                    u, v = u[keep[0][:, 0]], v[keep[1][0]]
+                yield np.outer(u, v), float(np.linalg.norm(u) * np.linalg.norm(v))
 
-    unit = np.zeros((rows, cols), dtype=mm.dtype)
-    unit[np.unravel_index(int(np.argmax(np.abs(mm))), mm.shape)] = 1.0
+        est = _best_start(block, p, starts(), ascent_steps)
+    if keep is not None:
+        witness = np.zeros(mm.shape, dtype=est.witness.dtype)
+        witness[keep] = est.witness
+        est = replace(est, witness=witness)
+    return est if report else est.lower_bound
 
-    def starts():  # (start, its S_p norm when known)
-        yield unit, 1.0
-        yield from ((a, None) for a in extras)
-        for k in range(budget):
-            rng = np.random.default_rng([seed, k])
-            yield draw(rng, (rows, cols)), None
-            u, v = draw(rng, rows), draw(rng, cols)
-            yield np.outer(u, v), float(np.linalg.norm(u) * np.linalg.norm(v))
 
-    mc = np.conj(mm)
+def _best_start(m, p, starts, ascent_steps):
+    """The Estimate of the best ratio the ascents of ``starts`` reach under
+    the step-matched leader (see the comment above), at 1 < p < inf."""
+    mc = np.conj(m)
     lead = [-np.inf]  # best ratio of the earlier starts after k steps; lead[-1] after more
-    best, best_a = 0.0, unit
-    for a, na in starts():
+    best, best_a = 0.0, None
+    for a, na in starts:
         ratios = []
-        for k, (r, a) in enumerate(_ascent(mm, mc, a, p, na)):
+        for k, (r, a) in enumerate(_ascent(m, mc, a, p, na)):
             ratios.append(r)
             if k >= ascent_steps or (k >= WARMUP_STEPS and r <= lead[min(k, len(lead) - 1)]):
                 break
         n = max(len(lead), len(ratios))  # both held at their last ratio out to n
         lead = list(map(max, *(f + f[-1:] * (n - len(f)) for f in (lead, ratios))))
-        if r > best:
+        if best_a is None or r > best:
             best, best_a = r, a
-    return Estimate(best, best_a) if report else best
+    return Estimate(best, best_a)

@@ -187,6 +187,7 @@ def norm_growth_experiment(
         else:
             upper = sup ** (1.0 - theta) * loop.upper_bound**theta
             iterations, stop = loop.iterations, loop.stop
+        upper = max(upper, float(est.lower_bound))  # where rounding inverts them; still an upper bound
         wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
         prev_witness = est.witness
         records.append(

@@ -522,10 +522,13 @@ def indicator_values(spec: SymbolSpec, xs, ys) -> np.ndarray:
     """Vectorized chi_Sigma over paired batches xs (..., m), ys (..., n).
 
     Points where F is undefined (NaN) evaluate to NaN so callers can
-    exclude them.  The domain box is not enforced.
+    exclude them.  The result has the broadcast shape of the two batches,
+    also where F ignores a factor or is constant.  The domain box is not
+    enforced.
     """
-    vals = spec.f(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    vals = np.asarray(vals, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    vals = np.asarray(spec.f(xs, ys), dtype=float)
+    vals = np.broadcast_to(vals, np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]))
     out = (vals > 0.0).astype(float)
     out = np.where(np.isnan(vals), np.nan, out)
     return out

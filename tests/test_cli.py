@@ -155,6 +155,22 @@ class TestNormsCommand:
         assert report["schema"] == "schur-lab/1"
         assert [r["N"] for r in report["records"]] == [8, 16, 32]
 
+    @pytest.mark.parametrize("p", [4, "inf"])
+    @pytest.mark.parametrize("expr, bound", [("1", 1.0), ("-1", 0.0)])
+    def test_constant_expression(self, tmp_path, expr, bound, p):
+        """A constant F discretizes to an all-ones or all-zero N x N matrix,
+        of norm 1 or 0 at every p."""
+        symbol = {"m_dim": 1, "n_dim": 1, "builtin": None, "params": {}, "expr": expr,
+                  "box": [[-1.0, 1.0], [-1.0, 1.0]]}
+        cfg = _write_config(tmp_path, {**TRIANGULAR_NORMS, "symbol": symbol, "p": p})
+        out = tmp_path / "report.json"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [r["N"] for r in records] == [8, 16, 32]
+        for r in records:
+            assert abs(r["lower_bound"] - bound) <= 1e-12, r
+            assert r["lower_bound"] <= r["upper_bound"] <= bound + 1e-12, r
+
 
 class TestOtherCommands:
     def test_cotlar(self, tmp_path):

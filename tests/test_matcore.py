@@ -15,7 +15,7 @@ from schurlab.matcore import (
     schatten_norm,
     schur_product,
 )
-from schurlab.multiplier import circulant, discretize_symbol, nested_grids
+from schurlab.multiplier import circulant, discretize_symbol, nested_grids, norm_growth_experiment
 from schurlab.symbols import ball, sphere_delta, triangular
 
 
@@ -632,6 +632,79 @@ def test_zero_rows_and_columns_are_dropped():
 def test_zero_symbol_has_norm_zero():
     est = _bracket(np.zeros((3, 4)) + 0j * np.ones((3, 4)))
     assert (est.lower_bound, est.upper_bound) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0, math.inf])
+def test_zero_symbol_witness_is_the_first_matrix_unit(p):
+    est = multiplier_norm_lower_bound(np.zeros((3, 4)), p, budget=2, report=True)
+    unit = np.zeros((3, 4))
+    unit[0, 0] = 1.0
+    assert est.lower_bound == 0.0 and np.array_equal(est.witness, unit), est
+    if p == 4.0:
+        assert (est.upper_bound, est.iterations, est.stop) == (None, None, None), est
+    else:
+        assert (est.upper_bound, est.iterations, est.stop) == (0.0, 0, "gap"), est
+
+
+def _padded(m, rows, cols):
+    """``m`` with all-zero rows inserted before the indices ``rows`` and
+    all-zero columns before ``cols``."""
+    return np.insert(np.insert(m, rows, 0.0, axis=0), cols, 0.0, axis=1)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+@pytest.mark.parametrize("spec", [triangular(), sphere_delta(2, 0.3)], ids=["triangular", "sphere"])
+def test_zero_padding_keeps_the_bracket_bits(spec, p):
+    """At p in {1, inf} the loop runs on the block of M's nonzero rows and
+    columns: M padded with zero rows and columns has the bracket of its
+    block to the bit, and its witness is the block's, zero-padded."""
+    m = _symbol_matrix(spec, 24)
+    pad = _padded(m, [0, 5, 5, 24], [3, 17])
+    est, ref = _bracket(pad, p), _bracket(m, p)
+    assert (est.lower_bound, est.upper_bound, est.iterations, est.stop) == (
+        ref.lower_bound, ref.upper_bound, ref.iterations, ref.stop,
+    )
+    assert np.array_equal(est.witness, _padded(ref.witness, [0, 5, 5, 24], [3, 17]))
+
+
+@pytest.mark.parametrize("p", [4.0, 4.0 / 3.0, 3.0], ids=["p4", "p4/3", "p3"])
+def test_ascent_witness_lives_on_the_support(p):
+    """At 1 < p < inf the ascent runs on the support block too: the witness
+    is zero on M's all-zero rows and columns, and the S_p ratio at it, by
+    SVD of the full matrices, reproduces the bound.  A zero-padded extra
+    start is restricted to the block, so it floors the bound."""
+    m = _symbol_matrix(ball(2, 1.0), 32)
+    rows, cols = m.any(axis=1), m.any(axis=0)
+    assert not rows.all() and not cols.all()
+    extra = np.random.default_rng(3).standard_normal(m.shape)
+    est = multiplier_norm_lower_bound(m, p, budget=2, seed=1, extra_starts=[extra], report=True)
+    assert not est.witness[~rows].any() and not est.witness[:, ~cols].any()
+    ratio = schatten_norm(m * est.witness, p) / schatten_norm(est.witness, p)
+    assert abs(est.lower_bound - ratio) <= 1e-12 * ratio, (est.lower_bound, ratio)
+    assert est.lower_bound >= schatten_norm(m * extra, p) / schatten_norm(extra, p)
+
+
+# eigh calls of the ball(2, 1) p = 4 sweep below when every step took its
+# eigh at the full grid size (16, 32, 64)
+BALL_P4_EIGH_CALLS = 351
+
+
+def test_ball_sweep_takes_its_eigh_on_the_support(monkeypatch):
+    """ball(2, 1) on the 64-point grids leaves 25 grid points of each factor
+    with no partner: every eigh of the p = 4 sweep (the scaling loop's and
+    the ascent's) is at most 39 x 39, the N = 64 support, and there are no
+    more of them than when they were 64 x 64."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    norm_growth_experiment(ball(2, 1.0), 4.0, [16, 32, 64], seed=0)
+    assert max(shapes) == (39, 39), max(shapes)
+    assert len(shapes) <= BALL_P4_EIGH_CALLS, len(shapes)
 
 
 def test_complex_symbol_bracket():

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,10 @@ from schurlab.multiplier import (
     pullback_symbol,
     records_to_csv,
 )
-from schurlab.symbols import ball, halfspace, sphere_delta, triangular
+from schurlab.symbols import ball, from_json, halfspace, sphere_delta, triangular, user_symbol
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import CLASSIFY_TABLE  # noqa: E402
 
 
 class TestDiscretize:
@@ -44,6 +50,23 @@ class TestDiscretize:
         for i in range(10):
             row = m[i]
             assert np.all(np.diff(row) <= 0)
+
+    @pytest.mark.parametrize("f1, f2", [("0", "y1"), ("x1", "0")])
+    def test_symbol_of_one_factor_fills_the_grid(self, f1, f2):
+        """F ignoring one factor still gives one entry per pair of grid
+        points: halfspace(f1 = "0") is {y < 0}, constant along each column."""
+        spec = halfspace(f1=f1, f2=f2)
+        gx = np.linspace(-1.5, 1.5, 10).reshape(-1, 1)
+        gy = gx[::-1] + 0.05
+        m = discretize_symbol(spec, gx, gy)
+        expected = (0.0 > gy.T) if f1 == "0" else (gx > 0.0)
+        np.testing.assert_array_equal(m, np.broadcast_to(expected, (10, 10)).astype(float))
+
+    def test_constant_symbol_fills_the_grid(self):
+        for expr, value in (("1", 1.0), ("-1", 0.0)):
+            spec = user_symbol(expr, 1, 1, [[-1.0, 1.0], [-1.0, 1.0]])
+            gx = np.linspace(-1.0, 1.0, 7).reshape(-1, 1)
+            np.testing.assert_array_equal(discretize_symbol(spec, gx, gx[:5]), np.full((7, 5), value))
 
     def test_grid_outside_box_rejected(self):
         spec = ball(1, 1.0)
@@ -74,6 +97,20 @@ class TestNestedGrids:
 
 
 class TestNormGrowth:
+    @pytest.mark.parametrize(
+        "symbol", [sym for sym, _ in CLASSIFY_TABLE],
+        ids=lambda sym: sym["builtin"] + "".join(f".{v}" for v in sym["params"].values()),
+    )
+    def test_brackets_are_in_order(self, symbol):
+        """Rounding can put an estimate a few ulps above the certified upper
+        bound (halfspace(f1 = "0"), one of the table's symbols, has norm 1,
+        and its ratios read 1 + 2^-52); the reported upper bound is raised
+        to the lower bound there, so no record's bracket is upside down."""
+        spec = from_json(symbol)
+        for p in (4.0 / 3.0, 1.5, 4.0, np.inf):
+            for r in norm_growth_experiment(spec, p, [4, 8, 16], budget=2, seed=0):
+                assert r.lower_bound <= r.upper_bound, r
+
     def test_p2_is_exactly_sup(self):
         for spec in (triangular(), ball(1, 1.0)):
             records = norm_growth_experiment(spec, 2.0, [4, 8, 16], budget=2, seed=0)
