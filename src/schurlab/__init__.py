@@ -33,9 +33,7 @@ from .geometry import (
     ClassificationReport,
     boundary_project,
     classify,
-    normal_form_chart,
     transversality_check,
-    triangular_factorization_check,
     zero_curvature_check_c1,
 )
 from .multiplier import (

@@ -2,22 +2,21 @@
 
 Implements boundary-point solving, the transversality test, the
 zero-curvature checks (tangent-comparison form for C^1 data and the mixed
-Hessian form for C^2 data), local normal-form charts, verification of
-triangular factorizations, and the combined classifier that sorts a domain
-into TRIANGULAR_MODEL / CURVATURE_FAIL / NON_TRANSVERSE / INCONCLUSIVE.
+Hessian form for C^2 data), and the combined classifier that sorts a
+domain into TRIANGULAR_MODEL / CURVATURE_FAIL / NON_TRANSVERSE /
+INCONCLUSIVE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     DegenerateGradient,
     NoConvergence,
-    NonTransverse,
     NonTransverseSample,
 )
 from .symbols import (
@@ -40,9 +39,6 @@ __all__ = [
     "sample_boundary_points",
     "zero_curvature_check_c1",
     "mixed_hessian_check",
-    "NormalFormChart",
-    "normal_form_chart",
-    "triangular_factorization_check",
     "classify",
 ]
 
@@ -94,6 +90,7 @@ _NEWTON_FAILURES = (
     (NoConvergence, "boundary projection cannot decrease |F|"),
     (NoConvergence, "boundary projection plateaued away from a root"),
     (NoConvergence, "boundary projection stalled at |F| = {:.3e}"),
+    (NoConvergence, "boundary projection starts where F is not finite (|F| = {:.3e})"),
 )
 
 
@@ -111,13 +108,18 @@ def _newton(f, grad, z, tol, max_iter):
     one at a time for a batch of one (k = 1).
     Returns (z, status): status[i] is 0 where row i converged, else the
     index into ``_NEWTON_FAILURES`` of why it stopped: a vanishing
-    gradient, no decrease of |f|, a plateau, or ``max_iter`` steps.
+    gradient, no decrease of |f|, a plateau, ``max_iter`` steps, or a
+    non-finite f at its start.
     """
     z = np.array(z, dtype=float)
     active = np.arange(z.shape[0])
     val = np.array(f(z, active), dtype=float)
     stall = np.zeros(z.shape[0], dtype=int)
     status = np.zeros(z.shape[0], dtype=np.int8)
+    # every accepted iterate is finite, so only a start can leave f's domain
+    finite = np.isfinite(val)
+    status[~finite] = 5
+    active = active[finite]
     budget = max(z.shape[0], 1024) if z.shape[0] > 1 else 1
 
     def drop(mask, code):
@@ -426,149 +428,6 @@ def mixed_hessian_check(spec: SymbolSpec, x, y, gx, gy, tol: float = HESSIAN_TOL
         worst = float(np.abs(bu @ h @ np.swapaxes(bv, 1, 2)).max())
     rel = worst / scale
     return rel <= tol, rel
-
-
-@dataclass(frozen=True)
-class NormalFormChart:
-    """Local product chart straightening the boundary to {x1 = g(x~, y)}.
-
-    Every map takes rows and returns rows: ``phi``/``psi`` map original
-    coordinates x (k, m), y (k, n) into the chart, ``g`` maps chart rows
-    x~ (k, m - 1), y (k, n) to (k,) and satisfies g(0, y) = y1, and
-    ``surface_point`` reconstructs the original boundary rows (x, y) from
-    (x~, y) chart data.  A row whose solve fails is NaN.
-    """
-
-    phi: Callable
-    phi_inv: Callable
-    psi: Callable
-    psi_inv: Callable
-    g: Callable
-    surface_point: Callable
-    radius: float
-
-
-def _solve_lines(spec: SymbolSpec, x, y, dx, dy, tol):
-    """t (k,) with F(x + t dx, y + t dy) = 0 at each row of x (k, m),
-    y (k, n): one ``_newton`` batch in t from t = 0, with derivative
-    gx . dx + gy . dy.  NaN where the solve fails (a row that starts at
-    NaN fails at once: its gradient is degenerate)."""
-
-    def at(t, rows):
-        return x[rows] + t * dx, y[rows] + t * dy
-
-    def f(t, rows):
-        return np.broadcast_to(spec.f(*at(t, rows)), rows.shape)
-
-    def grad(t, rows):
-        gx, gy, degenerate = gradient(spec, *at(t, rows))
-        return np.where(degenerate, 0.0, gx @ dx + gy @ dy)[:, None]
-
-    t, status = _newton(f, grad, np.zeros((len(x), 1)), tol, 100)
-    return np.where(status == 0, t[:, 0], np.nan)
-
-
-def normal_form_chart(
-    spec: SymbolSpec,
-    z0: BoundaryPoint,
-    radius: Optional[float] = None,
-    tol: float = BOUNDARY_TOL,
-) -> NormalFormChart:
-    """Build the normal-form chart around a transverse boundary point.
-
-    The x chart is an isometry moving the x-normal onto e1, so the boundary
-    becomes a graph x1' = h(x~', y), solved along the chart's x1 direction.
-    The y chart is y' = (h(0, y), P (y - y0)) for a fixed complement P,
-    which forces g(0, y') = y'_1 by construction.  Its inverse solves
-    F(phi_inv((y'_1, 0, ...)), y) = 0 along the y-direction of h(0, .), so
-    ``g`` and ``surface_point`` are two flat ``_newton`` batches.  Rows
-    outside the chart's reach come back NaN.
-    """
-    if not transversality_check(z0):
-        raise NonTransverse("normal form requires a transverse base point")
-    x0 = np.array(z0.x, dtype=float)
-    y0 = np.array(z0.y, dtype=float)
-    m, n = spec.m_dim, spec.n_dim
-
-    # orthogonal Q with Q n1_unit = e1
-    n1u = z0.n1 / np.linalg.norm(z0.n1)
-    q = _householder(n1u, np.eye(m)[0])
-
-    def phi(x):
-        return (np.asarray(x, dtype=float) - x0) @ q.T
-
-    def phi_inv(xc):
-        return x0 + np.asarray(xc, dtype=float) @ q
-
-    def h(x_tail, y):  # t with F(phi_inv((t, x~)), y) = 0, from t = 0
-        base = phi_inv(np.column_stack((np.zeros(len(y)), x_tail)))
-        return _solve_lines(spec, base, np.asarray(y, dtype=float), q[0], np.zeros(n), tol)
-
-    # direction of d_y h(0, .) at y0, from the implicit relation
-    gx0, gy0, _ = gradient(spec, x0[None], y0[None])
-    w = -gy0[0] / float(q[0] @ gx0[0])
-    wn = float(np.linalg.norm(w))
-    if wn < 1e-12:
-        raise DegenerateGradient("boundary section has no y-dependence at base point")
-    w_hat = w / wn
-    comp = _kernel_basis(w_hat)  # (n-1) x n rows
-
-    def psi(y):
-        y = np.asarray(y, dtype=float)
-        return np.column_stack((h(np.zeros((len(y), m - 1)), y), (y - y0) @ comp.T))
-
-    def psi_inv(yc):
-        # h(0, y) = s exactly where F(phi_inv((s, 0, ...)), y) = 0
-        yc = np.asarray(yc, dtype=float)
-        base = y0 + yc[:, 1:] @ comp
-        t = _solve_lines(spec, x0 + yc[:, :1] * q[0], base, np.zeros(m), w_hat, tol)
-        return base + t[:, None] * w_hat
-
-    def g(x_tail, yc):
-        return h(x_tail, psi_inv(yc))
-
-    def surface_point(x_tail, yc):
-        y = psi_inv(yc)
-        t = h(x_tail, y)
-        y[np.isnan(t)] = np.nan
-        return phi_inv(np.column_stack((t, x_tail))), y
-
-    if radius is None:
-        radius = 0.05 * (1.0 + float(np.linalg.norm(np.concatenate([x0, y0]))))
-    return NormalFormChart(phi, phi_inv, psi, psi_inv, g, surface_point, radius)
-
-
-def _householder(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The reflection mapping unit vector a to unit vector b (the identity
-    when they agree)."""
-    v = a - b
-    vn = float(np.linalg.norm(v))
-    if vn < 1e-14:
-        return np.eye(a.shape[0])
-    v = v / vn
-    return np.eye(a.shape[0]) - 2.0 * np.outer(v, v)
-
-
-def triangular_factorization_check(
-    spec: SymbolSpec,
-    f1: Callable,
-    f2: Callable,
-    samples: int = 4096,
-    seed: int = 0,
-    band: float = 1e-9,
-) -> bool:
-    """Verify chi_Sigma(x, y) == [f1(x) > f2(y)] on random samples.
-
-    ``f1`` and ``f2`` map rows x (k, m) and y (k, n) to (k,).  Points
-    within ``band`` of either zero set ({F = 0} or {f1 = f2}) are
-    excluded, as are points where F is undefined.
-    """
-    pts = _uniform_in_box(np.random.default_rng(seed), spec.domain_box, (samples,))
-    x, y = pts[:, : spec.m_dim], pts[:, spec.m_dim :]
-    fval = np.broadcast_to(spec.f(x, y), (samples,))
-    split = np.asarray(f1(x), dtype=float) - np.asarray(f2(y), dtype=float)
-    judged = np.isfinite(fval) & (np.abs(fval) > band) & ~(np.abs(split) <= band)
-    return not np.any(judged & ((fval > 0.0) != (split > 0.0)))
 
 
 @dataclass

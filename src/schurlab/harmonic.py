@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonTransverse, ShapeMismatch, ZeroDirection, ZeroVector
-from .geometry import _householder, transversality_check
+from .geometry import transversality_check
 from .matcore import _schatten_from_sv
 from .symbols import BoundaryPoint, SymbolSpec, indicator_values
 
@@ -151,6 +151,17 @@ def random_trig_polynomial(shape, degree: int, seed: int = 0, real: bool = False
     spec[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     out = np.fft.ifftn(spec)
     return out.real.astype(complex) if real else out
+
+
+def _householder(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The reflection mapping unit vector a to unit vector b (the identity
+    when they agree)."""
+    v = a - b
+    vn = float(np.linalg.norm(v))
+    if vn < 1e-14:
+        return np.eye(a.shape[0])
+    v = v / vn
+    return np.eye(a.shape[0]) - 2.0 * np.outer(v, v)
 
 
 def solve_T(n1, n2) -> np.ndarray:

@@ -33,8 +33,6 @@ __all__ = [
     "componentwise_reparam",
     "pullback_symbol",
     "circulant",
-    "circulant_coefficients",
-    "is_circulant",
     "fourier_multiplier_circulant",
     "compression_jp",
 ]
@@ -149,7 +147,8 @@ def norm_growth_experiment(
     estimator's starts: the matrix unit, the loop's witness, the carried
     witness (after the first size) and ``2 * budget`` seeded starts; at p
     in {1, inf}, where the scaling loop replaces the starts, its witness and
-    the carried one; at p = 2 all but the loop's witness.
+    the carried one; at p = 2 all but the loop's witness.  The zero symbol
+    scores no seeded start, so its ``trials`` count none.
     """
     sizes = list(sizes)
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
@@ -199,7 +198,7 @@ def norm_growth_experiment(
                 upper_bound=upper,
                 iterations=iterations,
                 stop=stop,
-                trials=1 + len(extra) + (2 * budget if est.stop is None else 0),
+                trials=1 + len(extra) + (2 * budget if est.stop is None and m.any() else 0),
                 seed=seed,
                 wall_ms=wall_ms,
             )
@@ -366,12 +365,7 @@ def circulant(coeffs) -> np.ndarray:
     return c[(j[:, None] - j[None, :]) % n]
 
 
-def circulant_coefficients(x) -> np.ndarray:
-    """Coefficients c(g) of a circulant matrix (its first column)."""
-    return np.array(as_dense(x)[:, 0])
-
-
-def is_circulant(x, tol: float = 1e-12) -> bool:
+def _is_circulant(x, tol: float = 1e-12) -> bool:
     xx = as_dense(x)
     if xx.shape[0] != xx.shape[1]:
         return False
@@ -384,9 +378,9 @@ def fourier_multiplier_circulant(x, m) -> np.ndarray:
     """The Fourier multiplier on Z_N: scale the coefficient of each shift
     lambda(g) by m(g)."""
     xx = as_dense(x)
-    if not is_circulant(xx):
+    if not _is_circulant(xx):
         raise ShapeInvalid("fourier multiplier needs a circulant input")
-    c = circulant_coefficients(xx)
+    c = xx[:, 0]  # the coefficient c(g) of each shift
     mv = np.asarray(m, dtype=complex)
     if mv.shape != c.shape:
         raise ShapeMismatch(f"symbol length {mv.shape} vs group size {c.shape}")
@@ -401,7 +395,7 @@ def compression_jp(x, phi, psi, p) -> np.ndarray:
     multiplier with symbol M(i, j) = m((i - j) mod N).
     """
     xx = as_dense(x)
-    if not is_circulant(xx):
+    if not _is_circulant(xx):
         raise ShapeInvalid("compression is defined for circulant matrices")
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)

@@ -34,7 +34,6 @@ __all__ = [
     "triangular",
     "user_symbol",
     "from_json",
-    "to_json",
     "indicator_values",
     "gradient",
     "mixed_hessian",
@@ -496,21 +495,6 @@ def from_json(obj: dict) -> SymbolSpec:
     if box is None:
         raise ExpressionError("user symbols require an explicit 'box'")
     return user_symbol(expr, *dims, box)
-
-
-def to_json(spec: SymbolSpec) -> dict:
-    """Serialize a builtin or expression symbol back to the JSON schema."""
-    expr = None if spec.builtin else spec.params.get("expr")
-    if spec.builtin is None and expr is None:
-        raise ExpressionError("symbol with opaque callable is not serializable")
-    return {
-        "m_dim": spec.m_dim,
-        "n_dim": spec.n_dim,
-        "builtin": spec.builtin,
-        "params": dict(spec.params),
-        "expr": expr,
-        "box": [list(b) for b in spec.domain_box],
-    }
 
 
 # ---------------------------------------------------------------------------

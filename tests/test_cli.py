@@ -170,6 +170,11 @@ class TestNormsCommand:
         for r in records:
             assert abs(r["lower_bound"] - bound) <= 1e-12, r
             assert r["lower_bound"] <= r["upper_bound"] <= bound + 1e-12, r
+        if bound == 0.0:
+            # the zero symbol scores no seeded start: the matrix unit, the
+            # p = inf loop's witness at p = 4, and the carried witness after N = 8
+            loop = 1 if p == 4 else 0
+            assert [r["trials"] for r in records] == [1 + loop, 2 + loop, 2 + loop]
 
 
 class TestOtherCommands:

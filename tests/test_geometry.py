@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from schurlab import geometry
-from schurlab.errors import DegenerateGradient, NoConvergence, NonTransverse, NonTransverseSample
+from schurlab.errors import DegenerateGradient, NoConvergence, NonTransverseSample
 from schurlab.geometry import (
     ANGLE_TOL,
     CURVATURE_FAIL,
@@ -28,10 +28,8 @@ from schurlab.geometry import (
     boundary_project,
     classify,
     mixed_hessian_check,
-    normal_form_chart,
     sample_boundary_points,
     transversality_check,
-    triangular_factorization_check,
     zero_curvature_check_c1,
 )
 from schurlab.multiplier import componentwise_reparam, pullback_symbol
@@ -90,8 +88,15 @@ class TestBoundaryProject:
         (lambda z: np.sum(z * z, axis=-1) - 1.0, lambda z: 2.0 * z, [0.3, 0.4], [0.6, 0.8]),
         (lambda z: z[..., 0] ** 2 + 1.0, lambda z: 2.0 * z, [0.0], (DegenerateGradient, "vanishes")),
         (lambda z: np.sum(z * z, axis=-1) + 1.0, lambda z: 2.0 * z, [10.0, 1.0], (NoConvergence, "plateau")),
+        # F is NaN off its chart z > 0; the gradient there is 1, not 0
+        (
+            lambda z: np.where(z[..., 0] > 0.0, z[..., 0] - 1.0, np.nan),
+            lambda z: np.ones_like(z),
+            [-1.0],
+            (NoConvergence, "F is not finite"),
+        ),
     ],
-    ids=["scalar-root", "vector-projection", "zero-gradient", "no-root-plateau"],
+    ids=["scalar-root", "vector-projection", "zero-gradient", "no-root-plateau", "nonfinite-start"],
 )
 def test_newton(f, grad, z0, expect):
     z, status = _newton(lambda z, _: f(z), lambda z, _: grad(z), [z0], 1e-12, 100)
@@ -122,6 +127,8 @@ def _sequential_newton(f, grad, z, tol, max_iter, halvings):
     val = np.array(f(z, active), dtype=float)
     stall = np.zeros(z.shape[0], dtype=int)
     status = np.zeros(z.shape[0], dtype=np.int8)
+    status[~np.isfinite(val)] = 5
+    active = active[np.isfinite(val)]
 
     def drop(mask, code):
         status[active[mask]] = code
@@ -169,6 +176,27 @@ def _sequential_newton(f, grad, z, tol, max_iter, halvings):
         val[active] = val_new
     status[active] = 4
     return z, status
+
+
+def test_nonfinite_starts_fail_before_any_gradient():
+    # F = |z| - 1 off the chart z < 0 is NaN or infinite; those rows fail at
+    # their start, and the gradient is taken at the finite rows only
+    starts = np.array([[0.5], [np.nan], [np.inf], [2.0], [-np.inf]])
+
+    def f(z, rows):
+        return np.where(z[:, 0] < 0.0, np.nan, np.abs(z[:, 0]) - 1.0)
+
+    seen = []
+
+    def grad(z, rows):
+        seen.extend(rows.tolist())
+        return np.sign(z)
+
+    z, status = _newton(f, grad, starts, 1e-12, 100)
+    assert status.tolist() == [0, 5, 5, 0, 5]
+    assert set(seen) == {0, 3}
+    np.testing.assert_array_equal(z[[1, 2, 4]], starts[[1, 2, 4]])
+    assert _NEWTON_FAILURES[5][0] is NoConvergence
 
 
 def test_batched_halvings_match_one_at_a_time():
@@ -615,192 +643,6 @@ class TestMixedHessianCheck:
         assert ok_c1 is False
 
 
-_CHART_BUILTINS = [ball(2, 1.0), sphere_delta(2, 0.3), toeplitz_ball(2, 1.0), halfspace(), triangular()]
-
-
-def _chart_and_rows(spec, rng, count=200):
-    """The chart at the first transverse point of a 12-point pool (seed 3)
-    and ``count`` chart rows y' uniform in its radius."""
-    pts = [p for p in sample_boundary_points(spec, 12, seed=3) if transversality_check(p)]
-    assert pts, spec.symbol_id
-    chart = normal_form_chart(spec, pts[0])
-    return chart, rng.uniform(-chart.radius, chart.radius, size=(count, spec.n_dim))
-
-
-class TestNormalFormChart:
-    def test_halfspace_chart_is_exact(self):
-        spec = halfspace()
-        z0 = boundary_project(spec, [0.4], [0.0])
-        chart = normal_form_chart(spec, z0)
-        s = np.linspace(-0.2, 0.2, 9)
-        assert np.all(np.abs(chart.g(np.zeros((9, 0)), s[:, None]) - s) <= 1e-9)
-
-    def test_ball_circle_graph_residual(self):
-        spec = ball(1, 1.0)
-        z0 = boundary_project(spec, [math.cos(0.3)], [math.sin(0.3) - 0.05])
-        chart = normal_form_chart(spec, z0)
-        s = np.linspace(-0.03, 0.03, 11)
-        x, y = chart.surface_point(np.zeros((11, 0)), s[:, None])
-        assert np.all(np.abs(spec.f(x, y)) <= 1e-8)
-
-    def test_g_vanishing_tail_reproduces_y1_on_builtins(self):
-        rng = np.random.default_rng(4)
-        for spec in _CHART_BUILTINS:
-            chart, yc = _chart_and_rows(spec, rng)
-            val = chart.g(np.zeros((len(yc), spec.m_dim - 1)), yc)
-            finite = np.isfinite(val)
-            assert finite.sum() >= 50, f"not enough chart samples for {spec.symbol_id}"
-            assert np.isnan(val[~finite]).all(), spec.symbol_id
-            assert np.abs(val[finite] - yc[finite, 0]).max() <= 1e-6, spec.symbol_id
-
-    def test_psi_inverts_psi_inv_on_builtins(self):
-        # psi(y)_1 = h(0, y), so this is h(0, psi_inv(y')) = y'_1
-        rng = np.random.default_rng(5)
-        for spec in _CHART_BUILTINS:
-            chart, yc = _chart_and_rows(spec, rng)
-            back = chart.psi(chart.psi_inv(yc))
-            finite = np.isfinite(back).all(axis=1)
-            assert finite.sum() >= 50, spec.symbol_id
-            assert np.abs(back[finite, 0] - yc[finite, 0]).max() <= 1e-6, spec.symbol_id
-            np.testing.assert_allclose(back[finite, 1:], yc[finite, 1:], atol=1e-12)
-            x = chart.radius * rng.standard_normal((20, spec.m_dim))
-            np.testing.assert_allclose(chart.phi(chart.phi_inv(x)), x, atol=1e-12)
-
-    def test_surface_points_lie_on_the_boundary(self):
-        rng = np.random.default_rng(6)
-        for spec in _CHART_BUILTINS:
-            chart, yc = _chart_and_rows(spec, rng)
-            tail = rng.uniform(-chart.radius, chart.radius, size=(len(yc), spec.m_dim - 1))
-            x, y = chart.surface_point(tail, yc)
-            finite = np.isfinite(x).all(axis=1)
-            assert finite.sum() >= 50, spec.symbol_id
-            assert (np.isfinite(y).all(axis=1) == finite).all(), spec.symbol_id
-            assert np.abs(spec.f(x[finite], y[finite])).max() <= 1e-9, spec.symbol_id
-            # x~ is the chart's tail of x
-            np.testing.assert_allclose(chart.phi(x[finite])[:, 1:], tail[finite], atol=1e-12)
-
-    def test_rows_out_of_reach_are_nan(self):
-        # y' = 5 is far off the unit circle: no x solves F(x, y) = 0
-        spec = ball(1, 1.0)
-        chart = normal_form_chart(spec, boundary_project(spec, [math.cos(0.3)], [math.sin(0.3)]))
-        yc = np.array([[0.01], [5.0], [np.nan]])
-        val = chart.g(np.zeros((3, 0)), yc)
-        assert np.isfinite(val[0]) and np.isnan(val[1:]).all()
-        x, y = chart.surface_point(np.zeros((3, 0)), yc)
-        assert np.isfinite(x[0]).all() and np.isfinite(y[0]).all()
-        assert np.isnan(x[1:]).all() and np.isnan(y[1:]).all()
-
-    def test_maps_are_flat_newton_batches(self, monkeypatch):
-        # g and surface_point are two _newton batches, psi and psi_inv one,
-        # and no solve runs inside another
-        newton = geometry._newton
-        depth, calls = [0], []
-
-        def traced(f, grad, z, tol, max_iter):
-            calls.append(len(z))
-            assert depth[0] == 0, "a _newton call nested in another"
-            depth[0] += 1
-            try:
-                return newton(f, grad, z, tol, max_iter)
-            finally:
-                depth[0] -= 1
-
-        spec = sphere_delta(2, 0.3)
-        chart, yc = _chart_and_rows(spec, np.random.default_rng(7), count=40)
-        monkeypatch.setattr(geometry, "_newton", traced)
-        tail = np.zeros((40, 1))
-        for run, expect in [
-            (lambda: chart.g(tail, yc), 2),
-            (lambda: chart.surface_point(tail, yc), 2),
-            (lambda: chart.psi(yc), 1),
-            (lambda: chart.psi_inv(yc), 1),
-            (lambda: chart.phi_inv(chart.phi(np.zeros((40, 2)))), 0),
-        ]:
-            calls.clear()
-            run()
-            assert len(calls) == expect
-            assert all(c <= 40 for c in calls)
-
-    def test_requires_transverse_point(self):
-        spec = ball(2, 1.0)
-        pt = boundary_project(spec, [1.0, 0.0], [0.0, 0.0])
-        with pytest.raises(NonTransverse):
-            normal_form_chart(spec, pt)
-
-
-class TestTriangularFactorization:
-    def test_halfspace_exact_split(self):
-        assert triangular_factorization_check(
-            halfspace(), lambda x: x[:, 0], lambda y: y[:, 0], samples=2000, seed=0
-        )
-
-    def test_circle_polar_angles_on_hemisphere(self):
-        # one boundary component only: angles theta in (0.2, 1.2) for x and
-        # (-1.2, -0.2) for y, so theta_x - theta_y stays above -arccos(delta)
-        delta = 0.3
-        c = math.acos(delta)
-        box = [
-            (math.sin(0.2), math.sin(1.2)),
-            (math.sin(-1.2), math.sin(-0.2)),
-        ]
-        spec = sphere_delta(1, delta, box=box)
-        assert triangular_factorization_check(
-            spec,
-            lambda x: -np.arcsin(x[:, 0]),
-            lambda y: -np.arcsin(y[:, 0]) - c,
-            samples=4000,
-            seed=1,
-        )
-
-    def test_sphere2_fails_any_affine_split(self):
-        spec = sphere_delta(2, 0.3)
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            a = rng.standard_normal(2)
-            b = rng.standard_normal(2)
-            c0 = rng.standard_normal()
-            ok = triangular_factorization_check(
-                spec,
-                lambda x, a=a: x @ a,
-                lambda y, b=b, c0=c0: y @ b + c0,
-                samples=10_000,
-                seed=6,
-            )
-            assert not ok
-
-
-def _factorization_loop(spec, f1, f2, samples, seed, band=1e-9):
-    """``triangular_factorization_check`` one sample at a time: x then y
-    drawn per sample, stopping at the first disagreement."""
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in spec.x_box])
-        y = np.array([rng.uniform(lo, hi) for lo, hi in spec.y_box])
-        fval = float(spec.f(x, y))
-        split = float(f1(x[None])[0]) - float(f2(y[None])[0])
-        if np.isfinite(fval) and abs(fval) > band and not abs(split) <= band and (fval > 0) != (split > 0):
-            return False
-    return True
-
-
-@pytest.mark.parametrize(
-    "spec, f1, f2, agree",
-    [
-        (halfspace("x1**3", "y1"), lambda x: x[:, 0] ** 3, lambda y: y[:, 0], True),
-        (halfspace("x1**3", "y1"), lambda x: x[:, 0], lambda y: y[:, 0], False),
-        (triangular(box=((0.0, 8.0), (0.0, 8.0))), lambda x: x[:, 0], lambda y: y[:, 0] - 0.5, True),
-        (sphere_delta(2, 0.3), lambda x: x[:, 0], lambda y: 0.5 * y[:, 1], False),
-    ],
-    ids=["exact", "wrong-split", "triangular", "sphere"],
-)
-def test_triangular_factorization_matches_the_sample_loop(spec, f1, f2, agree):
-    for seed in range(3):
-        for samples in (1, 50, 2000):
-            got = triangular_factorization_check(spec, f1, f2, samples=samples, seed=seed)
-            assert got == _factorization_loop(spec, f1, f2, samples, seed)
-    assert triangular_factorization_check(spec, f1, f2, samples=2000, seed=0) is agree
-
-
 class TestClassify:
     @pytest.mark.parametrize(
         "spec,expected",
@@ -867,6 +709,15 @@ class TestClassify:
         rep = classify(ball(2, 1.0), z0=([2.0, 0.0], [0.0, 0.0]))
         assert rep.verdict == INCONCLUSIVE
         assert rep.notes == ["base point projection failed: gradient vanishes during boundary projection"]
+
+    def test_base_point_outside_the_chart_is_inconclusive(self):
+        # |y| = 2 lies outside the hemisphere chart |y| < 1 of sphere_delta,
+        # where F is NaN: the projection fails at its start
+        rep = classify(sphere_delta(2, 0.3), z0=([0.1, 0.1], [2.0, 0.0]))
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.notes == [
+            "base point projection failed: boundary projection starts where F is not finite (|F| = nan)"
+        ]
 
     def test_verdict_invariant_under_factor_swap(self):
         for spec in (

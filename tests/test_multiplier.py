@@ -10,13 +10,13 @@ from schurlab.matcore import multiplier_norm_lower_bound, schatten_norm
 from schurlab.multiplier import (
     CSV_HEADER,
     Reparam,
+    _is_circulant,
     circulant,
     componentwise_reparam,
     compression_jp,
     discretize_symbol,
     factor_grid,
     fourier_multiplier_circulant,
-    is_circulant,
     nested_grids,
     norm_growth_experiment,
     pullback_symbol,
@@ -408,8 +408,8 @@ class TestCompression:
             compression_jp(np.triu(np.ones((4, 4))), np.ones(4), np.ones(4), 2.0)
 
     def test_is_circulant(self):
-        assert is_circulant(circulant([1.0, 2.0, 3.0]))
-        assert not is_circulant(np.triu(np.ones((3, 3))))
+        assert _is_circulant(circulant([1.0, 2.0, 3.0]))
+        assert not _is_circulant(np.triu(np.ones((3, 3))))
 
     def test_schur_idempotence_of_binary_symbol(self):
         rng = np.random.default_rng(3)
