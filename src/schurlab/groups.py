@@ -64,6 +64,9 @@ _CONSTRAINT_TOL = 1e-10
 # it the chart action at the relevant points stays on one
 # order-preserving branch
 _CHART_RADIUS = 0.4
+# the sl2r chart has a pole at g where |d| < _POLE_TOL (1 + |c| + |d|): g . 0
+# is NaN there
+_POLE_TOL = 1e-9
 
 
 def _order(n) -> int:
@@ -158,30 +161,41 @@ def _so3_exp(w):
     return np.eye(3) + np.sinc(t / np.pi) * k + 0.5 * np.sinc(t / (2.0 * np.pi)) ** 2 * (k @ k)
 
 
-def _projective_act(g, t, pole_tol):
-    a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
-    den = c * t
-    den += d
-    tol = np.abs(c)  # pole_tol (1 + |c| + |d|)
+def _sl2_act0(g):
+    # g . 0 = b / d, NaN at a chart pole |d| < _POLE_TOL (1 + |c| + |d|)
+    b, c, d = g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    size = np.abs(d)
+    tol = np.abs(c)
     tol += 1.0
-    tol += np.abs(d)
-    tol *= pole_tol
+    tol += size
+    tol *= _POLE_TOL
+    val = np.empty(size.shape)  # an array for one element too
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = np.asarray(a * t)  # an array even for one element and a scalar t
-        val += b
-        val /= den
-    val[np.abs(den) < tol] = np.nan
+        np.divide(b, d, out=val)
+    val[size < tol] = np.nan
     return val
 
 
 def _sl2_inv(g):
-    return _matrix([[g[..., 1, 1], -g[..., 0, 1]], [-g[..., 1, 0], g[..., 0, 0]]])
+    out = _entries((2, 2), g.shape[:-2])
+    out[..., 0, 0] = g[..., 1, 1]
+    np.negative(g[..., 0, 1], out=out[..., 0, 1])
+    np.negative(g[..., 1, 0], out=out[..., 1, 0])
+    out[..., 1, 1] = g[..., 0, 0]
+    return out
 
 
 def _sl2_op(g, h):
-    # g[i, 0] h[0, j] + g[i, 1] h[1, j] as two broadcast outer products, which
-    # keep the inputs' layout; a stacked g @ h makes one BLAS call per pair
-    return g[..., :, :1] * h[..., :1, :] + g[..., :, 1:] * h[..., 1:, :]
+    # entry (i, j) is g[i, 0] h[0, j] + g[i, 1] h[1, j], written in place;
+    # a stacked g @ h makes one BLAS call per pair
+    out = _entries((2, 2), np.broadcast_shapes(g.shape[:-2], h.shape[:-2]))
+    term = np.empty(out.shape[:-2])
+    for i, j in np.ndindex(2, 2):
+        e = out[..., i, j]
+        np.multiply(g[..., i, 0], h[..., 0, j], out=e)
+        np.multiply(g[..., i, 1], h[..., 1, j], out=term)
+        e += term
+    return out
 
 
 def _affine_op(g, h):
@@ -267,22 +281,23 @@ class Group:
     element's coordinates (GroupMismatch off the group) and returns
     them.  ``sample(k, rng, n)`` draws k seeded elements (``n`` is the
     cyclic order; the sl2r exponential coordinates stay within
-    ``_CHART_RADIUS``); ``act(g, t, pole_tol)`` is the line action, NaN at
-    chart poles.  Only the matrix Lie groups have ``exp`` (algebra
-    coordinates (..., d) to group matrices), ``basis`` (d, n, n), the
-    algebra's only description: its commutators are the bracket,
-    ``entries`` (where the coordinates sit in the group matrix), chart
-    variables, named boundary fields (coordinate batches (k, *shape) to
-    values (k,)) and a default base point ``g0``.
+    ``_CHART_RADIUS``).  ``act0(g)`` is the line action's image of the
+    origin, g . 0: b / d on sl2r, NaN at a chart pole (see ``_POLE_TOL``),
+    and on real and affine a view of the coordinate that holds it, which
+    callers must not write through.  Only the matrix Lie groups have
+    ``exp`` (algebra coordinates (..., d) to group matrices), ``basis``
+    (d, n, n), the algebra's only description: its commutators are the
+    bracket, ``entries`` (where the coordinates sit in the group matrix),
+    chart variables, named boundary fields (coordinate batches (k, *shape)
+    to values (k,)) and a default base point ``g0``.
 
-    The sl2r and affine exponentials, sl2r's ``inv``, and affine's
-    ``op`` and ``inv`` write their results entry by entry into
-    ``_entries`` arrays: the usual shape (k, *shape), with each entry
-    contiguous and the batch axes fastest, so that entrywise code reads
-    unit-stride arrays; sl2r's ``op`` keeps that layout.  Every function
-    accepts any memory order.  A row with a line action samples through a
-    ``_Box``: a coordinate draw composed with a map to elements, two parts
-    the Cotlar check calls apart.
+    The sl2r and affine exponentials, ops and inverses write their results
+    entry by entry into ``_entries`` arrays: the usual shape (k, *shape),
+    with each entry contiguous and the batch axes fastest, so that
+    entrywise code reads unit-stride arrays.  Every function accepts any
+    memory order.  A row with a line action samples through a ``_Box``: a
+    coordinate draw composed with a map to elements, two parts the Cotlar
+    check calls apart.
     """
 
     shape: tuple
@@ -290,7 +305,7 @@ class Group:
     sample: Callable
     op: Callable
     inv: Callable
-    act: Optional[Callable] = None
+    act0: Optional[Callable] = None
     exp: Optional[Callable] = None
     basis: Optional[np.ndarray] = None
     entries: tuple = ()
@@ -310,7 +325,7 @@ GROUPS = {
         sample=_Box(((-2.0, 2.0),), np.transpose),
         op=lambda g, h: g + h,
         inv=lambda g: -g,
-        act=lambda g, t, pole_tol: g[..., 0] + t,
+        act0=lambda g: g[..., 0],
         exp=_nilpotent_exp(_REAL_BASIS),
         basis=_REAL_BASIS,
         entries=([0], [1]),
@@ -324,7 +339,7 @@ GROUPS = {
         sample=_Box(((0.25, 4.0), (-2.0, 2.0)), np.transpose),
         op=_affine_op,
         inv=_affine_inv,
-        act=lambda g, t, pole_tol: g[..., 0] * t + g[..., 1],
+        act0=lambda g: g[..., 1],
         exp=_affine_exp,
         basis=_AFFINE_BASIS,
         entries=([0, 0], [0, 1]),
@@ -340,7 +355,7 @@ GROUPS = {
         sample=_Box(((-_CHART_RADIUS, _CHART_RADIUS),) * 3, lambda x: _sl2_exp(x.T)),
         op=_sl2_op,
         inv=_sl2_inv,
-        act=_projective_act,
+        act0=_sl2_act0,
         exp=_sl2_exp,
         basis=_SL2_BASIS,
         entries=_WHOLE_MATRIX,
@@ -403,7 +418,7 @@ GROUPS = {
 }
 
 _LACKS = {
-    "act": "has no line action",
+    "act0": "has no line action",
     "exp": "is not a Lie group here",
     "chart_vars": "has no chart coordinates here",
 }
@@ -455,7 +470,9 @@ def cotlar_pointwise_check(
     m(g^-1) m(g^-1 h) = m(h) m(g^-1) + m(h^-1) m(g^-1 h)
     on ``samples`` seeded pairs (g, h), rejecting the measure-zero sets
     alpha = g . 0 = 0, beta = h . 0 = 0, alpha = beta, any other action
-    value within ``band`` of 0 (band 1e-9) and chart poles.
+    value within ``band`` of 0 (band 1e-9) and chart poles.  Raises
+    ValueError when ``samples`` < 1, or when no pair of a drawn chunk is
+    valid, as when ``band`` covers every action value of the sampling box.
 
     Pairs are drawn in chunks of at most _COTLAR_CHUNK, g before h, and
     each chunk is evaluated in consecutive slices of at most _SLICE pairs
@@ -469,11 +486,10 @@ def cotlar_pointwise_check(
     lhs xor t1 xor t2, since t1 and t2 both hold only when lhs is 1, and
     then the xor is 1 too.  Contract: 0 failures.
     """
-    grp = _group(group_id, "act")
-    box = grp.sample
-
-    def act0(g):
-        return grp.act(g, 0.0, 1e-9)
+    if samples < 1:
+        raise ValueError(f"the Cotlar check needs samples >= 1, got {samples}")
+    grp = _group(group_id, "act0")
+    box, act0 = grp.sample, grp.act0
 
     def count(xg, xh, left):
         # (valid pairs taken, at most left, failures) on one slice; g is freed before h is built
@@ -483,17 +499,25 @@ def cotlar_pointwise_check(
         h = box.build(xh)
         v_gih = act0(grp.op(gi, h))
         beta, v_gi, v_hi = act0(h), act0(gi), act0(grp.inv(h))
-        valid = np.abs(alpha - beta) > band
-        for v in (alpha, beta, v_gi, v_gih, v_hi):  # finite, off the band
-            size = np.abs(v)
-            valid &= size > band
-            valid &= size < np.inf
+        # the least and the largest |v| of the five values: NaN at a pole
+        # propagates through both and fails both tests
+        size = np.subtract(alpha, beta)
+        np.abs(size, out=size)
+        valid = size > band
+        least = np.abs(alpha)
+        most = least.copy()
+        for v in (beta, v_gi, v_gih, v_hi):
+            np.abs(v, out=size)
+            np.minimum(least, size, out=least)
+            np.maximum(most, size, out=most)
+        valid &= least > band
+        valid &= most < np.inf
         n_valid = int(np.count_nonzero(valid))
         take = min(n_valid, left)
         if take < n_valid:  # the last slice counts its first take valid pairs
             valid[np.flatnonzero(valid)[take] :] = False
         m_gi, m_gih, m_h, m_hi = v_gi > 0.0, v_gih > 0.0, beta > 0.0, v_hi > 0.0
-        fails = (m_gi & m_gih) ^ (m_h & m_gi) ^ (m_hi & m_gih)
+        fails = (m_gi & (m_gih ^ m_h)) ^ (m_hi & m_gih)  # lhs ^ t1 ^ t2, m_gi factored out of lhs ^ t1
         return take, int(np.count_nonzero(fails & valid))
 
     rng = np.random.default_rng(seed)
@@ -507,12 +531,15 @@ def cotlar_pointwise_check(
     while done < samples:
         k = min(_COTLAR_CHUNK, int(1.4 * (samples - done)) + 64)
         xg, xh = box.draw(k, rng, buf_g), box.draw(k, rng, buf_h)
+        first = done
         for lo in range(0, k, _SLICE):
             take, fails = count(xg[:, lo : lo + _SLICE], xh[:, lo : lo + _SLICE], samples - done)
             failures += fails
             done += take
             if done == samples:
                 break
+        if done == first:  # each slice takes a valid pair if it has one
+            raise ValueError(f"no pair of a chunk of {k} {group_id} pairs is valid at band {band:g}")
     return failures
 
 

@@ -142,7 +142,8 @@ def norm_growth_experiment(
     2, p = 1 below), whose witness is the first extra start, ahead of the
     carried one.  The loop's certified S_inf (= S_1) bound U gives the
     Riesz-Thorin upper bound sup|M|^(1 - theta) U^theta, theta = |1 - 2/p|,
-    between the exact S_2 norm sup|M| and U; at p = 2 the bracket is
+    between the exact S_2 norm sup|M| and U (U itself where theta rounds to
+    1, above p = 3.6e16); at p = 2 the bracket is
     [sup|M|, sup|M|] and no loop runs.  A record's ``trials`` counts the
     estimator's starts: the matrix unit, the loop's witness, the carried
     witness (after the first size) and ``2 * budget`` seeded starts; at p
@@ -163,7 +164,7 @@ def norm_growth_experiment(
         m = discretize_symbol(spec, gx, gy)
         t0 = time.perf_counter()
         extra, loop = [], None
-        if 0.0 < theta < 1.0:
+        if 1.0 < p < np.inf and p != 2.0:  # not by theta, which rounds to 1 above p = 3.6e16
             loop = multiplier_norm_lower_bound(m, np.inf if p > 2.0 else 1.0, report=True)
             extra.append(loop.witness)
         if prev_witness is not None:

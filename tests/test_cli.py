@@ -750,6 +750,15 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error: ") and not out.exists()
 
 
+def test_norms_at_a_huge_finite_p_reports_a_finite_bracket(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {**TRIANGULAR_NORMS, "p": 1e308, "sizes": [4, 8]})
+    out = tmp_path / "r.json"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    for r in json.loads(out.read_text())["records"]:
+        assert 0.0 < r["lower_bound"] <= r["upper_bound"] < math.inf, r
+
+
 def test_norms_zero_ascent_steps_reports_best_start(tmp_path):
     cfg = _write_config(tmp_path, {**TRIANGULAR_NORMS, "p": "inf", "ascent_steps": 0})
     out = tmp_path / "r.json"

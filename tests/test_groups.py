@@ -57,7 +57,13 @@ def _inv(group_id, g):
 
 def _act0(group_id, g) -> float:
     """g . 0 through the group table's line action (NaN at a chart pole)."""
-    return float(GROUPS[group_id].act(g[None], 0.0, 1e-9)[0])
+    return float(GROUPS[group_id].act0(g[None])[0])
+
+
+def _layouts(x):
+    """A batch as given, row-major, and with the batch axis fastest."""
+    fastest = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+    return [x, np.ascontiguousarray(x), fastest]
 
 
 class TestGroupArithmetic:
@@ -152,20 +158,16 @@ class TestGroupArithmetic:
         rng = np.random.default_rng(17)
         g, h = (grp.sample(257, rng, 7) for _ in range(2))
 
-        def layouts(x):  # as given, row-major, and batch axis fastest
-            fastest = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
-            return [x, np.ascontiguousarray(x), fastest]
-
         def same(results):
             assert len({(r.shape, r.dtype, r.tobytes()) for r in results}) == 1
 
-        same([grp.op(a, b) for a, b in zip(layouts(g), layouts(h))])
-        same([grp.inv(a) for a in layouts(g)])
-        if grp.act is not None:
-            same([grp.act(a, 0.7, 1e-9) for a in layouts(g)])
+        same([grp.op(a, b) for a, b in zip(_layouts(g), _layouts(h))])
+        same([grp.inv(a) for a in _layouts(g)])
+        if grp.act0 is not None:
+            same([grp.act0(a) for a in _layouts(g)])
         if grp.exp is not None:
             mats = expm(group_id, rng.uniform(-1.0, 1.0, size=(257, len(grp.basis))))
-            same([grp.coords(a) for a in layouts(mats)])
+            same([grp.coords(a) for a in _layouts(mats)])
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +275,33 @@ class TestTableKernels:
         _assert_same_entries(groups._sl2_op(g, h), _sl2_op_formula(g, h))
         _assert_same_entries(groups._sl2_op(g[:1], h), _sl2_op_formula(g[:1], h))
         _assert_same_entries(groups._sl2_op(g[:7, None], h[None, :9]), _sl2_op_formula(g[:7, None], h[None, :9]))
-        for t in (0.0, 0.7, -1.3):
-            got = groups._projective_act(g, t, 1e-9)
-            _assert_same_entries(got, _projective_act_formula(g, t, 1e-9))
-            for one in (g[0], g[-3]):  # one unbatched element, the pole too
-                _assert_same_entries(GROUPS[SL2R].act(one, t, 1e-9), _projective_act_formula(one, t, 1e-9))
-        assert np.isnan(groups._projective_act(g, 0.0, 1e-9)[-3])
+        _assert_same_entries(groups._sl2_op(g[0], h[1]), _sl2_op_formula(g[0], h[1]))
+        _assert_same_entries(groups._sl2_inv(g[0]), _sl2_inv_formula(g[0]))
+        act0 = GROUPS[SL2R].act0
+        for batch in (g, g[0], g[-3]):  # the batch, and one unbatched element, the pole too
+            got, ref = act0(batch), _projective_act_formula(batch, 0.0, 1e-9)
+            assert got.shape == ref.shape
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            # b / d against (a 0 + b) / (c 0 + d): a 0 + b is +0.0 where
+            # b = -0.0, so a zero's sign may differ.  A zero action value
+            # is never a valid Cotlar pair, and every other value has its bits
+            assert np.array_equal(got, ref, equal_nan=True)
+            nonzero = ref != 0.0
+            assert np.array_equal(np.signbit(got[nonzero]), np.signbit(ref[nonzero]))
+        assert np.isnan(act0(g)[-3]) and np.isnan(act0(g)).sum() == 1
+        one = np.array([[1.0, -0.0], [0.0, 1.0]])  # b = -0.0: act0 reads -0.0, the formula +0.0
+        assert np.signbit(act0(one)) and not np.signbit(_projective_act_formula(one, 0.0, 1e-9))
+
+    def test_sl2_op_and_inv_match_the_formulas_on_every_layout(self):
+        # the layouts of test_results_do_not_depend_on_the_input_layout; each
+        # output entry is one unit-stride array, the batch axis fastest
+        rng = np.random.default_rng(17)
+        g, h = (GROUPS[SL2R].sample(257, rng, 7) for _ in range(2))
+        for a, b in zip(_layouts(g), _layouts(h)):
+            for got, ref in ((groups._sl2_op(a, b), _sl2_op_formula(a, b)), (groups._sl2_inv(a), _sl2_inv_formula(a))):
+                _assert_same_entries(got, ref)
+                for i, j in np.ndindex(2, 2):
+                    assert got[:, i, j].strides == (got.itemsize,)
 
     def test_affine_row_matches_the_formulas(self):
         row = GROUPS[AFFINE]
@@ -629,9 +652,7 @@ def _cotlar_reference(group_id, samples, seed, band=1e-9):
     compares lhs with t1 + t2 as integers."""
     grp = GROUPS[group_id]
 
-    def act0(g):
-        return grp.act(g, 0.0, 1e-9)
-
+    act0 = grp.act0
     rng = np.random.default_rng(seed)
     failures = 0
     done = 0
@@ -691,7 +712,7 @@ class TestCotlar:
                 assert cotlar_pointwise_check(group_id, samples=samples, seed=seed) == 0
         monkeypatch.setitem(
             GROUPS, group_id,
-            dataclasses.replace(row, act=lambda g, t, tol: row.act(g, t, tol) + 0.3),
+            dataclasses.replace(row, act0=lambda g: row.act0(g) + 0.3),
         )
         counts = {}
         for seed in range(3):
@@ -764,6 +785,31 @@ class TestCotlar:
     def test_unknown_group(self):
         with pytest.raises(GroupMismatch):
             cotlar_pointwise_check(SO3, samples=10)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_is_not_a_pass(self, samples):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            cotlar_pointwise_check(REAL, samples=samples)
+
+    def test_a_band_that_rejects_every_pair_raises(self):
+        # |alpha| <= 2 on the real sampling box, so band 10 leaves no valid
+        # pair: the check raises on the first chunk instead of drawing forever
+        with pytest.raises(ValueError, match="no pair"):
+            cotlar_pointwise_check(REAL, 10, band=10.0)
+
+    @pytest.mark.parametrize("group_id", LINE_GROUPS)
+    def test_the_check_does_not_write_through_the_action_values(self, group_id, monkeypatch):
+        # act0 is a view of the coordinates on real and affine: the check
+        # must read it only, so read-only values give the same count
+        row = GROUPS[group_id]
+
+        def read_only(g):
+            v = row.act0(g)
+            v.flags.writeable = False
+            return v
+
+        monkeypatch.setitem(GROUPS, group_id, dataclasses.replace(row, act0=read_only))
+        assert cotlar_pointwise_check(group_id, samples=20_000, seed=1) == 0
 
 
 LIE_GROUPS = sorted(g for g, row in GROUPS.items() if row.basis is not None)

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -156,6 +157,13 @@ class TestNormGrowth:
                 w = multiplier_norm_lower_bound(m, np.inf if p > 2.0 else 1.0, report=True).witness
                 ratio = schatten_norm(m * w, p) / schatten_norm(w, p)
                 assert r.lower_bound >= ratio * (1.0 - 1e-12), (spec.symbol_id, r, ratio)
+
+    def test_very_large_finite_p_has_a_finite_bracket(self):
+        # theta = |1 - 2/p| rounds to 1 above p = 3.6e16; the scaling loop
+        # still runs, and its U is the upper bound
+        for r in norm_growth_experiment(triangular(), 1e17, [4, 8], budget=2, seed=0):
+            assert r.stop == "gap" and r.iterations > 0, r
+            assert 0.0 < r.lower_bound <= r.upper_bound < math.inf, r
 
     def test_p2_bracket_is_closed(self):
         for spec in (triangular(), sphere_delta(2, 0.0)):
