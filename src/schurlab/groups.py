@@ -177,6 +177,7 @@ def _sl2_act0(g):
 
 
 def _sl2_inv(g):
+    # _matrix's layout, with the two negations written in place
     out = _entries((2, 2), g.shape[:-2])
     out[..., 0, 0] = g[..., 1, 1]
     np.negative(g[..., 0, 1], out=out[..., 0, 1])
@@ -186,16 +187,9 @@ def _sl2_inv(g):
 
 
 def _sl2_op(g, h):
-    # entry (i, j) is g[i, 0] h[0, j] + g[i, 1] h[1, j], written in place;
-    # a stacked g @ h makes one BLAS call per pair
-    out = _entries((2, 2), np.broadcast_shapes(g.shape[:-2], h.shape[:-2]))
-    term = np.empty(out.shape[:-2])
-    for i, j in np.ndindex(2, 2):
-        e = out[..., i, j]
-        np.multiply(g[..., i, 0], h[..., 0, j], out=e)
-        np.multiply(g[..., i, 1], h[..., 1, j], out=term)
-        e += term
-    return out
+    # g[i, 0] h[0, j] + g[i, 1] h[1, j] as two broadcast outer products, which
+    # keep the inputs' layout; a stacked g @ h makes one BLAS call per pair
+    return g[..., :, :1] * h[..., :1, :] + g[..., :, 1:] * h[..., 1:, :]
 
 
 def _affine_op(g, h):
@@ -291,13 +285,14 @@ class Group:
     chart variables, named boundary fields (coordinate batches (k, *shape)
     to values (k,)) and a default base point ``g0``.
 
-    The sl2r and affine exponentials, ops and inverses write their results
-    entry by entry into ``_entries`` arrays: the usual shape (k, *shape),
-    with each entry contiguous and the batch axes fastest, so that
-    entrywise code reads unit-stride arrays.  Every function accepts any
-    memory order.  A row with a line action samples through a ``_Box``: a
-    coordinate draw composed with a map to elements, two parts the Cotlar
-    check calls apart.
+    The sl2r and affine exponentials, sl2r's ``inv``, and affine's
+    ``op`` and ``inv`` write their results entry by entry into
+    ``_entries`` arrays: the usual shape (k, *shape), with each entry
+    contiguous and the batch axes fastest, so that entrywise code reads
+    unit-stride arrays; sl2r's ``op`` keeps the layout of its inputs.
+    Every function accepts any memory order.  A row with a line action
+    samples through a ``_Box``: a coordinate draw composed with a map to
+    elements, two parts the Cotlar check calls apart.
     """
 
     shape: tuple
@@ -471,8 +466,10 @@ def cotlar_pointwise_check(
     on ``samples`` seeded pairs (g, h), rejecting the measure-zero sets
     alpha = g . 0 = 0, beta = h . 0 = 0, alpha = beta, any other action
     value within ``band`` of 0 (band 1e-9) and chart poles.  Raises
-    ValueError when ``samples`` < 1, or when no pair of a drawn chunk is
-    valid, as when ``band`` covers every action value of the sampling box.
+    ValueError when ``samples`` < 1, or when none of the first
+    _COTLAR_CHUNK or more drawn pairs is valid, as when ``band`` covers
+    every action value of the sampling box; once one pair is valid, the
+    check draws until it has ``samples``.
 
     Pairs are drawn in chunks of at most _COTLAR_CHUNK, g before h, and
     each chunk is evaluated in consecutive slices of at most _SLICE pairs
@@ -528,18 +525,19 @@ def cotlar_pointwise_check(
     shape = (2, len(box.lims) * min(_COTLAR_CHUNK, int(1.4 * samples) + 64))
     np.empty(shape)
     buf_g, buf_h = np.empty(shape)
+    drawn = 0
     while done < samples:
+        if done == 0 and drawn >= _COTLAR_CHUNK:
+            raise ValueError(f"none of the first {drawn} {group_id} pairs is valid at band {band:g}")
         k = min(_COTLAR_CHUNK, int(1.4 * (samples - done)) + 64)
         xg, xh = box.draw(k, rng, buf_g), box.draw(k, rng, buf_h)
-        first = done
+        drawn += k
         for lo in range(0, k, _SLICE):
             take, fails = count(xg[:, lo : lo + _SLICE], xh[:, lo : lo + _SLICE], samples - done)
             failures += fails
             done += take
             if done == samples:
                 break
-        if done == first:  # each slice takes a valid pair if it has one
-            raise ValueError(f"no pair of a chunk of {k} {group_id} pairs is valid at band {band:g}")
     return failures
 
 

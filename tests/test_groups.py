@@ -293,15 +293,18 @@ class TestTableKernels:
         assert np.signbit(act0(one)) and not np.signbit(_projective_act_formula(one, 0.0, 1e-9))
 
     def test_sl2_op_and_inv_match_the_formulas_on_every_layout(self):
-        # the layouts of test_results_do_not_depend_on_the_input_layout; each
-        # output entry is one unit-stride array, the batch axis fastest
+        # the layouts of test_results_do_not_depend_on_the_input_layout.  Each
+        # entry of an inverse is one unit-stride array, the batch axis fastest;
+        # a product keeps the layout of its inputs
         rng = np.random.default_rng(17)
         g, h = (GROUPS[SL2R].sample(257, rng, 7) for _ in range(2))
         for a, b in zip(_layouts(g), _layouts(h)):
-            for got, ref in ((groups._sl2_op(a, b), _sl2_op_formula(a, b)), (groups._sl2_inv(a), _sl2_inv_formula(a))):
-                _assert_same_entries(got, ref)
-                for i, j in np.ndindex(2, 2):
-                    assert got[:, i, j].strides == (got.itemsize,)
+            prod, inv = groups._sl2_op(a, b), groups._sl2_inv(a)
+            _assert_same_entries(prod, _sl2_op_formula(a, b))
+            _assert_same_entries(inv, _sl2_inv_formula(a))
+            assert prod.strides == a.strides
+            for i, j in np.ndindex(2, 2):
+                assert inv[:, i, j].strides == (inv.itemsize,)
 
     def test_affine_row_matches_the_formulas(self):
         row = GROUPS[AFFINE]
@@ -793,9 +796,17 @@ class TestCotlar:
 
     def test_a_band_that_rejects_every_pair_raises(self):
         # |alpha| <= 2 on the real sampling box, so band 10 leaves no valid
-        # pair: the check raises on the first chunk instead of drawing forever
-        with pytest.raises(ValueError, match="no pair"):
+        # pair: the check raises after 65536 drawn pairs instead of drawing forever
+        with pytest.raises(ValueError, match="none of the first"):
             cotlar_pointwise_check(REAL, 10, band=10.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_low_yield_band_still_counts(self, seed):
+        # at band 1.9 a pair is valid when alpha and beta lie beyond 1.9 on
+        # opposite sides: 1 pair in 800, so the first 78-pair chunk mostly
+        # holds none, and the check must keep drawing
+        assert cotlar_pointwise_check(REAL, 10, seed=seed, band=1.9) == 0
+        assert _cotlar_reference(REAL, 10, seed, band=1.9) == 0
 
     @pytest.mark.parametrize("group_id", LINE_GROUPS)
     def test_the_check_does_not_write_through_the_action_values(self, group_id, monkeypatch):

@@ -47,7 +47,11 @@ def test_tracer_installs_and_restores_every_patched_name():
         assert set(patched) == set(originals)
         for (mod, name), original in originals.items():
             assert patched[(mod, name)] is original
-            assert getattr(mod, name) is not original and hasattr(getattr(mod, name), "__wrapped__")
+            if (mod, name) == (symbols, "from_json"):
+                # the tracer wraps a closure that calls from_json and records the parsed spec
+                assert getattr(mod, name) is not original and hasattr(getattr(mod, name), "__wrapped__")
+            else:
+                assert getattr(mod, name).__wrapped__ is original
         with np.errstate(all="ignore"):
             rep = geometry.classify(sphere_delta(2, 0.3), seed=2)
     finally:
