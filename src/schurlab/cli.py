@@ -388,18 +388,21 @@ def run(config: dict, out_path=None, fmt="json", seed=None, expect=None) -> int:
     return 0
 
 
+# built once: parse_args reads the parser without changing it
+_PARSER = argparse.ArgumentParser(
+    prog="schurlab",
+    description="Run schurlab experiments from a JSON config.",
+)
+_PARSER.add_argument("--config", required=True, help="path to the experiment config")
+_PARSER.add_argument("--out", default=None, help="output path (stdout when omitted)")
+_PARSER.add_argument("--format", default="json", choices=FORMATS)
+_PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
+_PARSER.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
+_PARSER.add_argument("--expect", choices=("pass", "fail"), default=None)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="schurlab",
-        description="Run schurlab experiments from a JSON config.",
-    )
-    parser.add_argument("--config", required=True, help="path to the experiment config")
-    parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    parser.add_argument("--format", default="json", choices=FORMATS)
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
-    parser.add_argument("--expect", choices=("pass", "fail"), default=None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = _load_config(args.config)

@@ -55,6 +55,11 @@ DEGENERATE_TOL = 1e-9
 # largest rays x coordinates batch the classify command accepts (a ball(1)
 # classify at the cap peaked at 378 MB RSS on a 2-vCPU x86-64 host)
 MAX_RAY_ENTRIES = 1 << 22
+# entries (slot pairs x axes) per chunk of the section pair scan: with
+# 1,500 points in one sphere_delta(2, 0) section, chunks of 2^22 entries
+# peaked at 195 MB RSS, 2^16 at 41 MB, and the 2^16 chunks scanned all
+# pairs of 6,000 rows no slower (2-vCPU x86-64 host)
+_PAIR_CHUNK = 1 << 16
 
 
 def _unit_normals(gx, gy):
@@ -65,9 +70,9 @@ def _unit_normals(gx, gy):
 
 
 def _row_norms(a):
-    """The Euclidean length of each row of a (k, d), as
-    np.linalg.norm(a, axis=1) computes it."""
-    return np.sqrt((a * a).sum(axis=1))
+    """The Euclidean length of each row (last axis) of a, as
+    np.linalg.norm(a, axis=-1) computes it."""
+    return np.sqrt((a * a).sum(axis=-1))
 
 
 def _boundary_points(spec, x, y, gx, gy) -> list:
@@ -276,9 +281,13 @@ def transversality_check(pt: BoundaryPoint, tol: float = TRANSVERSE_TOL) -> bool
 
 def _uniform_in_box(rng, box, size):
     """An array of ``size`` points uniform in the box, drawn point by
-    point and axis by axis."""
+    point and axis by axis, with the bits of
+    ``rng.uniform(box[:, 0], box[:, 1], size + (d,))``."""
     box = np.asarray(box, dtype=float)
-    return rng.uniform(box[:, 0], box[:, 1], size=tuple(size) + (box.shape[0],))
+    u = rng.random(tuple(size) + (box.shape[0],))
+    u *= box[:, 1] - box[:, 0]  # lo + (hi - lo) u, as uniform computes it
+    u += box[:, 0]
+    return u
 
 
 class _BoundaryPool:
@@ -348,25 +357,42 @@ def sample_boundary_points(
     return _boundary_points(spec, *_BoundaryPool(spec, count, seed, max_attempts).grow(count))
 
 
-def _wide_pairs(n2, tol_angle) -> list:
-    """The pairs (i, j, angle), i < j in row-major order, of rows of
-    n2 (k, n) whose lines are more than ``tol_angle`` apart.
+def _wide_pairs(n2, kept, tol_angle, limit=None) -> list:
+    """The first ``limit`` (default: all) pairs (section, i, j, angle) of
+    rows i < j of one section of n2 (sections, k, n), in row-major order,
+    whose lines are more than ``tol_angle`` apart; only the rows that
+    ``kept`` (sections, k) marks take part.
 
     The angle between the lines of unit rows u and v is
     2 atan2(|u - s v|, |u + s v|) with s = sign(u . v): it keeps its
     digits down to rounding, where arccos |u . v| reads 0 below about
-    1.5e-8.  The pairs are taken in chunks of at most MAX_RAY_ENTRIES
-    entries."""
-    u = n2 / _row_norms(n2)[:, None]
-    i, j = np.triu_indices(len(u), 1)
-    angle = np.empty(len(i))
-    step = max(1, MAX_RAY_ENTRIES // u.shape[1])
-    for c in range(0, len(i), step):
-        a, b = u[i[c : c + step]], u[j[c : c + step]]
-        s = np.where((a * b).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
-        angle[c : c + step] = 2.0 * np.arctan2(_row_norms(a - s * b), _row_norms(a + s * b))
-    wide = angle > tol_angle
-    return [(int(p), int(q), float(t)) for p, q, t in zip(i[wide], j[wide], angle[wide])]
+    1.5e-8.  The pairs are evaluated in chunks of at most
+    max(_PAIR_CHUNK, k n) entries (whole sections, or rows of one section
+    against the rows from the chunk's first on), and the scan ends with
+    the chunk that holds the ``limit``-th pair, so the list is empty
+    exactly when no pair is wide."""
+    sections, k, n = n2.shape
+    u = n2 / _row_norms(n2)[..., None]
+    rows = max(1, _PAIR_CHUNK // max(k * n, 1))
+    if rows >= k:  # whole sections
+        step = rows // k
+        chunks = [(s, s + step, 0, k) for s in range(0, sections, step)]
+    else:
+        chunks = [(s, s + 1, i, min(i + rows, k)) for s in range(sections) for i in range(0, k, rows)]
+    pairs = []
+    for s0, s1, i0, i1 in chunks:
+        a, b = u[s0:s1, i0:i1, None], u[s0:s1, None, i0:]
+        # u - s v and u + s v are u - v and u + v, swapped where s = -1
+        neg = (a * b).sum(axis=-1) < 0.0
+        minus, plus = _row_norms(a - b), _row_norms(a + b)
+        angle = 2.0 * np.arctan2(np.where(neg, plus, minus), np.where(neg, minus, plus))
+        wide = (angle > tol_angle) & kept[s0:s1, i0:i1, None] & kept[s0:s1, None, i0:]
+        wide &= np.arange(i0, i1)[:, None] < np.arange(i0, k)
+        s, i, j = (h[: None if limit is None else limit - len(pairs)] for h in np.nonzero(wide))
+        pairs += zip((s + s0).tolist(), (i + i0).tolist(), (j + i0).tolist(), angle[s, i, j].tolist())
+        if len(pairs) == limit:
+            break
+    return pairs
 
 
 def zero_curvature_check_c1(
@@ -392,7 +418,8 @@ def zero_curvature_check_c1(
     tangent = ~_transverse(n1, n2, transverse_tol)
     if tangent.any():
         raise NonTransverseSample(f"sample at x = {pts[int(tangent.argmax())].x} is not transverse")
-    witnesses = [(pts[i], pts[j], angle) for i, j, angle in _wide_pairs(n2, tol_angle)]
+    pairs = _wide_pairs(n2[None], np.ones((1, len(n2)), bool), tol_angle)
+    witnesses = [(pts[i], pts[j], angle) for _, i, j, angle in pairs]
     return not witnesses, witnesses
 
 
@@ -577,49 +604,52 @@ def classify(
         return report
 
     rng = np.random.default_rng([seed, 1])
-    c1_ok = True
-    used = []  # the rows (x, y, gx, gy) of each used section
     per = points_per_section
     # the sections of a group of up to ``sections`` transverse pool points
     # are solved as one batch; past the first group only until one section
-    # assembles.  A group is read once the pool holds all of it, so its
-    # size, and the x starts drawn for it, are those of the whole pool.
+    # assembles, and only that section is used.  A group is read once the
+    # pool holds all of it, so its size, and the x starts drawn for it, are
+    # those of the whole pool.
     start = 0
-    while not used:
+    while True:
         # a walk past the first group doubles the pool it reads, so it
         # grows the pool a few times and not once per group
         pool_x, pool_y = transverse_points(max(start + group, 2 * start))
         if start >= len(pool_x):
-            break
+            report.samples["sections_used"] = 0
+            report.notes.append("could not assemble section pairs for the curvature check")
+            return report
         cx, cy = pool_x[start : start + sections], pool_y[start : start + sections]
         x_inits = np.concatenate(
             (_uniform_in_box(rng, spec.x_box, (len(cx), per - 1)), cx[:, None]), axis=1
         ).reshape(-1, spec.m_dim)
         rows, x, y, gx, gy = _project_rays(spec, x_inits, np.repeat(cy, per, axis=0), move_x=True)
         n1, n2 = _unit_normals(gx, gy)
-        section = np.where(_transverse(n1, n2, transverse_tol), rows // per, -1)
-        for j in range(len(cx)):
-            if start + j >= sections and used:
-                break
-            kept = np.flatnonzero(section == j)
-            if len(kept) < 2:
-                continue
-            used.append((x[kept], y[kept], gx[kept], gy[kept]))
-            pairs = _wide_pairs(n2[kept], tol_angle)
-            c1_ok = c1_ok and not pairs
-            for a, b, angle in pairs[: 8 - len(report.witnesses)]:
-                ab = kept[[a, b]]
-                p, q = _boundary_points(spec, x[ab], y[ab], gx[ab], gy[ab])
-                report.witnesses.append((p, q, angle))
+        transverse = _transverse(n1, n2, transverse_tol)
+        assembled = np.bincount(rows[transverse] // per, minlength=len(cx)) >= 2
+        if start >= sections:
+            assembled &= np.cumsum(assembled) == 1
+        if assembled.any():
+            break
         start += group
-    report.samples["sections_used"] = len(used)
-    if not used:
-        report.notes.append("could not assemble section pairs for the curvature check")
-        return report
+    report.samples["sections_used"] = int(assembled.sum())
+
+    # the used rows in (section, point) slots, checked in one pass
+    kept = transverse & assembled[rows // per]
+    slots = np.ones((len(cx) * per, spec.n_dim))
+    slots[rows[kept]] = n2[kept]
+    in_slot = np.zeros(len(slots), bool)
+    in_slot[rows[kept]] = True
+    pairs = _wide_pairs(slots.reshape(len(cx), per, -1), in_slot.reshape(len(cx), per), tol_angle, 8)
+    c1_ok = not pairs
+    for s, i, j, angle in pairs:
+        ab = np.searchsorted(rows, [s * per + i, s * per + j])
+        p, q = _boundary_points(spec, x[ab], y[ab], gx[ab], gy[ab])
+        report.witnesses.append((p, q, angle))
+    x, y, gx, gy = x[kept], y[kept], gx[kept], gy[kept]
 
     c2_ok = None
     if spec.hess_xy is not None:
-        x, y, gx, gy = (np.concatenate(c) for c in zip(*used))
         c2_ok, violation = mixed_hessian_check(spec, x, y, gx, gy, hessian_tol)
         report.samples["hessian_points"] = len(x)
         report.samples["hessian_violation"] = violation

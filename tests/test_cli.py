@@ -794,3 +794,27 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_one_process_runs_configs_as_separate_processes(tmp_path):
+    """main parses with one parser built at import: configs run one after
+    another in this process, with different --seed, --format and --expect
+    (and then none), give the exit codes and bytes of separate runs."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    sphere = _write_config(tmp_path, SPHERE_CLASSIFY, "sphere.json")
+    norms = _write_config(tmp_path, TRIANGULAR_NORMS, "norms.json")
+    runs = [
+        [sphere, "--seed", "5", "--format", "json", "--expect", "fail"],
+        [norms, "--seed", "2", "--format", "csv", "--expect", "pass"],
+        [sphere],
+    ]
+    for k, (cfg, *flags) in enumerate(runs):
+        here, alone = tmp_path / f"here{k}", tmp_path / f"alone{k}"
+        code = main(["--config", cfg, "--out", str(here), *flags])
+        separate = subprocess.run(
+            [sys.executable, "-m", "schurlab.cli", "--config", cfg, "--out", str(alone), *flags],
+            env=env, capture_output=True, text=True,
+        )
+        assert code == separate.returncode, separate.stderr
+        assert _strip_wall_ms(here.read_text()) == _strip_wall_ms(alone.read_text())

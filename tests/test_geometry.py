@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -550,7 +551,7 @@ class TestZeroCurvatureC1:
         for n in (1, 2, 5):
             n2 = rng.standard_normal((9, n))
             n2[3] = -2.0 * n2[1] + 1e-12  # nearly the same line, opposite sign
-            got = geometry._wide_pairs(n2, 0.0)
+            got = geometry._wide_pairs(n2[None], np.ones((1, 9), bool), 0.0)
             expected = []
             for i in range(9):
                 for j in range(i + 1, 9):
@@ -559,10 +560,10 @@ class TestZeroCurvatureC1:
                     s = -1.0 if np.sum(u * v) < 0.0 else 1.0
                     ang = 2.0 * float(np.arctan2(math.sqrt(float(np.sum((u - s * v) ** 2))), math.sqrt(float(np.sum((u + s * v) ** 2)))))
                     if ang > 0.0:
-                        expected.append((i, j, ang))
+                        expected.append((0, i, j, ang))
             assert got == expected
             # the angle between lines: at most pi / 2, and arccos |u.v| above its floor
-            for i, j, ang in got:
+            for _, i, j, ang in got:
                 cos = abs(float(np.dot(n2[i], n2[j]))) / np.linalg.norm(n2[i]) / np.linalg.norm(n2[j])
                 assert ang <= math.pi / 2 + 1e-15
                 if ang > 1e-6:
@@ -571,6 +572,47 @@ class TestZeroCurvatureC1:
     def test_non_transverse_sample_raises(self):
         with pytest.raises(NonTransverseSample):
             zero_curvature_check_c1(ball(2, 1.0), [0.0, 0.0], [[0.9, 0.1]])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 200, geometry._PAIR_CHUNK])
+    def test_a_batch_of_sections_reads_as_each_section_in_turn(self, chunk, monkeypatch):
+        # chunks of 1 and 7 entries take rows of one section; 200 takes two
+        # sections a chunk at n = 1, one at n = 2 and rows at n = 5; the
+        # default takes all three sections in one chunk
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5):
+            n2 = rng.standard_normal((3, 9, n))
+            n2[1, 4:] = n2[1, 0]  # a section with parallel rows
+            kept = rng.random((3, 9)) < 0.7
+            expected = []
+            for s in range(3):
+                rows = np.flatnonzero(kept[s])
+                one = geometry._wide_pairs(n2[s, rows][None], np.ones((1, len(rows)), bool), ANGLE_TOL)
+                expected += [(s, int(rows[i]), int(rows[j]), ang) for _, i, j, ang in one]
+            assert geometry._wide_pairs(n2, kept, ANGLE_TOL) == expected
+            for limit in (1, 8, len(expected)):
+                assert geometry._wide_pairs(n2, kept, ANGLE_TOL, limit) == expected[:limit]
+
+    @pytest.mark.parametrize("limit, wide_rows", [(8, None), (None, 1)])
+    def test_pair_memory_does_not_grow_with_the_rows(self, limit, wide_rows):
+        """Random rows with classify's limit of 8, and an unlimited scan of
+        rows all parallel but ``wide_rows``: the traced peak on twice the
+        rows stays within 1.5x (it grew fourfold when all pairs were
+        indexed at once: 888 MiB at 3,000 rows)."""
+        rng = np.random.default_rng(0)
+        peaks = []
+        for k in (3000, 6000) if limit else (1500, 3000):
+            n2 = rng.standard_normal((1, k, 2))
+            if wide_rows:
+                n2[0, wide_rows:] = [0.6, 0.8]
+            tracemalloc.start()
+            try:
+                pairs = geometry._wide_pairs(n2, np.ones((1, k), bool), ANGLE_TOL, limit)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(pairs) == (limit or k - wide_rows)
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
     def test_samples_match_the_point_by_point_projections(self):
@@ -689,6 +731,37 @@ class TestClassify:
         rep = classify(sphere_delta(3, 0.0), seed=532220982)
         assert rep.verdict == CURVATURE_FAIL
         assert rep.samples["sections_used"] == 1
+
+    def test_checks_each_section_group_in_one_pass(self, monkeypatch):
+        """The sections of a group are compared in one _wide_pairs pass:
+        one np.arctan2 call for the group read, not one per assembled
+        section (5 here)."""
+        calls = []
+        arctan2 = np.arctan2
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return arctan2(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arctan2", counting)
+        rep = classify(sphere_delta(2, 0.0), seed=1)
+        assert rep.verdict == CURVATURE_FAIL and rep.samples["sections_used"] == 5
+        assert len(calls) == 1
+
+    def test_a_long_section_stops_at_its_eighth_witness(self):
+        """1,500 starts in one section: the scan ends with the chunk that
+        holds the 8th wide pair.  Traced peak 3.9 MiB on x86-64 (99.4 MiB,
+        139 MB RSS, while every pair was indexed at once)."""
+        tracemalloc.start()
+        try:
+            with np.errstate(all="ignore"):
+                rep = classify(sphere_delta(2, 0.0), sections=1, points_per_section=1500, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == CURVATURE_FAIL and len(rep.witnesses) == 8
+        assert rep.samples["hessian_points"] == 944
+        assert peak <= 16 * 2**20, peak
 
     def test_no_boundary_in_box_is_inconclusive(self):
         # F = x1 - y1 is bounded away from zero on this box
@@ -851,6 +924,17 @@ def test_classify_matches_the_point_by_point_reference(config):
     for (p, q, ang), (p_ref, q_ref, ang_ref) in zip(rep.witnesses, witnesses):
         _assert_same_points([p, q], [p_ref, q_ref])
         assert ang == ang_ref
+
+
+@pytest.mark.parametrize("size", [(2560,), (8, 7), (0,)])
+def test_uniform_in_box_draws_the_bits_of_uniform(size):
+    # the classify reference draws its starts with _uniform_in_box too, so
+    # only this pins the stream
+    for d in range(1, 7):
+        box = np.sort(np.random.default_rng(d).uniform(-3.0, 3.0, (d, 2)), axis=1)
+        got = _uniform_in_box(np.random.default_rng([d, 7]), box, size)
+        want = np.random.default_rng([d, 7]).uniform(box[:, 0], box[:, 1], size + (d,))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_transversality_check_is_the_row_rule_at_its_threshold():
